@@ -11,6 +11,7 @@ from .dsl import (
 )
 from .errors import (
     BadOrder,
+    ChainRewriteInvariantViolation,
     DualGraphError,
     DuplicateId,
     GraphSyntaxError,
@@ -49,6 +50,7 @@ from .graph import (
     WeightedGraph,
     build_graph,
     classify_shape,
+    induced_graph,
     intersection_matrix,
     subdivisor,
     with_vertex,

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import NotAChain, NotStandardizable
-from .graph import Selection, WeightedGraph, classify_shape, subdivisor
+from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
+from .graph import Selection, WeightedGraph, classify_shape, induced_graph, subdivisor
 from .lattice import signature
 from .moves import (
     Move,
@@ -89,13 +89,6 @@ class StandardizeResult:
     is_standard: bool
 
 
-def _standalone(g: WeightedGraph, selection: Selection) -> WeightedGraph:
-    sel = subdivisor(g, selection)
-    ids = sorted(sel, key=g.position)
-    return WeightedGraph(ids, {v: g.weight(v) for v in ids},
-                         sel.induced_edges(), g.next_id)
-
-
 def _types(g: WeightedGraph, order) -> List[int]:
     return [-g.weight(v) for v in order]
 
@@ -123,8 +116,9 @@ class _Session:
     def _spend(self, n: int) -> None:
         self.budget -= n
         if self.budget < 0:
-            raise RuntimeError("chain rewriting exceeded its move budget; "
-                               "this indicates a bug in the case analysis")
+            raise ChainRewriteInvariantViolation(
+                "chain rewriting exceeded its move budget; "
+                "this indicates a bug in the case analysis")
 
     def prim(self, result) -> Move:
         self.g, move = result
@@ -178,7 +172,7 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
     normal form and raise NotStandardizable.
     """
     order0 = chain_order(g, selection)
-    start = _standalone(g, selection)
+    start = induced_graph(g, selection)
     plus, zero_eigs, _minus = signature(start)
     if plus + zero_eigs >= 2:
         raise NotStandardizable(
@@ -201,7 +195,7 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             continue
         bad = [i for i, x in enumerate(t) if x <= 0]
         if len(bad) > 2 or (len(bad) == 2 and bad[1] != bad[0] + 1):
-            raise RuntimeError(f"unreachable chain pattern {t}")
+            raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
         if min(bad) > (k - 1) - max(bad):
             order.reverse()
             t.reverse()
@@ -227,7 +221,7 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
                 elif t[0] <= -1 and t[1] == 0:
                     _run_ets(s, order[1], order[0], -t[0])
                 else:
-                    raise RuntimeError(f"unreachable chain pattern {t}")
+                    raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
         else:
             if len(bad) == 1:
                 if t[p] == 0:
@@ -249,7 +243,7 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
                 elif t[p] == 0 and t[p + 1] == 0:
                     _run_ets(s, order[p], order[p + 1], 2)
                 else:
-                    raise RuntimeError(f"unreachable chain pattern {t}")
+                    raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
 
     final_type = chain_type(s.g) if len(s.g) else ChainType(())
     return StandardizeResult(

@@ -342,11 +342,7 @@ def _fiber_payload(fr) -> dict:
 
 def _verify_single(pair: CuspPair) -> CommandResult:
     cert = theorem_pipeline(pair)
-    checks = [
-        {"name": c.name, "expected": _jsonable(c.expected),
-         "computed": _jsonable(c.computed), "pass": c.passed}
-        for c in cert.checks
-    ]
+    checks = [_check(c.name, c.expected, c.computed) for c in cert.checks]
     mult = dict(cert.fiber_one.multiplicity)
     mult.update(cert.fiber_two.multiplicity)
     roles = {

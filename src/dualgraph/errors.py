@@ -88,6 +88,11 @@ class PipelineInvariantViolation(DualGraphError):
     """An internal certification step of the resolution pipeline failed."""
 
 
+class ChainRewriteInvariantViolation(DualGraphError):
+    """Chain rewriting reached a pattern its case analysis rules out, or ran
+    past its move budget."""
+
+
 class GraphSyntaxError(DualGraphError):
     """Malformed line in the textual graph format."""
 

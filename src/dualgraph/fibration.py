@@ -102,8 +102,7 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
     start = initial_fiber()
-    seen = {fiber_key(start)}
-    out = [start]
+    classes = {fiber_key(start): start}
     frontier = [start]
     while frontier:
         nxt: List[Fiber] = []
@@ -115,13 +114,12 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
             for pos in positions:
                 child = fiber_blow_up(f, pos)
                 key = fiber_key(child)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(child)
+                if key not in classes:
+                    classes[key] = child
                     nxt.append(child)
         frontier = nxt
-    out.sort(key=lambda f: (len(f.graph), fiber_key(f)))
-    return out
+    ordered = sorted(classes.items(), key=lambda kf: (len(kf[1].graph), kf[0]))
+    return [f for _key, f in ordered]
 
 
 @dataclass(frozen=True)
@@ -132,33 +130,6 @@ class FiberReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _components(g: WeightedGraph, ids: Iterable[int]) -> List[List[int]]:
-    ids = set(ids)
-    comps: List[List[int]] = []
-    left = set(ids)
-    while left:
-        seed = min(left)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in ids and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-        left -= comp
-    return comps
-
-
-def _is_chain_ids(g: WeightedGraph, ids: Sequence[int]) -> bool:
-    ids = set(ids)
-    if not ids:
-        return False
-    degs = [sum(1 for u in g.neighbors(v) if u in ids) for v in ids]
-    return all(d <= 2 for d in degs)
 
 
 def validate_fiber(f: Fiber) -> FiberReport:
@@ -189,10 +160,10 @@ def validate_fiber(f: Fiber) -> FiberReport:
     if second:
         center = minus_ones[0]
         rest = [v for v in g.vertices if v != center]
-        comps = _components(g, rest)
+        comps = classify_shape(g, rest).components
         if len(comps) > 2:
             bad.append("complement of the (-1)-vertex has more than two components")
-        if len(comps) == 2 and not any(_is_chain_ids(g, c) for c in comps):
+        if len(comps) == 2 and not any(classify_shape(g, c).is_chain for c in comps):
             bad.append("neither complement component is a chain")
         ones = [v for v in g.vertices if f.multiplicity[v] == 1]
         if len(ones) != 2:

@@ -8,10 +8,17 @@ forbidden: a component crossing itself is outside this category.
 Graphs are immutable.  Vertex ids are stable small integers; the canonical
 vertex order is insertion order and never changes under derived-graph
 construction.  Ids of removed vertices are never handed out again.
+
+Each graph builds its adjacency index (every vertex's neighbours in
+canonical order, one entry per parallel edge) once, on the first read, and
+keeps it.  Immutability makes that safe: nothing can change the vertices
+or edges the index was built from.  Graphs that are only written, such as
+the intermediate steps of a blow-up sequence, never build it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -32,13 +39,29 @@ class WeightedGraph:
     operations, which maintain the fresh-id counter.
     """
 
-    __slots__ = ("_order", "_weight", "_edges", "_next_id")
+    __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj")
 
     def __init__(self, order, weight, edges, next_id):
         self._order: Tuple[int, ...] = tuple(order)
         self._weight: Dict[int, int] = dict(weight)
         self._edges: Tuple[Edge, ...] = tuple(sorted(_norm_edge(a, b) for a, b in edges))
         self._next_id: int = next_id
+        self._adj: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    def _index(self) -> Dict[int, Tuple[int, ...]]:
+        if self._adj is None:
+            incident: Dict[int, List[int]] = {v: [] for v in self._order}
+            for a, b in self._edges:
+                incident[a].append(b)
+                incident[b].append(a)
+            # visiting the vertices in canonical order lists each one's
+            # neighbours in canonical order without a sort
+            adj: Dict[int, List[int]] = {v: [] for v in self._order}
+            for u in self._order:
+                for v in incident[u]:
+                    adj[v].append(u)
+            self._adj = {v: tuple(ns) for v, ns in adj.items()}
+        return self._adj
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -69,27 +92,21 @@ class WeightedGraph:
 
     def edge_multiplicity(self, a: int, b: int) -> int:
         e = _norm_edge(a, b)
-        return sum(1 for x in self._edges if x == e)
+        lo = bisect_left(self._edges, e)
+        return bisect_right(self._edges, e, lo) - lo
 
     def has_edge(self, a: int, b: int) -> bool:
         return self.edge_multiplicity(a, b) > 0
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Adjacent ids, one entry per incident edge, in canonical order."""
-        self.require_vertex(v)
-        out: List[int] = []
-        for a, b in self._edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        pos = {u: i for i, u in enumerate(self._order)}
-        out.sort(key=pos.__getitem__)
-        return tuple(out)
+        try:
+            return self._index()[v]
+        except KeyError:
+            raise UnknownVertex(f"no vertex {v!r}") from None
 
     def degree(self, v: int) -> int:
-        self.require_vertex(v)
-        return sum(1 for a, b in self._edges if v in (a, b))
+        return len(self.neighbors(v))
 
     def position(self, v: int) -> int:
         """Index of v in the canonical order."""
@@ -200,22 +217,13 @@ class SubDivisor:
         )
 
     def degree(self, v: int) -> int:
-        if v not in self._selected:
-            raise UnknownVertex(f"vertex {v!r} not in selection")
-        return sum(1 for a, b in self.induced_edges() if v in (a, b))
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         if v not in self._selected:
             raise UnknownVertex(f"vertex {v!r} not in selection")
-        out: List[int] = []
-        for a, b in self.induced_edges():
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        pos = {u: i for i, u in enumerate(self._parent.vertices)}
-        out.sort(key=pos.__getitem__)
-        return tuple(out)
+        sel = self._selected
+        return tuple(u for u in self._parent.neighbors(v) if u in sel)
 
     def complement(self) -> "SubDivisor":
         return SubDivisor(self._parent, set(self._parent.vertices) - self._selected)
@@ -252,6 +260,17 @@ def subdivisor(g: WeightedGraph, selection: Selection = None) -> SubDivisor:
             raise UnknownVertex("selection belongs to a different graph")
         return selection
     return SubDivisor(g, selection)
+
+
+def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGraph:
+    """The selection as a graph of its own.
+
+    Vertex ids, their canonical order, weights and the fresh-id counter are
+    kept, so moves on the result never reuse an id of g.
+    """
+    s = subdivisor(g, selection)
+    verts = s.order()
+    return WeightedGraph(verts, {v: g.weight(v) for v in verts}, s.induced_edges(), g.next_id)
 
 
 def intersection_matrix(g: WeightedGraph, selection: Selection = None) -> List[List[int]]:
@@ -293,29 +312,29 @@ def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport
     """
     s = subdivisor(g, selection)
     verts = s.order()
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    is_forest = True
-    for a, b in s.induced_edges():
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            is_forest = False
-        else:
-            parent[ra] = rb
+    deg: Dict[int, int] = {}
+    label: Dict[int, int] = {}
+    for root in verts:
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            nbs = s.neighbors(v)
+            deg[v] = len(nbs)
+            for u in nbs:
+                if u not in label:
+                    label[u] = root
+                    stack.append(u)
     groups: Dict[int, List[int]] = {}
     for v in verts:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(label[v], []).append(v)
     components = tuple(tuple(vs) for vs in groups.values())
-    components = tuple(sorted(components, key=lambda c: verts.index(c[0])))
-    deg = {v: s.degree(v) for v in verts}
     tips = tuple(v for v in verts if deg[v] <= 1)
     branching = tuple(v for v in verts if deg[v] >= 3)
+    # a graph is a forest iff it has exactly V - C edges
+    is_forest = sum(deg.values()) == 2 * (len(verts) - len(components))
     is_tree = is_forest and len(components) == 1
     is_chain = is_tree and all(deg[v] <= 2 for v in verts)
     return ShapeReport(is_forest, is_tree, is_chain, components, tips, branching)

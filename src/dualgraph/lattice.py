@@ -7,7 +7,7 @@ matrix; the empty selection has discriminant 1.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import NotAForest
 from .graph import Selection, WeightedGraph, classify_shape, intersection_matrix, subdivisor
@@ -26,68 +26,41 @@ def discriminant(g: WeightedGraph, selection: Selection = None) -> int:
 
 
 def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> int:
-    """Discriminant via recursive splitting at an edge.
+    """Discriminant of a forest selection by the splitting rule.
 
     For adjacent trees T1 (containing the edge's vertex c1) and T2
     (containing c2), the discriminant of the union satisfies
 
         d(T1 + T2) = d(T1) d(T2) - d(T1 - c1) d(T2 - c2)
 
-    and disjoint pieces multiply.  The recursion bottoms out at single
-    vertices (d = -weight) and the empty selection (d = 1), so only ring
-    operations are used: no division, no elimination.  Works verbatim on
-    symbolic weights.
+    and disjoint pieces multiply.  Each tree is rooted at its first vertex
+    and its edges are split off leaves first, carrying (d(T_v), d(T_v - v))
+    for the subtree T_v under each vertex v, starting from (-weight, 1).
+    Only ring operations are used: no division, no elimination, no
+    recursion.  Works verbatim on symbolic weights.
     """
     s = subdivisor(g, selection)
-    if not classify_shape(g, s).is_forest:
-        raise NotAForest("splitting recursion needs a forest selection")
-    adj: Dict[int, List[int]] = {v: [] for v in s.order()}
-    for a, b in s.induced_edges():
-        adj[a].append(b)
-        adj[b].append(a)
-    weight = {v: g.weight(v) for v in s.order()}
-    return _d_forest(frozenset(weight), adj, weight)
-
-
-def _component(start: int, verts: FrozenSet[int], adj, forbidden=None):
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v in verts and v not in seen:
-                if forbidden and (u, v) in forbidden:
-                    continue
-                seen.add(v)
-                stack.append(v)
-    return frozenset(seen)
-
-
-def _d_forest(verts: FrozenSet[int], adj, weight):
-    if not verts:
-        return 1
-    remaining = set(verts)
+    shape = classify_shape(g, s)
+    if not shape.is_forest:
+        raise NotAForest("the splitting rule needs a forest selection")
     total = 1
-    while remaining:
-        comp = _component(min(remaining), frozenset(remaining), adj)
-        total *= _d_tree(comp, adj, weight)
-        remaining -= comp
+    for comp in shape.components:
+        root = comp[0]
+        parent = {root: root}
+        order = [root]
+        for v in order:
+            for u in s.neighbors(v):
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        whole = {v: -g.weight(v) for v in comp}
+        pruned = dict.fromkeys(comp, 1)
+        for v in reversed(order[1:]):
+            p = parent[v]
+            whole[p], pruned[p] = (whole[p] * whole[v] - pruned[p] * pruned[v],
+                                   pruned[p] * whole[v])
+        total *= whole[root]
     return total
-
-
-def _d_tree(verts: FrozenSet[int], adj, weight):
-    if len(verts) == 1:
-        (v,) = verts
-        return -weight[v]
-    # deterministic split edge: lowest vertex with a neighbor inside, lowest such neighbor
-    a = min(v for v in verts if any(u in verts for u in adj[v]))
-    b = min(u for u in adj[a] if u in verts)
-    cut = {(a, b), (b, a)}
-    t1 = _component(a, verts, adj, forbidden=cut)
-    t2 = verts - t1
-    whole = _d_forest(t1, adj, weight) * _d_forest(t2, adj, weight)
-    pruned = _d_forest(t1 - {a}, adj, weight) * _d_forest(t2 - {b}, adj, weight)
-    return whole - pruned
 
 
 def definiteness(g: WeightedGraph, selection: Selection = None) -> str:

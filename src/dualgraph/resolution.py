@@ -23,7 +23,7 @@ from .errors import (
     Transversal,
 )
 from .fibration import Fiber, fibration_model, fujita_accounting, validate_fiber
-from .graph import WeightedGraph, build_graph, classify_shape, subdivisor, with_vertex
+from .graph import WeightedGraph, build_graph, classify_shape, induced_graph, with_vertex
 from .homology import euler_open
 from .lattice import discriminant
 from .moves import Move, MoveLog, blow_up_edge, blow_up_free, snc_minimalize, spawn
@@ -490,20 +490,15 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check, tag) -> FiberRo
         sides = {frozenset(vertices[:i]), frozenset(vertices[i + 1:])}
         check(f"member_{tag}_sides_are_near_far",
               {frozenset(near), frozenset(far)}, sides)
-    report = validate_fiber(Fiber(_induced(g, vertices), mult, MoveLog()))
+    report = validate_fiber(Fiber(induced_graph(g, vertices), mult, MoveLog()))
     check(f"member_{tag}_fiber_report", (), report.violations)
     return role
 
 
-def _induced(g: WeightedGraph, ids) -> WeightedGraph:
-    s = subdivisor(g, ids)
-    return build_graph([(v, g.weight(v)) for v in s.order()], s.induced_edges())
-
-
 def _accounting_checks(g, curve, sections, roles, rho, check) -> None:
     """Assemble the abstract fibration model and run the counting identity."""
-    fibers = [Fiber(_induced(g, r.vertices), dict(r.multiplicity), MoveLog()) for r in roles]
-    fibers.append(Fiber(_induced(g, (curve,)), {curve: 1}, MoveLog()))
+    fibers = [Fiber(induced_graph(g, r.vertices), dict(r.multiplicity), MoveLog()) for r in roles]
+    fibers.append(Fiber(induced_graph(g, (curve,)), {curve: 1}, MoveLog()))
     section_maps = []
     for j, s in enumerate(sections):
         hits: Dict[int, int] = {}

@@ -2,15 +2,22 @@ import random
 
 import pytest
 
-from dualgraph.errors import NotAChain, NotStandardizable
+from dualgraph.errors import (
+    ChainRewriteInvariantViolation,
+    DualGraphError,
+    NotAChain,
+    NotStandardizable,
+)
 from dualgraph.graph import build_graph
 from dualgraph.lattice import discriminant, signature
 from dualgraph.chains import (
     ChainType,
+    _Session,
     chain_order,
     chain_type,
     standardize_chain,
 )
+from dualgraph.moves import blow_up_free
 
 from test_graph import chain
 
@@ -262,3 +269,11 @@ def test_standardize_random_chains_by_inertia():
     # the kernel class is rare here and has its own dedicated test above
     assert seen["reject"] > 10 and seen["hyperbolic"] > 10 and seen["definite"] > 10, seen
     assert seen["kernel"] >= 1, seen
+
+
+def test_exhausted_move_budget_is_a_typed_error():
+    g = chain([-2, -2])
+    s = _Session(g, 0)
+    with pytest.raises(ChainRewriteInvariantViolation, match="move budget"):
+        s.prim(blow_up_free(g, 1))
+    assert issubclass(ChainRewriteInvariantViolation, DualGraphError)

@@ -1,13 +1,25 @@
+import random
+from collections import Counter
+
 import pytest
 
-from dualgraph.errors import DuplicateId, SelfLoop, UnknownEndpoint, UnknownVertex
+from dualgraph.errors import (
+    DualGraphError,
+    DuplicateId,
+    SelfLoop,
+    UnknownEndpoint,
+    UnknownVertex,
+)
 from dualgraph.graph import (
+    ShapeReport,
     SubDivisor,
     build_graph,
     classify_shape,
+    induced_graph,
     intersection_matrix,
     subdivisor,
 )
+from dualgraph.moves import MoveLog, apply_move, blow_down, blow_up_edge, blow_up_free, spawn
 
 
 def chain(weights, start=1):
@@ -124,3 +136,127 @@ def test_classify_relabel_invariance():
     ra, rb = classify_shape(a), classify_shape(b)
     assert (ra.is_forest, ra.is_tree, ra.is_chain) == (rb.is_forest, rb.is_tree, rb.is_chain)
     assert len(ra.branching) == len(rb.branching) == 1
+
+
+def test_induced_graph_keeps_ids_order_weights_and_fresh_counter():
+    g = build_graph([(7, -2), (3, 0), (9, -1), (4, -3)], [(7, 3), (3, 9), (3, 9), (9, 4)])
+    g, _ = blow_up_free(g, 4)  # adds vertex 10, so next_id is 11
+    h = induced_graph(g, [9, 3, 7])
+    assert h.vertices == (7, 3, 9)
+    assert [h.weight(v) for v in h.vertices] == [-2, 0, -1]
+    assert h.edges == ((3, 7), (3, 9), (3, 9))
+    assert h.next_id == g.next_id == 11  # not max(selection) + 1
+    assert induced_graph(g) == g
+    assert induced_graph(g, []).vertices == ()
+
+
+def _scan_neighbors(g, v, sel):
+    """Neighbours of v inside sel by a pass over every edge of g."""
+    out = [a + b - v for a, b in g.edges if v in (a, b) and a + b - v in sel]
+    return tuple(sorted(out, key=g.vertices.index))
+
+
+def _scan_shape(g, sel):
+    """classify_shape recomputed from the edge list alone."""
+    verts = [v for v in g.vertices if v in sel]
+    edges = [(a, b) for a, b in g.edges if a in sel and b in sel]
+    deg = Counter(v for e in edges for v in e)
+    label = {v: i for i, v in enumerate(verts)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            low = min(label[a], label[b])
+            if (label[a], label[b]) != (low, low):
+                label[a] = label[b] = low
+                changed = True
+    components = tuple(
+        tuple(v for v in verts if label[v] == i) for i in sorted(set(label.values()))
+    )
+    # a (multi)graph is a forest iff peeling vertices of degree <= 1 empties it
+    alive, left = set(verts), list(edges)
+    while True:
+        leaf = next((v for v in alive if sum(v in e for e in left) <= 1), None)
+        if leaf is None:
+            break
+        alive.discard(leaf)
+        left = [e for e in left if leaf not in e]
+    is_forest = not alive
+    is_tree = is_forest and len(components) == 1
+    return ShapeReport(
+        is_forest,
+        is_tree,
+        is_tree and all(deg[v] <= 2 for v in verts),
+        components,
+        tuple(v for v in verts if deg[v] <= 1),
+        tuple(v for v in verts if deg[v] >= 3),
+    )
+
+
+def _assert_reads_match_scan(g, rng):
+    ids = list(g.vertices)
+    everything = set(ids)
+    for v in ids:
+        assert g.neighbors(v) == _scan_neighbors(g, v, everything)
+        assert g.degree(v) == len(_scan_neighbors(g, v, everything))
+        assert g.position(v) == ids.index(v)
+    for a in ids + [g.next_id]:
+        for b in ids + [g.next_id]:
+            assert g.edge_multiplicity(a, b) == sum(set(e) == {a, b} for e in g.edges)
+    with pytest.raises(UnknownVertex):
+        g.neighbors(g.next_id)
+    with pytest.raises(UnknownVertex):
+        g.degree(g.next_id)
+    for sel in (everything, {v for v in ids if rng.random() < 0.6}, set()):
+        s = subdivisor(g, sel)
+        for v in s:
+            assert s.neighbors(v) == _scan_neighbors(g, v, sel)
+            assert s.degree(v) == len(_scan_neighbors(g, v, sel))
+        for v in everything - sel:
+            with pytest.raises(UnknownVertex):
+                s.neighbors(v)
+        assert classify_shape(g, s) == _scan_shape(g, sel)
+
+
+def _random_multigraph(rng):
+    n = rng.randint(1, 8)
+    ids = rng.sample(range(1, 30), n)
+    edges = []
+    if n >= 2:
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.sample(ids, 2)
+            edges.extend([(a, b)] * rng.choice((1, 1, 1, 2)))
+    return build_graph([(v, rng.randint(-3, 1)) for v in ids], edges)
+
+
+def _random_step(rng, g):
+    kind = rng.choice(["free", "edge", "down", "spawn"])
+    if kind == "free":
+        return blow_up_free(g, rng.choice(g.vertices))
+    if kind == "edge" and g.edges:
+        return blow_up_edge(g, *rng.choice(g.edges))
+    if kind == "down":
+        for v in rng.sample(g.vertices, len(g)):
+            try:
+                return blow_down(g, v)
+            except DualGraphError:
+                continue
+    return spawn(g)
+
+
+def test_graph_reads_agree_with_edge_scans():
+    rng = random.Random(4242)
+    for _ in range(150):
+        g = _random_multigraph(rng)
+        _assert_reads_match_scan(g, rng)
+        moves = []
+        for _ in range(6):
+            if not len(g):
+                break
+            g, m = _random_step(rng, g)
+            moves.append(m)
+            _assert_reads_match_scan(g, rng)
+        # inverse blow-ups reinsert vertices mid-order
+        for m in MoveLog(tuple(moves)).inverted():
+            g = apply_move(g, m)
+            _assert_reads_match_scan(g, rng)

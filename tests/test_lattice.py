@@ -76,6 +76,51 @@ def test_splitting_rejects_cycles():
         discriminant_by_splitting(dbl)
 
 
+def continuant(weights):
+    """det(-Q) of the chain with these weights, by the three-term recurrence."""
+    before, d = 0, 1
+    for w in weights:
+        before, d = d, -w * d - before
+    return d
+
+
+def fork(center, arms):
+    """Centre 0 with chain arms listed outward; the first arm's far tip is
+    the first vertex, so a pass rooted there does not start at the centre."""
+    weight, arm_ids, nxt = {0: center}, [], 1
+    for arm in arms:
+        arm_ids.append(list(range(nxt, nxt + len(arm))))
+        weight.update(zip(arm_ids[-1], arm))
+        nxt += len(arm)
+    order = arm_ids[0][::-1] + [0] + [v for ids in arm_ids[1:] for v in ids]
+    edges = [(0, ids[0]) for ids in arm_ids]
+    edges += [(x, y) for ids in arm_ids for x, y in zip(ids, ids[1:])]
+    return build_graph([(v, weight[v]) for v in order], edges)
+
+
+def fork_discriminant(center, arms):
+    """Expansion at the centre: -w prod d(A_i) - sum d(A_i - a_i) prod_{j != i} d(A_j)."""
+    whole = [continuant(arm) for arm in arms]
+    pruned = [continuant(arm[1:]) for arm in arms]
+    return -center * whole[0] * whole[1] * whole[2] - sum(
+        pruned[i] * whole[(i + 1) % 3] * whole[(i + 2) % 3] for i in range(3))
+
+
+def test_splitting_on_long_chains_and_forks():
+    rng = random.Random(2000)
+    for _ in range(20):  # the oracles themselves, against Bareiss
+        ws = [rng.randint(-5, 3) for _ in range(rng.randint(1, 7))]
+        assert continuant(ws) == discriminant(chain(ws))
+        center = rng.randint(-5, 3)
+        arms = [[rng.randint(-5, 3) for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        assert fork_discriminant(center, arms) == discriminant(fork(center, arms))
+    ws = [rng.randint(-5, 3) for _ in range(2000)]
+    assert discriminant_by_splitting(chain(ws)) == continuant(ws)
+    center = rng.randint(-5, 3)
+    arms = [[rng.randint(-5, 3) for _ in range(k)] for k in (667, 666, 666)]
+    assert discriminant_by_splitting(fork(center, arms)) == fork_discriminant(center, arms)
+
+
 def test_splitting_is_ring_generic():
     sympy = pytest.importorskip("sympy")
     ws = sympy.symbols("w1 w2 w3 w4")
