@@ -78,6 +78,7 @@ from .moves import (
     MoveLog,
     apply_move,
     blow_down,
+    blow_up,
     blow_up_edge,
     blow_up_free,
     elementary_transformation,

@@ -20,7 +20,7 @@ returned in snc-minimal shape and flagged as non-standard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
 from .graph import Selection, WeightedGraph, classify_shape, induced_graph, subdivisor
@@ -62,14 +62,10 @@ def chain_order(g: WeightedGraph, selection: Selection = None) -> Tuple[int, ...
     shape = classify_shape(g, sel)
     if not shape.is_chain:
         raise NotAChain("selection is not a connected cycle-free chain")
-    ids = sorted(sel, key=g.position)
-    if len(ids) == 1:
-        return (ids[0],)
-    tips = [v for v in ids if sel.degree(v) == 1]
-    start = min(tips, key=g.position)
-    order = [start]
+    # tips come in canonical order, so the first is the earlier one
+    order = [shape.tips[0]]
     prev = None
-    while len(order) < len(ids):
+    while len(order) < len(sel):
         nxt = [u for u in sel.neighbors(order[-1]) if u != prev]
         prev = order[-1]
         order.append(nxt[0])
@@ -201,49 +197,40 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             t.reverse()
             bad = sorted(k - 1 - i for i in bad)
         p = bad[0]
-        if p == 0:
-            if len(bad) == 1:
-                if t[0] == 0:
-                    # free transformations push the tip's neighbor to 0
-                    _run_ets(s, order[0], "free", t[1])
-                else:
-                    # ladder of edge blow-ups raises the negative tip to 0,
-                    # leaving a single transient 1 to absorb by one free
-                    # transformation
-                    left, right = order[0], order[1]
-                    for _ in range(-t[0]):
-                        move = s.prim(blow_up_edge(s.g, left, right))
-                        right = move.vertex
-                    s.comp(elementary_transformation(s.g, left, "free"))
+        if len(bad) == 2:
+            # a 0,0 pair at a tip is terminal, so p == 0 never meets it
+            if t[p] == 0 and t[p + 1] <= -1:
+                _run_ets(s, order[p], order[p + 1], -t[p + 1])
+            elif t[p] <= -1 and t[p + 1] == 0:
+                _run_ets(s, order[p + 1], order[p], -t[p])
+            elif t[p] == 0 and t[p + 1] == 0:
+                _run_ets(s, order[p], order[p + 1], 2)
             else:
-                if t[0] == 0 and t[1] <= -1:
-                    _run_ets(s, order[0], order[1], -t[1])
-                elif t[0] <= -1 and t[1] == 0:
-                    _run_ets(s, order[1], order[0], -t[0])
-                else:
-                    raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
+                raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
+        elif p == 0:
+            if t[0] == 0:
+                # free transformations push the tip's neighbor to 0
+                _run_ets(s, order[0], "free", t[1])
+            else:
+                # ladder of edge blow-ups raises the negative tip to 0,
+                # leaving a single transient 1 to absorb by one free
+                # transformation
+                left, right = order[0], order[1]
+                for _ in range(-t[0]):
+                    move = s.prim(blow_up_edge(s.g, left, right))
+                    right = move.vertex
+                s.comp(elementary_transformation(s.g, left, "free"))
+        elif t[p] == 0:
+            # walk the zero toward the left tip
+            _run_ets(s, order[p], order[p + 1], t[p - 1] - 1)
         else:
-            if len(bad) == 1:
-                if t[p] == 0:
-                    # walk the zero toward the left tip
-                    _run_ets(s, order[p], order[p + 1], t[p - 1] - 1)
-                else:
-                    # raise the interior negative to 0 with a ladder on its
-                    # right edge, then absorb the transient 1
-                    v, right = order[p], order[p + 1]
-                    for _ in range(-t[p]):
-                        move = s.prim(blow_up_edge(s.g, v, right))
-                        right = move.vertex
-                    s.comp(elementary_transformation(s.g, v, right))
-            else:
-                if t[p] == 0 and t[p + 1] <= -1:
-                    _run_ets(s, order[p], order[p + 1], -t[p + 1])
-                elif t[p] <= -1 and t[p + 1] == 0:
-                    _run_ets(s, order[p + 1], order[p], -t[p])
-                elif t[p] == 0 and t[p + 1] == 0:
-                    _run_ets(s, order[p], order[p + 1], 2)
-                else:
-                    raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
+            # raise the interior negative to 0 with a ladder on its right
+            # edge, then absorb the transient 1
+            v, right = order[p], order[p + 1]
+            for _ in range(-t[p]):
+                move = s.prim(blow_up_edge(s.g, v, right))
+                right = move.vertex
+            s.comp(elementary_transformation(s.g, v, right))
 
     final_type = chain_type(s.g) if len(s.g) else ChainType(())
     return StandardizeResult(

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import ModelInconsistent, NotAForest
 from .graph import WeightedGraph, build_graph, classify_shape, intersection_matrix
 from .lattice import discriminant
-from .moves import MoveLog, blow_up_edge, blow_up_free
+from .moves import MoveLog, blow_up
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,10 @@ Position = Union[int, Tuple[int, int]]
 
 def fiber_blow_up(f: Fiber, position: Position) -> Fiber:
     """Blow up the fiber at a free point of a vertex or at an edge."""
-    if isinstance(position, tuple):
-        a, b = position
-        g, move = blow_up_edge(f.graph, a, b)
-        new_mult = f.multiplicity[a] + f.multiplicity[b]
-    else:
-        g, move = blow_up_free(f.graph, position)
-        new_mult = f.multiplicity[position]
+    anchors = position if isinstance(position, tuple) else (position,)
+    g, move = blow_up(f.graph, anchors)
     mult = dict(f.multiplicity)
-    mult[move.vertex] = new_mult
+    mult[move.vertex] = sum(f.multiplicity[a] for a in anchors)
     return Fiber(g, mult, f.history + MoveLog((move,)))
 
 

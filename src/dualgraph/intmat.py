@@ -89,12 +89,6 @@ def charpoly(rows: Matrix) -> List[int]:
     return coeffs
 
 
-def principal_minor_sums(rows: Matrix) -> List[int]:
-    """[e_1, ..., e_n] where e_k is the sum of all k x k principal minors."""
-    c = charpoly(rows)
-    return [(-1) ** k * c[k] for k in range(1, len(c))]
-
-
 def symmetric_signature(rows: Matrix) -> Tuple[int, int, int]:
     """Inertia (positive, zero, negative eigenvalue counts) of a symmetric matrix.
 

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 from .errors import NotAForest
 from .graph import Selection, WeightedGraph, classify_shape, intersection_matrix, subdivisor
-from .intmat import det_bareiss, principal_minor_sums, smith_normal_form, symmetric_signature
+from .intmat import det_bareiss, smith_normal_form, symmetric_signature
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
@@ -66,19 +66,15 @@ def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> 
 def definiteness(g: WeightedGraph, selection: Selection = None) -> str:
     """Classify Q as negative-definite / -semidefinite / indefinite / empty.
 
-    Exact: the sums e_k of k x k principal minors of -Q are all positive
-    iff -Q is positive definite, and all nonnegative iff it is positive
-    semidefinite.
+    Read off the exact inertia: any positive eigenvalue makes Q indefinite,
+    otherwise any zero eigenvalue makes it semidefinite.
     """
-    q = intersection_matrix(g, selection)
-    if not q:
+    plus, zero, minus = signature(g, selection)
+    if plus + zero + minus == 0:
         return EMPTY
-    sums = principal_minor_sums([[-x for x in row] for row in q])
-    if all(e > 0 for e in sums):
-        return NEGATIVE_DEFINITE
-    if all(e >= 0 for e in sums):
-        return NEGATIVE_SEMIDEFINITE
-    return INDEFINITE
+    if plus:
+        return INDEFINITE
+    return NEGATIVE_SEMIDEFINITE if zero else NEGATIVE_DEFINITE
 
 
 def signature(g: WeightedGraph, selection: Selection = None) -> Tuple[int, int, int]:

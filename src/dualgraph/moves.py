@@ -1,11 +1,15 @@
 """Birational rewriting on weighted graphs.
 
-Three public primitive moves (blow up at a free point, blow up an
-intersection point, blow down a contractible vertex) plus `spawn`, which
-introduces an isolated fresh (-1)-vertex and models blowing up a point not
-on any tracked curve.  Every applied move yields a Move record carrying a
-complete structural patch, so a MoveLog can be replayed forward or inverted
-exactly, restoring vertex ids and canonical order bit for bit.
+Two primitive moves.  blow_up(g, anchors) blows up a point on the curves
+listed in anchors and inserts a fresh (-1)-vertex meeting each of them
+once; each anchor's weight drops by 1, and with two anchors their edge is
+replaced.  The anchors decide the move: none is a fresh point on no
+tracked curve (spawn), one a free point of that curve (blow_up_free), two
+their intersection point (blow_up_edge).  blow_down contracts a
+non-branching (-1)-vertex and is the exact inverse.  Every applied move
+yields a Move record carrying a complete structural patch, so a MoveLog
+can be replayed forward or inverted exactly, restoring vertex ids and
+canonical order bit for bit.
 
 Composite operations: snc_minimalize (repeated contraction of unprotected
 non-branching (-1)-vertices) and elementary_transformation (blow up on a
@@ -23,7 +27,6 @@ from .errors import (
     NotZeroCurve,
     TooBranched,
     UnknownEdge,
-    UnknownVertex,
 )
 from .graph import WeightedGraph, _norm_edge
 
@@ -31,6 +34,15 @@ BLOW_UP_FREE = "blow_up_free"
 BLOW_UP_EDGE = "blow_up_edge"
 BLOW_DOWN = "blow_down"
 SPAWN = "spawn"
+
+#: a blow-up's kind, indexed by the number of curves through its centre
+BLOW_UP_KINDS = (SPAWN, BLOW_UP_FREE, BLOW_UP_EDGE)
+
+
+def _blow_up_kind(anchors: Tuple[int, ...]) -> str:
+    if len(anchors) >= len(BLOW_UP_KINDS):
+        raise ValueError(f"a blow-up centre lies on at most two curves, got {anchors}")
+    return BLOW_UP_KINDS[len(anchors)]
 
 
 @dataclass(frozen=True)
@@ -50,9 +62,7 @@ class Move:
     anchors: Tuple[int, ...] = ()
 
     def inverted(self) -> "Move":
-        if self.kind in (BLOW_UP_FREE, BLOW_UP_EDGE, SPAWN):
-            return Move(BLOW_DOWN, self.vertex, self.position, self.anchors)
-        kind = {0: SPAWN, 1: BLOW_UP_FREE, 2: BLOW_UP_EDGE}[len(self.anchors)]
+        kind = _blow_up_kind(self.anchors) if self.kind == BLOW_DOWN else BLOW_DOWN
         return Move(kind, self.vertex, self.position, self.anchors)
 
 
@@ -78,72 +88,69 @@ class MoveLog:
         return g
 
 
-def _insert_vertex(g: WeightedGraph, vid: int, position: int, weight: int,
-                   new_edges, removed_edges, weight_deltas) -> WeightedGraph:
-    if g.has_vertex(vid):
-        raise ValueError(f"move would recreate existing vertex {vid}")
-    if not 0 <= position <= len(g):
-        raise ValueError(f"insertion position {position} out of range")
-    order = list(g.vertices)
-    order.insert(position, vid)
-    weights = {v: g.weight(v) for v in g.vertices}
-    for v, d in weight_deltas:
-        weights[v] = weights[v] + d
-    weights[vid] = weight
-    edges = list(g.edges)
-    for e in removed_edges:
-        edges.remove(_norm_edge(*e))
-    for e in new_edges:
-        edges.append(_norm_edge(*e))
-    return WeightedGraph(order, weights, edges, max(g.next_id, vid + 1))
-
-
 def apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
-    """Mechanically apply a Move patch (no snc precondition re-checks)."""
-    if m.kind == SPAWN:
-        return _insert_vertex(g, m.vertex, m.position, -1, [], [], [])
-    if m.kind == BLOW_UP_FREE:
-        (a,) = m.anchors
-        g.require_vertex(a)
-        return _insert_vertex(g, m.vertex, m.position, -1,
-                              [(m.vertex, a)], [], [(a, -1)])
-    if m.kind == BLOW_UP_EDGE:
-        u, v = m.anchors
-        if not g.has_edge(u, v):
-            raise UnknownEdge(f"no edge {u}-{v}")
-        return _insert_vertex(g, m.vertex, m.position, -1,
-                              [(m.vertex, u), (m.vertex, v)], [(u, v)],
-                              [(u, -1), (v, -1)])
+    """Mechanically apply a Move patch (no snc precondition re-checks).
+
+    A blow-down undoes exactly the patch of the blow-up with the same
+    anchors, so the kind must match the anchor count (see blow_up).
+    """
+    if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
+        raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
+    corner = _norm_edge(*m.anchors) if len(m.anchors) == 2 else None
     if m.kind == BLOW_DOWN:
         g.require_vertex(m.vertex)
         if g.weight(m.vertex) != -1:
             raise NotMinusOne(f"vertex {m.vertex} has weight {g.weight(m.vertex)}")
         if tuple(sorted(g.neighbors(m.vertex))) != tuple(sorted(m.anchors)):
             raise ValueError(f"move anchors {m.anchors} do not match the graph")
+        if corner is not None and corner[0] == corner[1]:
+            raise ValueError(f"vertex {m.vertex} meets {corner[0]} twice")
         order = [v for v in g.vertices if v != m.vertex]
-        weights = {v: g.weight(v) for v in order}
-        for a in m.anchors:
-            weights[a] = weights[a] + 1
         edges = [e for e in g.edges if m.vertex not in e]
-        if len(m.anchors) == 2:
-            edges.append(_norm_edge(*m.anchors))
-        return WeightedGraph(order, weights, edges, g.next_id)
-    raise ValueError(f"unknown move kind {m.kind!r}")
+        if corner is not None:
+            edges.append(corner)
+        step, next_id = 1, g.next_id
+    else:
+        if corner is not None and not g.has_edge(*corner):
+            raise UnknownEdge("no edge {}-{}".format(*m.anchors))
+        for a in m.anchors:
+            g.require_vertex(a)
+        if g.has_vertex(m.vertex):
+            raise ValueError(f"move would recreate existing vertex {m.vertex}")
+        if not 0 <= m.position <= len(g):
+            raise ValueError(f"insertion position {m.position} out of range")
+        order = list(g.vertices)
+        order.insert(m.position, m.vertex)
+        edges = list(g.edges) + [_norm_edge(m.vertex, a) for a in m.anchors]
+        if corner is not None:
+            edges.remove(corner)
+        step, next_id = -1, max(g.next_id, m.vertex + 1)
+    weights = {v: g.weight(v) if v != m.vertex else -1 for v in order}
+    for a in m.anchors:
+        weights[a] += step
+    return WeightedGraph(order, weights, edges, next_id)
+
+
+def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGraph, Move]:
+    """Blow up the point where the anchor curves (at most two) meet.
+
+    The fresh (-1)-vertex meets each anchor once and each anchor's weight
+    drops by 1; two anchors must meet, and the new vertex replaces one of
+    their edges.  No anchor means a point on no tracked curve.
+    """
+    anchors = tuple(anchors)
+    m = Move(_blow_up_kind(anchors), g.next_id, len(g), anchors)
+    return apply_move(g, m), m
 
 
 def blow_up_free(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
     """Insert a fresh (-1)-vertex meeting v once; v's weight drops by 1."""
-    g.require_vertex(v)
-    m = Move(BLOW_UP_FREE, g.next_id, len(g), (v,))
-    return apply_move(g, m), m
+    return blow_up(g, (v,))
 
 
 def blow_up_edge(g: WeightedGraph, a: int, b: int) -> Tuple[WeightedGraph, Move]:
     """Replace one a-b intersection by a fresh (-1)-vertex meeting both."""
-    if not g.has_vertex(a) or not g.has_vertex(b) or not g.has_edge(a, b):
-        raise UnknownEdge(f"no edge {a}-{b}")
-    m = Move(BLOW_UP_EDGE, g.next_id, len(g), (a, b))
-    return apply_move(g, m), m
+    return blow_up(g, (a, b))
 
 
 def blow_down(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
@@ -170,8 +177,7 @@ def blow_down(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
 
 def spawn(g: WeightedGraph) -> Tuple[WeightedGraph, Move]:
     """Add an isolated fresh (-1)-vertex (blow-up at an untracked point)."""
-    m = Move(SPAWN, g.next_id, len(g), ())
-    return apply_move(g, m), m
+    return blow_up(g)
 
 
 def _contractible(g: WeightedGraph, v: int, protected) -> bool:

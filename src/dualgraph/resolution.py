@@ -26,7 +26,7 @@ from .fibration import Fiber, fibration_model, fujita_accounting, validate_fiber
 from .graph import WeightedGraph, build_graph, classify_shape, induced_graph, with_vertex
 from .homology import euler_open
 from .lattice import discriminant
-from .moves import Move, MoveLog, blow_up_edge, blow_up_free, snc_minimalize, spawn
+from .moves import Move, MoveLog, blow_up, snc_minimalize
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,10 @@ class _Engine:
         self.centers: List[int] = []
 
     def _step(self) -> int:
-        if self.ca is not None and self.cb is not None:
-            self.g, mv = blow_up_edge(self.g, self.ca, self.cb)
-        elif self.ca is not None:
-            self.g, mv = blow_up_free(self.g, self.ca)
-        elif self.cb is not None:
-            self.g, mv = blow_up_free(self.g, self.cb)
-        else:
-            self.g, mv = spawn(self.g)
+        anchors = tuple(c for c in (self.ca, self.cb) if c is not None)
+        self.g, mv = blow_up(self.g, anchors)
         if self.omega is not None:
-            level = 0
-            for c in (self.ca, self.cb):
-                if c is not None:
-                    level += self.omega[c]
-            self.omega[mv.vertex] = level
+            self.omega[mv.vertex] = sum(self.omega[c] for c in anchors)
         self.moves.append(mv)
         self.created.append(mv.vertex)
         return mv.vertex

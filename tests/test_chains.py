@@ -57,6 +57,19 @@ def test_chain_order_selection_listing_irrelevant():
     assert chain_order(g, [4, 2, 3, 1]) == (1, 2, 3, 4)
 
 
+def test_chain_order_long_shuffled_path():
+    rng = random.Random(3)
+    n = 3000
+    declared = list(range(n))
+    rng.shuffle(declared)
+    path = list(range(n))
+    rng.shuffle(path)
+    g = build_graph([(v, -2) for v in declared], list(zip(path, path[1:])))
+    position = {v: i for i, v in enumerate(declared)}
+    walk = path if position[path[0]] < position[path[-1]] else path[::-1]
+    assert chain_order(g) == tuple(walk)
+
+
 def test_chain_order_subchain_of_tree():
     g = build_graph(
         [(0, -2), (1, -2), (2, -2), (3, -1), (4, -3), (5, 0), (6, 2)],

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from dualgraph.errors import NotAForest
-from dualgraph.graph import build_graph, subdivisor
+from dualgraph.fibration import enumerate_fibers
+from dualgraph.graph import build_graph, intersection_matrix, subdivisor
 from dualgraph.lattice import (
     EMPTY,
     INDEFINITE,
@@ -18,6 +20,7 @@ from dualgraph.lattice import (
 )
 
 from test_graph import chain
+from test_intmat import det_naive
 
 
 def test_discriminant_known():
@@ -148,6 +151,38 @@ def test_definiteness_known():
     assert definiteness(chain([0, 0])) == INDEFINITE
     assert definiteness(build_graph([(1, 1)], [])) == INDEFINITE
     assert definiteness(chain([-2]), []) == EMPTY
+
+
+def minor_criterion(g):
+    """Definiteness from every principal minor of -Q. Oracle only."""
+    neg = [[-x for x in row] for row in intersection_matrix(g)]
+    n = len(neg)
+    if n == 0:
+        return EMPTY
+    minors = [det_naive([[neg[i][j] for j in idx] for i in idx])
+              for k in range(1, n + 1) for idx in combinations(range(n), k)]
+    if all(d > 0 for d in minors):
+        return NEGATIVE_DEFINITE
+    if all(d >= 0 for d in minors):
+        return NEGATIVE_SEMIDEFINITE
+    return INDEFINITE
+
+
+def test_definiteness_matches_principal_minor_criterion():
+    rng = random.Random(17)
+    graphs = [f.graph for f in enumerate_fibers(5)]
+    for _ in range(400):
+        size = rng.randint(0, 6)
+        weights = {i: rng.randint(-4, 1) for i in range(size)}
+        edges = [(a, b) for a in range(size) for b in range(a + 1, size)
+                 for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+        graphs.append(build_graph(weights, edges))
+    seen = set()
+    for g in graphs:
+        want = minor_criterion(g)
+        assert definiteness(g) == want
+        seen.add(want)
+    assert seen == {EMPTY, NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE, INDEFINITE}
 
 
 def test_minimal_definite_chains_have_weights_below_minus_one():

@@ -16,6 +16,7 @@ from dualgraph.moves import (
     MoveLog,
     apply_move,
     blow_down,
+    blow_up,
     blow_up_edge,
     blow_up_free,
     elementary_transformation,
@@ -121,6 +122,39 @@ def test_inverted_is_involution():
     d = Move("blow_down", 5, 0, (9,))
     assert d.inverted().kind == "blow_up_free"
     assert d.inverted().inverted() == d
+
+
+def test_blow_up_anchors_decide_the_kind():
+    g = chain([0, -2])
+    for anchors, (g1, m1) in (((), spawn(g)),
+                              ((2,), blow_up_free(g, 2)),
+                              ((1, 2), blow_up_edge(g, 1, 2))):
+        g2, m2 = blow_up(g, anchors)
+        assert m2 == m1 and g2 == g1
+        assert apply_move(g2, m2.inverted()) == g
+
+
+def test_kind_must_match_anchor_count():
+    g = chain([-1, -2])
+    kinds = ("spawn", "blow_up_free", "blow_up_edge")
+    for count, kind in enumerate(kinds):
+        for anchors in ((), (1,), (1, 2), (1, 2, 1)):
+            if len(anchors) != count:
+                with pytest.raises(ValueError):
+                    apply_move(g, Move(kind, 5, 1, anchors))
+    with pytest.raises(ValueError):
+        blow_up(g, (1, 2, 1))
+    star = build_graph({1: -1, 2: -2, 3: -2, 4: -2}, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(ValueError):
+        apply_move(star, Move("blow_down", 1, 0, (2, 3, 4)))
+    with pytest.raises(ValueError):
+        apply_move(g, Move("flip", 5, 1, (1,)))
+
+
+def test_blow_down_onto_a_double_edge_is_rejected():
+    doubled = build_graph({1: -1, 2: -2}, [(1, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        apply_move(doubled, Move("blow_down", 1, 0, (2, 2)))
 
 
 def test_round_trip_single_blow_down():
