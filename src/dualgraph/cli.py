@@ -24,8 +24,9 @@ from .errors import BadOrder, DualGraphError, NotCoprime, Transversal
 from .fibration import enumerate_fibers, validate_fiber
 from .homology import euler_open, q_acyclicity_relation
 from .lattice import discriminant, smith_invariants
-from .moves import blow_down, blow_up_edge, blow_up_free, snc_minimalize
+from .moves import blow_down, blow_up, snc_minimalize
 from .resolution import (
+    CheckResult,
     CuspPair,
     build_completion,
     coprime_pairs,
@@ -44,7 +45,7 @@ class UsageFailure(Exception):
 @dataclass
 class CommandResult:
     results: dict
-    checks: List[dict] = field(default_factory=list)
+    checks: Sequence[CheckResult] = ()
     moves: Dict[str, List[dict]] = field(default_factory=dict)
     document: Optional[GraphDocument] = None
     multiplicity: Optional[Dict[int, int]] = None
@@ -54,7 +55,7 @@ class CommandResult:
 
     @property
     def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 def _jsonable(x):
@@ -65,15 +66,6 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     return str(x)
-
-
-def _check(name: str, expected, computed) -> dict:
-    return {
-        "name": name,
-        "expected": _jsonable(expected),
-        "computed": _jsonable(computed),
-        "pass": expected == computed,
-    }
 
 
 def _move_rows(log) -> List[dict]:
@@ -171,12 +163,11 @@ def cmd_standardize(args) -> CommandResult:
 def cmd_blowup(args) -> CommandResult:
     doc = _load(args.file)
     if args.vertex is not None:
-        g, mv = blow_up_free(doc.graph, args.vertex)
-        where = f"at vertex {args.vertex}"
+        anchors, where = (args.vertex,), f"at vertex {args.vertex}"
     else:
-        a, b = args.edge
-        g, mv = blow_up_edge(doc.graph, a, b)
-        where = f"on edge {a}-{b}"
+        anchors = args.edge
+        where = f"on edge {anchors[0]}-{anchors[1]}"
+    g, mv = blow_up(doc.graph, anchors)
     out = GraphDocument(g, dict(doc.roles))
     return CommandResult(
         results={"created": mv.vertex, "graph": _graph_payload(out)},
@@ -214,7 +205,7 @@ def cmd_fibers(args) -> CommandResult:
     if args.validate:
         violations = sum(len(validate_fiber(f).violations) for f in fibers)
         results["violations"] = violations
-        checks.append(_check("no_violations", 0, violations))
+        checks.append(CheckResult("no_violations", 0, violations))
         summary.append(f"violations: {violations}")
     blocks = [
         (f"fiber_{i}", GraphDocument(f.graph), dict(f.multiplicity))
@@ -246,8 +237,8 @@ def _resolve_local(pair: CuspPair) -> CommandResult:
     return CommandResult(
         results={"n": pair.n, "m": pair.m, "stage": "local",
                  "d_cusp_part": d, "graph": _graph_payload(out)},
-        checks=[_check("cusp_part_discriminant", 1 if loc.cusp_part else None,
-                       d if loc.cusp_part else None)],
+        checks=[CheckResult("cusp_part_discriminant", 1 if loc.cusp_part else None,
+                            d if loc.cusp_part else None)],
         moves={"resolution": _move_rows(loc.log)},
         document=out,
         summary=[f"resolved x^{pair.n} = y^{pair.m} near the origin: "
@@ -269,8 +260,8 @@ def _resolve_infinity(pair: CuspPair) -> CommandResult:
                  "d_total": d_all, "d_far_part": d_far,
                  "d_line_part": discriminant(g, inf.line_part),
                  "graph": _graph_payload(out)},
-        checks=[_check("total_discriminant", -1, d_all),
-                _check("far_part_discriminant", pair.n, d_far)],
+        checks=[CheckResult("total_discriminant", -1, d_all),
+                CheckResult("far_part_discriminant", pair.n, d_far)],
         moves={"resolution": _move_rows(inf.log)},
         document=out,
         summary=[f"resolved x^{pair.n} = y^{pair.m} at infinity: d_total {d_all}, "
@@ -295,10 +286,10 @@ def _resolve_completion(pair: CuspPair) -> CommandResult:
     d_line = discriminant(g, c.line_part)
     contacts = sum(g.edge_multiplicity(c.bridge, v) for v in c.line_part)
     checks = [
-        _check("boundary_discriminant", -1, d_chain),
-        _check("far_part_floor", True, d_far >= 2),
-        _check("sides_coprime", 1, gcd(abs(d_line), d_far)),
-        _check("euler_vs_bridge_contacts", -contacts, c.euler_open_part),
+        CheckResult("boundary_discriminant", -1, d_chain),
+        CheckResult("far_part_floor", True, d_far >= 2),
+        CheckResult("sides_coprime", 1, gcd(abs(d_line), d_far)),
+        CheckResult("euler_vs_bridge_contacts", -contacts, c.euler_open_part),
     ]
     return CommandResult(
         results={"n": pair.n, "m": pair.m, "stage": "completion",
@@ -342,7 +333,6 @@ def _fiber_payload(fr) -> dict:
 
 def _verify_single(pair: CuspPair) -> CommandResult:
     cert = theorem_pipeline(pair)
-    checks = [_check(c.name, c.expected, c.computed) for c in cert.checks]
     mult = dict(cert.fiber_one.multiplicity)
     mult.update(cert.fiber_two.multiplicity)
     roles = {
@@ -359,14 +349,14 @@ def _verify_single(pair: CuspPair) -> CommandResult:
                  "fiber_one": _fiber_payload(cert.fiber_one),
                  "fiber_two": _fiber_payload(cert.fiber_two),
                  "graph": _graph_payload(out)},
-        checks=checks,
+        checks=cert.checks,
         moves={"resolution": _move_rows(cert.history.resolution),
                "minimalization": _move_rows(cert.history.minimalization)},
         document=out,
         multiplicity=mult,
         dot_label=f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}",
         summary=[f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}, "
-                 f"rho = {cert.rho}, checks = {len(checks)}"],
+                 f"rho = {cert.rho}, checks = {len(cert.checks)}"],
     )
 
 
@@ -381,8 +371,7 @@ def _verify_range(lo: int, hi: int) -> CommandResult:
     for p in pairs:
         try:
             cert = theorem_pipeline(p)
-            ok = (all(c.passed for c in cert.checks)
-                  and cert.d_near_one == p.n and cert.d_near_two == p.m)
+            ok = cert.passed
             row = {"n": p.n, "m": p.m, "d_v1": cert.d_near_one,
                    "d_v2": cert.d_near_two, "checks": len(cert.checks),
                    "status": "pass" if ok else "fail"}
@@ -396,7 +385,7 @@ def _verify_range(lo: int, hi: int) -> CommandResult:
     summary.append(f"verified {good}/{len(rows)} pairs")
     return CommandResult(
         results={"lo": lo, "hi": hi, "pairs": rows},
-        checks=[_check("pairs_verified", len(rows), good)],
+        checks=[CheckResult("pairs_verified", len(rows), good)],
         summary=summary,
     )
 
@@ -428,7 +417,7 @@ def cmd_check_acyclic(args) -> CommandResult:
     return CommandResult(
         results={"d_boundary": args.d, "d_exceptional": args.de,
                  "consistent": chk.consistent, "torsion_order": chk.torsion_order},
-        checks=[_check("torsion_relation", True, chk.consistent)],
+        checks=[CheckResult("torsion_relation", True, chk.consistent)],
         summary=[f"{verdict}: |{args.d}| vs |{args.de}| * t^2"
                  + (f" with t = {chk.torsion_order}" if chk.consistent else "")],
     )
@@ -455,7 +444,9 @@ def _render_json(args, result: CommandResult) -> str:
         "command": args.command,
         "inputs": inputs,
         "results": _jsonable(result.results),
-        "checks": result.checks,
+        "checks": [{"name": c.name, "expected": _jsonable(c.expected),
+                    "computed": _jsonable(c.computed), "pass": c.passed}
+                   for c in result.checks],
         "moves": result.moves,
         "status": "pass" if result.passed else "fail",
     }
@@ -466,9 +457,9 @@ def _render_text(args, result: CommandResult) -> str:
     lines = [f"command: {args.command}"]
     lines += result.summary
     for c in result.checks:
-        mark = "pass" if c["pass"] else "FAIL"
-        lines.append(f"[{mark}] {c['name']}: expected {c['expected']}, "
-                     f"computed {c['computed']}")
+        mark = "pass" if c.passed else "FAIL"
+        lines.append(f"[{mark}] {c.name}: expected {_jsonable(c.expected)}, "
+                     f"computed {_jsonable(c.computed)}")
     lines.append(f"status: {'pass' if result.passed else 'fail'}")
     text = "\n".join(lines) + "\n"
     if result.document is not None:

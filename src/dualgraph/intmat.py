@@ -90,13 +90,17 @@ def charpoly(rows: Matrix) -> List[int]:
 
 
 def symmetric_signature(rows: Matrix) -> Tuple[int, int, int]:
-    """Inertia (positive, zero, negative eigenvalue counts) of a symmetric matrix.
+    """Inertia (positive, zero, negative eigenvalue counts) of a symmetric matrix."""
+    return charpoly_inertia(charpoly(rows))
+
+
+def charpoly_inertia(c: Sequence[int]) -> Tuple[int, int, int]:
+    """Inertia of a symmetric matrix read off its characteristic polynomial.
 
     Exact: the eigenvalue-zero count is the multiplicity of the root 0 of the
     characteristic polynomial, and the positive count is the number of
     coefficient sign changes, which is sharp for real-rooted polynomials.
     """
-    c = charpoly(rows)
     n = len(c) - 1
     zero = 0
     while zero < n and c[n - zero] == 0:

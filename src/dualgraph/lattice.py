@@ -7,11 +7,12 @@ matrix; the empty selection has discriminant 1.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Tuple
 
 from .errors import NotAForest
 from .graph import Selection, WeightedGraph, classify_shape, intersection_matrix, subdivisor
-from .intmat import det_bareiss, smith_normal_form, symmetric_signature
+from .intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form, symmetric_signature
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
@@ -69,7 +70,11 @@ def definiteness(g: WeightedGraph, selection: Selection = None) -> str:
     Read off the exact inertia: any positive eigenvalue makes Q indefinite,
     otherwise any zero eigenvalue makes it semidefinite.
     """
-    plus, zero, minus = signature(g, selection)
+    return _definiteness_of(signature(g, selection))
+
+
+def _definiteness_of(inertia: Tuple[int, int, int]) -> str:
+    plus, zero, minus = inertia
     if plus + zero + minus == 0:
         return EMPTY
     if plus:
@@ -93,18 +98,17 @@ class LatticeInvariants:
 def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeInvariants:
     """Discriminant, Smith invariant factors, and definiteness of a selection.
 
-    When the discriminant is nonzero, the product of the invariant factors
+    The discriminant and the inertia both come from one characteristic
+    polynomial c of Q: its constant term is det(0*I - Q) = det(-Q).  When
+    the discriminant is nonzero, the product of the invariant factors
     equals its absolute value (the order of the cokernel of Q).
     """
     q = intersection_matrix(g, selection)
-    d = det_bareiss([[-x for x in row] for row in q])
+    c = charpoly(q)
+    d = c[-1]
     factors = tuple(smith_normal_form(q))
-    order: Optional[int] = None
-    if d != 0:
-        order = 1
-        for f in factors:
-            order *= f
-    return LatticeInvariants(d, factors, definiteness(g, selection), order)
+    return LatticeInvariants(d, factors, _definiteness_of(charpoly_inertia(c)),
+                             prod(factors) if d else None)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Embedded resolution of the curves x^n = y^m and their completions.
 
-One engine drives everything: subtractive Euclid on a contact pair,
-where each step blows up the point the germ currently sits on and the
-germ's multiplicity there is the smaller entry of the pair.  Run near
-the origin it resolves the cusp; run at the far line it resolves the
-point where the curve's closure leaves the affine plane; run on both
-and glued along the proper transform it yields the boundary graphs and
-the pencil fibration whose invariants the rest of the package measures.
+One loop drives everything: subtractive Euclid on a contact pair, where
+each step blows up the point the germ currently sits on and the germ's
+multiplicity there is the smaller entry of the pair.  Run near the
+origin it resolves the cusp; run at the far line it resolves the point
+where the curve's closure leaves the affine plane; run on both and
+glued along the proper transform it yields the boundary graphs and the
+pencil fibration whose invariants the rest of the package measures.
+Each identity a construction is held to is one CheckResult: a name, the
+expected value and the computed one.
 """
 
 from __future__ import annotations
@@ -66,63 +68,47 @@ def coprime_pairs(lo: int, hi: int) -> List[CuspPair]:
     ]
 
 
-class _Engine:
-    """Subtractive Euclid on a contact pair with carrier bookkeeping.
+def _euclid(g: WeightedGraph, a: int, b: int,
+            carriers: Tuple[Optional[int], Optional[int]] = (None, None),
+            omega: Optional[Dict[int, int]] = None,
+            ) -> Tuple[WeightedGraph, Tuple[Move, ...], int]:
+    """Subtractive Euclid on a coprime pair a >= b >= 1, one blow-up per step.
 
-    State is a sorted pair a >= b >= 1, each side carrying the vertex of
-    the curve the corresponding branch datum sits on (None while that
-    side is not a tracked curve).  A step blows up the germ's current
-    position: the corner of two tracked carriers, a free point of a
-    single one, or a fresh detached vertex when nothing is tracked yet.
-    The new exceptional curve replaces the consumed side and the pair
-    re-sorts; the run ends with one last blow-up at (1, 1), after which
-    the germ is smooth and meets only the final exceptional curve,
-    transversally.
+    Each side of the pair carries the vertex of the curve its branch datum
+    sits on (None while that side is not a tracked curve).  A step blows
+    up the germ's current position, anchored at the set carriers: the
+    corner of two, a free point of one, or a detached point of none.  The
+    new curve replaces the consumed side and the pair re-sorts; the run
+    ends with one last blow-up at (1, 1), after which the germ is smooth
+    and meets only the final curve, moves[-1].vertex, transversally.
 
-    An optional vanishing-order table is maintained alongside: a new
-    curve's order is the sum of the orders of the carriers through its
-    center.
+    Returns the graph, the moves, and the sum of the germ's squared
+    multiplicities b*b at the centres, which is a*b: the steps cut an
+    a x b rectangle into squares.  When omega is given, a new curve's
+    vanishing order is the sum of its anchors' orders.
     """
+    if a < b or b < 1 or gcd(a, b) != 1:
+        raise ValueError(f"contact pair must be coprime with a >= b >= 1, got ({a}, {b})")
+    ca, cb = carriers
+    moves: List[Move] = []
+    squares = 0
+    while True:
+        anchors = tuple(c for c in (ca, cb) if c is not None)
+        g, mv = blow_up(g, anchors)
+        if omega is not None:
+            omega[mv.vertex] = sum(omega[c] for c in anchors)
+        moves.append(mv)
+        squares += b * b
+        if (a, b) == (1, 1):
+            return g, tuple(moves), squares
+        cb = mv.vertex
+        a -= b
+        if a < b:
+            a, b, ca, cb = b, a, cb, ca
 
-    def __init__(self, g: WeightedGraph, a: int, b: int,
-                 carrier_a: Optional[int] = None, carrier_b: Optional[int] = None,
-                 omega: Optional[Dict[int, int]] = None):
-        if a < b or b < 1:
-            raise ValueError(f"contact pair must satisfy a >= b >= 1, got ({a}, {b})")
-        self.g = g
-        self.a, self.b = a, b
-        self.ca, self.cb = carrier_a, carrier_b
-        self.omega = omega
-        self.moves: List[Move] = []
-        self.created: List[int] = []
-        self.centers: List[int] = []
 
-    def _step(self) -> int:
-        anchors = tuple(c for c in (self.ca, self.cb) if c is not None)
-        self.g, mv = blow_up(self.g, anchors)
-        if self.omega is not None:
-            self.omega[mv.vertex] = sum(self.omega[c] for c in anchors)
-        self.moves.append(mv)
-        self.created.append(mv.vertex)
-        return mv.vertex
-
-    def run(self) -> "_Engine":
-        while (self.a, self.b) != (1, 1):
-            self.centers.append(self.b)
-            self.cb = self._step()
-            self.a -= self.b
-            if self.a < self.b:
-                self.a, self.b = self.b, self.a
-                self.ca, self.cb = self.cb, self.ca
-        self.centers.append(1)
-        self._step()
-        return self
-
-    def multiplicity_square_sum(self) -> int:
-        return sum(c * c for c in self.centers)
-
-    def last(self) -> int:
-        return self.created[-1]
+def _created(moves: Tuple[Move, ...]) -> Tuple[int, ...]:
+    return tuple(mv.vertex for mv in moves)
 
 
 @dataclass(frozen=True)
@@ -146,9 +132,9 @@ def resolve_cusp_local(pair: CuspPair) -> LocalResolution:
     if pair.m == 1:
         g, e = with_vertex(build_graph([]), 0)
         return LocalResolution(g, (), e, MoveLog())
-    eng = _Engine(build_graph([]), pair.n, pair.m).run()
-    g, e = with_vertex(eng.g, 0, (eng.last(),))
-    return LocalResolution(g, tuple(eng.created), e, MoveLog(tuple(eng.moves)))
+    g, moves, _ = _euclid(build_graph([]), pair.n, pair.m)
+    g, e = with_vertex(g, 0, (moves[-1].vertex,))
+    return LocalResolution(g, _created(moves), e, MoveLog(moves))
 
 
 @dataclass(frozen=True)
@@ -172,12 +158,10 @@ class InfinityResolution:
 def resolve_at_infinity(pair: CuspPair) -> InfinityResolution:
     if pair.transversal:
         raise Transversal("a degree-one curve crosses the far line transversally")
-    seed = build_graph([(0, 1)])
-    eng = _Engine(seed, pair.n, pair.n - pair.m, carrier_a=0).run()
-    g = eng.g
-    bridge = eng.last()
+    g, moves, _ = _euclid(build_graph([(0, 1)]), pair.n, pair.n - pair.m, (0, None))
+    bridge = moves[-1].vertex
     line_part, far_part = _split_at(chain_order(g), bridge, 0)
-    return InfinityResolution(g, 0, line_part, bridge, far_part, MoveLog(tuple(eng.moves)))
+    return InfinityResolution(g, 0, line_part, bridge, far_part, MoveLog(moves))
 
 
 def _split_at(order, pivot, line):
@@ -211,6 +195,19 @@ class BuildHistory:
         if vid != self.assembly.vertex:
             raise PipelineInvariantViolation("assembly id drifted during replay")
         return self.minimalization.replay(g)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named identity: the value it must take and the value computed."""
+
+    name: str
+    expected: object
+    computed: object
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.computed
 
 
 @dataclass(frozen=True)
@@ -255,28 +252,21 @@ def build_completion(pair: CuspPair) -> CompletionModel:
     n, m = pair.n, pair.m
     seed = build_graph([(0, 1)])
     g = seed
-    origin_created: Tuple[int, ...] = ()
-    moves: List[Move] = []
+    origin_moves: Tuple[Move, ...] = ()
     curve_weight = n * n
     if m >= 2:
-        orig = _Engine(g, n, m).run()
-        g = orig.g
-        origin_created = tuple(orig.created)
-        moves.extend(orig.moves)
-        curve_weight -= orig.multiplicity_square_sum()
-        origin_tip = orig.last()
-    inf = _Engine(g, n, n - m, carrier_a=0).run()
-    g = inf.g
-    moves.extend(inf.moves)
-    curve_weight -= inf.multiplicity_square_sum()
-    bridge = inf.last()
+        g, origin_moves, squares = _euclid(g, n, m)
+        curve_weight -= squares
+    g, inf_moves, squares = _euclid(g, n, n - m, (0, None))
+    curve_weight -= squares
+    moves = origin_moves + inf_moves
+    bridge = inf_moves[-1].vertex
 
-    attach = ((origin_tip, bridge) if m >= 2 else (bridge,))
+    attach = (origin_moves[-1].vertex, bridge) if origin_moves else (bridge,)
     g, curve = with_vertex(g, curve_weight, attach)
     assembly = AssemblyStep(curve, curve_weight, attach)
 
-    line_side, far_part = _split_at(
-        chain_order(g, [0] + list(inf.created)), bridge, 0)
+    line_side, far_part = _split_at(chain_order(g, (0,) + _created(inf_moves)), bridge, 0)
     protected = [v for v in g.vertices if v not in line_side]
     g, psi = snc_minimalize(g, protected)
     line_part = tuple(v for v in line_side if g.has_vertex(v))
@@ -286,8 +276,8 @@ def build_completion(pair: CuspPair) -> CompletionModel:
     chi = euler_open(rho, g, [v for v in g.vertices if v != bridge])
     bridge_line_edges = sum(g.edge_multiplicity(bridge, v) for v in line_part)
     model = CompletionModel(
-        n, m, g, curve, origin_created, line, line_part, bridge, far_part,
-        rho, chi, BuildHistory(seed, MoveLog(tuple(moves)), assembly, psi),
+        n, m, g, curve, _created(origin_moves), line, line_part, bridge, far_part,
+        rho, chi, BuildHistory(seed, MoveLog(moves), assembly, psi),
     )
     _check_completion(model, bridge_line_edges)
     return model
@@ -295,32 +285,30 @@ def build_completion(pair: CuspPair) -> CompletionModel:
 
 def _check_completion(model: CompletionModel, bridge_line_edges: int) -> None:
     g = model.graph
-    problems = []
-    infinity_chain = model.line_part + (model.bridge,) + model.far_part
-    if discriminant(g, infinity_chain) != -1:
-        problems.append("infinity chain discriminant is not -1")
     d_far = discriminant(g, model.far_part)
-    if d_far < 2:
-        problems.append(f"far part discriminant {d_far} < 2")
     d_line = discriminant(g, model.line_part)
-    if gcd(abs(d_line), abs(d_far)) != 1:
-        problems.append("line and far part discriminants share a factor")
-    if any(g.weight(v) > -2 for v in model.far_part):
-        problems.append("far part keeps a curve softer than -2")
-    if model.euler_open_part != -bridge_line_edges:
-        problems.append("open-part Euler count disagrees with bridge contacts")
+    infinity_chain = model.line_part + (model.bridge,) + model.far_part
+    checks = [
+        CheckResult("boundary_discriminant", -1, discriminant(g, infinity_chain)),
+        CheckResult("far_part_floor", True, d_far >= 2),
+        CheckResult("sides_coprime", 1, gcd(abs(d_line), abs(d_far))),
+        CheckResult("far_part_softer_than_minus_two", [],
+                    [v for v in model.far_part if g.weight(v) > -2]),
+        CheckResult("euler_vs_bridge_contacts", -bridge_line_edges, model.euler_open_part),
+        CheckResult("curve_meets_bridge", True, g.has_edge(model.curve, model.bridge)),
+    ]
     if model.cusp_part:
-        minus_ones = [v for v in model.cusp_part if g.weight(v) == -1]
-        if minus_ones != [model.cusp_part[-1]]:
-            problems.append("cusp part lacks its unique final (-1)-curve")
-        if not g.has_edge(model.curve, model.cusp_part[-1]):
-            problems.append("curve detached from the cusp part")
-    if not g.has_edge(model.curve, model.bridge):
-        problems.append("curve detached from the bridge")
-    if model.history.rebuild() != g:
-        problems.append("history does not rebuild the graph")
-    if problems:
-        raise PipelineInvariantViolation("; ".join(problems))
+        tip = model.cusp_part[-1]
+        checks += [
+            CheckResult("cusp_part_minus_ones", [tip],
+                        [v for v in model.cusp_part if g.weight(v) == -1]),
+            CheckResult("curve_meets_cusp_part", True, g.has_edge(model.curve, tip)),
+        ]
+    checks.append(CheckResult("history_rebuilds", True, model.history.rebuild() == g))
+    failed = [c for c in checks if not c.passed]
+    if failed:
+        raise PipelineInvariantViolation("; ".join(
+            f"{c.name}: expected {c.expected}, computed {c.computed}" for c in failed))
 
 
 @dataclass(frozen=True)
@@ -341,21 +329,14 @@ class FiberRole:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    expected: object
-    computed: object
-    passed: bool
-
-
-@dataclass(frozen=True)
 class TheoremCertificate:
-    """Verified fibration data for the pencil spanned by x^n and y^m.
+    """Fibration data for the pencil spanned by x^n and y^m, with its checks.
 
     fiber_one is the member containing the vertical axis (discriminant
     of its near part equals n), fiber_two the one containing the
     horizontal axis (near-part discriminant m).  checks records every
-    identity the construction was held to, all passed.
+    identity the construction was held to, with expected and computed
+    values; the certificate is valid iff passed.
     """
 
     n: int
@@ -373,6 +354,10 @@ class TheoremCertificate:
     checks: Tuple[CheckResult, ...]
     history: BuildHistory
 
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
 
 AXIS_X = 0
 AXIS_Y = 1
@@ -387,7 +372,7 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     generic member, prunes off-boundary clutter, and then measures the
     result: fiber shapes, vanishing orders, near/far discriminants, the
     counting identity, and the bit-for-bit rebuild of the whole history.
-    Any failed identity raises PipelineInvariantViolation.
+    A failed identity is recorded in the certificate's checks, not raised.
     """
     if pair.transversal:
         raise Transversal("a degree-one curve crosses the far line transversally")
@@ -395,13 +380,12 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     seed = build_graph([(AXIS_X, 1), (AXIS_Y, 1), (FAR_LINE, 1)],
                        [(AXIS_X, AXIS_Y), (AXIS_X, FAR_LINE), (AXIS_Y, FAR_LINE)])
     omega = {AXIS_X: -m, AXIS_Y: n, FAR_LINE: m - n}
-    orig = _Engine(seed, n, m, carrier_a=AXIS_X, carrier_b=AXIS_Y, omega=omega).run()
-    inf = _Engine(orig.g, n, n - m, carrier_a=FAR_LINE, carrier_b=AXIS_Y, omega=omega).run()
-    g = inf.g
-    moves = tuple(orig.moves) + tuple(inf.moves)
-    sections = (orig.last(), inf.last())
+    g, origin_moves, origin_squares = _euclid(seed, n, m, (AXIS_X, AXIS_Y), omega)
+    g, inf_moves, inf_squares = _euclid(g, n, n - m, (FAR_LINE, AXIS_Y), omega)
+    moves = origin_moves + inf_moves
+    sections = (origin_moves[-1].vertex, inf_moves[-1].vertex)
 
-    curve_weight = n * n - orig.multiplicity_square_sum() - inf.multiplicity_square_sum()
+    curve_weight = n * n - origin_squares - inf_squares
     g, curve = with_vertex(g, curve_weight, sections)
     assembly = AssemblyStep(curve, curve_weight, sections)
     omega[curve] = 0
@@ -414,7 +398,7 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     checks: List[CheckResult] = []
 
     def check(name, expected, computed):
-        checks.append(CheckResult(name, expected, computed, expected == computed))
+        checks.append(CheckResult(name, expected, computed))
 
     check("curve_is_zero", 0, g.weight(curve))
     for j, s in enumerate(sections):
@@ -426,10 +410,12 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     check("level_zero_vertices", sorted((curve,) + sections), sorted(level_zero))
     check("axes_in_members", (True, True), (AXIS_Y in one_ids, AXIS_X in two_ids))
 
-    origin_set = set(orig.created)
-    far_set = {FAR_LINE} | set(inf.created)
-    fiber_one = _fiber_role(g, one_ids, AXIS_Y, origin_set, far_set, omega, check, "one")
-    fiber_two = _fiber_role(g, two_ids, AXIS_X, origin_set, far_set, omega, check, "two")
+    origin_set = set(_created(origin_moves))
+    far_set = {FAR_LINE, *_created(inf_moves)}
+    fiber_one, member_one = _fiber_role(
+        g, one_ids, AXIS_Y, origin_set, far_set, omega, check, "one")
+    fiber_two, member_two = _fiber_role(
+        g, two_ids, AXIS_X, origin_set, far_set, omega, check, "two")
 
     d_near_one = discriminant(g, fiber_one.near_part)
     d_near_two = discriminant(g, fiber_two.near_part)
@@ -441,7 +427,8 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     check("free_multiplicity_two", d_near_two, fiber_two.multiplicity[AXIS_X])
 
     boundary = tuple(v for v in g.vertices if v not in (AXIS_X, AXIS_Y))
-    _accounting_checks(g, curve, sections, (fiber_one, fiber_two), rho, check)
+    _accounting_checks(g, curve, sections, (fiber_one, fiber_two), (member_one, member_two),
+                       rho, check)
 
     if m == 1:
         check("second_member_is_bare_zero_curve", ((AXIS_X,), 0),
@@ -452,19 +439,15 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
 
     check("history_rebuilds", True, history.rebuild() == g)
 
-    failed = [c.name for c in checks if not c.passed]
-    if failed:
-        raise PipelineInvariantViolation(
-            f"pair ({n}, {m}): failed checks: " + ", ".join(failed))
-    cert = TheoremCertificate(
+    return TheoremCertificate(
         n, m, g, curve, sections, FAR_LINE if g.has_vertex(FAR_LINE) else None,
         fiber_one, fiber_two, boundary, rho, d_near_one, d_near_two,
         tuple(checks), history,
     )
-    return cert
 
 
-def _fiber_role(g, ids, axis, origin_set, far_set, omega, check, tag) -> FiberRole:
+def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
+                tag) -> Tuple[FiberRole, Fiber]:
     shape = classify_shape(g, ids)
     check(f"member_{tag}_is_chain", True, shape.is_chain)
     vertices = chain_order(g, ids) if shape.is_chain else tuple(sorted(ids))
@@ -480,15 +463,14 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check, tag) -> FiberRo
         sides = {frozenset(vertices[:i]), frozenset(vertices[i + 1:])}
         check(f"member_{tag}_sides_are_near_far",
               {frozenset(near), frozenset(far)}, sides)
-    report = validate_fiber(Fiber(induced_graph(g, vertices), mult, MoveLog()))
-    check(f"member_{tag}_fiber_report", (), report.violations)
-    return role
+    fiber = Fiber(induced_graph(g, vertices), mult, MoveLog())
+    check(f"member_{tag}_fiber_report", (), validate_fiber(fiber).violations)
+    return role, fiber
 
 
-def _accounting_checks(g, curve, sections, roles, rho, check) -> None:
+def _accounting_checks(g, curve, sections, roles, members, rho, check) -> None:
     """Assemble the abstract fibration model and run the counting identity."""
-    fibers = [Fiber(induced_graph(g, r.vertices), dict(r.multiplicity), MoveLog()) for r in roles]
-    fibers.append(Fiber(induced_graph(g, (curve,)), {curve: 1}, MoveLog()))
+    fibers = [*members, Fiber(induced_graph(g, (curve,)), {curve: 1}, MoveLog())]
     section_maps = []
     for j, s in enumerate(sections):
         hits: Dict[int, int] = {}

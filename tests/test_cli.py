@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dualgraph import cli, resolution
 from dualgraph.cli import main
+from dualgraph.errors import DualGraphError
 
 CHAIN_212 = "v 1 -2\nv 2 -1\nv 3 -2\ne 1 2\ne 2 3\n"
 ZERO_ZERO = "v 1 0\nv 2 0\ne 1 2\n"
@@ -68,6 +70,19 @@ class TestMoves:
         g = json.loads(out)["results"]["graph"]
         assert [3, -1] in g["vertices"]
         assert [1, -1] in g["vertices"] and [2, -1] in g["vertices"]
+
+    def test_blowdown_contracts_and_drops_emptied_roles(self, run, tmp_path):
+        text = CHAIN_212 + "role tips 1 3\nrole middle 2\n"
+        code, out, _ = run("blowdown", write(tmp_path, text), "--vertex", "2",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["results"]["removed"] == 2
+        graph = payload["results"]["graph"]
+        assert graph["vertices"] == [[1, -1], [3, -1]]
+        assert graph["edges"] == [[1, 3]]
+        assert graph["roles"] == {"tips": [1, 3]}
+        assert [m["kind"] for m in payload["moves"]["main"]] == ["blow_down"]
 
     def test_blowdown_requires_minus_one(self, run, tmp_path):
         code, _, err = run("blowdown", write(tmp_path, ZERO_ZERO), "--vertex", "1")
@@ -196,6 +211,50 @@ class TestVerifyTheorem:
         assert code == 2
 
 
+@pytest.fixture
+def wrong_discriminant(monkeypatch):
+    real = resolution.discriminant
+    monkeypatch.setattr(resolution, "discriminant", lambda g, sel=None: real(g, sel) + 1)
+
+
+class TestFailedCertificate:
+    def test_json_keeps_the_whole_certificate(self, run, wrong_discriminant):
+        code, out, err = run("verify-theorem", "3", "2", "--format", "json")
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["status"] == "fail"
+        assert payload["results"]["d_v1"] == 4
+        failed = {c["name"]: c for c in payload["checks"] if not c["pass"]}
+        assert failed["near_discriminant_one"]["expected"] == 3
+        assert failed["near_discriminant_one"]["computed"] == 4
+
+    def test_text_marks_the_failed_check(self, run, wrong_discriminant):
+        code, out, _ = run("verify-theorem", "3", "2")
+        assert code == 1
+        assert "[FAIL] near_discriminant_one: expected 3, computed 4" in out
+        assert "status: fail" in out
+
+    def test_range_marks_rows_failed(self, run, wrong_discriminant):
+        code, out, _ = run("verify-theorem", "--range", "2", "4", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        rows = payload["results"]["pairs"]
+        assert rows and all(r["status"] == "fail" and "error" not in r for r in rows)
+        (check,) = payload["checks"]
+        assert (check["name"], check["computed"], check["pass"]) == (
+            "pairs_verified", 0, False)
+
+    def test_range_row_carries_the_error(self, run, monkeypatch):
+        def broken(pair):
+            raise DualGraphError(f"cannot build ({pair.n}, {pair.m})")
+        monkeypatch.setattr(cli, "theorem_pipeline", broken)
+        code, out, _ = run("verify-theorem", "--range", "2", "3", "--format", "json")
+        assert code == 1
+        (row,) = json.loads(out)["results"]["pairs"]
+        assert row == {"n": 3, "m": 2, "status": "fail", "error": "cannot build (3, 2)"}
+
+
 class TestScalarCommands:
     def test_homology(self, run, tmp_path):
         code, out, _ = run("homology", write(tmp_path, CHAIN_212),
@@ -264,3 +323,52 @@ class TestRendering:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+LOOP = "v 1 -2\nv 2 -2\nv 3 -2\ne 1 2\ne 2 3\ne 3 1\n"
+STAR = "v 0 -2\nv 1 -1\nv 2 -2\nv 3 -2\ne 0 1\ne 0 2\ne 0 3\n"
+
+#: file commands and the extra arguments each needs
+FILE_COMMANDS = {
+    "disc": [], "minimalize": [], "standardize": [], "homology": [],
+    "blowup": ["--vertex", "1"], "blowdown": ["--vertex", "1"],
+    "euler": ["--rho", "1"],
+}
+
+
+def test_no_input_ends_in_a_traceback(capsys, tmp_path):
+    files = {name: write(tmp_path, text, f"{name}.dg") for name, text in
+             (("chain", CHAIN_212), ("loop", LOOP), ("star", STAR))}
+    files["missing"] = str(tmp_path / "absent.dg")
+    cases = [[cmd, path, *extra] for cmd, extra in FILE_COMMANDS.items()
+             for path in files.values()]
+    chain = files["chain"]
+    cases += [
+        ["disc", chain, "--sub", "1,9"], ["disc", chain, "--sub", "1,x"],
+        ["minimalize", chain, "--protect", "9"],
+        ["blowup", chain, "--vertex", "9"], ["blowup", chain, "--edge", "1,9"],
+        ["blowup", chain, "--edge", "1,3"], ["blowdown", chain, "--vertex", "9"],
+        ["blowup", chain, "--edge", "1"], ["euler", chain, "--rho", "x"],
+        ["fibers", "--max", "3", "--validate"], ["fibers", "--max", "0"],
+        ["check-acyclic", "--d", "9", "--de", "1"], ["check-acyclic", "--d", "0", "--de", "1"],
+        ["check-acyclic", "--d", "4", "--de", "0"],
+        ["verify-theorem", "3", "2"], ["verify-theorem", "--range", "2", "4"],
+        ["verify-theorem", "--range", "4", "2"], ["verify-theorem", "--range", "0", "3"],
+    ]
+    for n, m in ((3, 2), (4, 2), (2, 3), (1, 1), (3, 0), (-3, 2)):
+        cases.append(["verify-theorem", str(n), str(m)])
+        cases += [["resolve", str(n), str(m), "--stage", stage]
+                  for stage in ("local", "infinity", "completion")]
+    bad = []
+    for argv in cases:
+        for fmt in ("json", "text", "dot"):
+            try:
+                code = main(argv + ["--format", fmt])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - the failure this test looks for
+                code = f"{type(exc).__name__}: {exc}"
+            capsys.readouterr()
+            if code not in (0, 1, 2):
+                bad.append((argv, fmt, code))
+    assert bad == []

@@ -215,13 +215,20 @@ def test_smith_invariants_known():
 
 
 def test_smith_order_matches_discriminant_random():
+    # a tree plus extra random edges, so cycles and parallel edges occur;
+    # the Bareiss discriminant and the signature-based definiteness are
+    # the oracles for the values read off one characteristic polynomial
     rng = random.Random(5)
-    for _ in range(150):
+    for _ in range(300):
         n = rng.randint(1, 7)
         vs = [(i, rng.randint(-5, 2)) for i in range(1, n + 1)]
         es = [(rng.randint(1, i - 1), i) for i in range(2, n + 1)]
+        if n >= 2:
+            es += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3))]
         g = build_graph(vs, es)
         inv = smith_invariants(g)
+        assert inv.discriminant == discriminant(g)
+        assert inv.definiteness == definiteness(g)
         if inv.discriminant != 0:
             assert inv.torsion_order == abs(inv.discriminant)
         else:

@@ -2,11 +2,19 @@ from math import gcd
 
 import pytest
 
+from dualgraph import resolution
 from dualgraph.chains import chain_order
-from dualgraph.errors import BadOrder, NotCoprime, Transversal
+from dualgraph.errors import (
+    BadOrder,
+    ModelInconsistent,
+    NotCoprime,
+    PipelineInvariantViolation,
+    Transversal,
+)
 from dualgraph.graph import build_graph, with_vertex
 from dualgraph.lattice import definiteness, discriminant
 from dualgraph.resolution import (
+    CheckResult,
     CuspPair,
     build_completion,
     coprime_pairs,
@@ -259,3 +267,59 @@ class TestTheoremPipeline:
     def test_line_case_rejected(self):
         with pytest.raises(Transversal):
             theorem_pipeline(CuspPair(1, 1))
+
+
+class TestEuclid:
+    def test_squares_tile_the_rectangle(self):
+        # subtractive Euclid cuts an n x m rectangle into b x b squares
+        for p in coprime_pairs(1, 25):
+            g, moves, squares = resolution._euclid(build_graph([]), p.n, p.m)
+            assert squares == p.n * p.m
+            assert tuple(mv.vertex for mv in moves) == tuple(g.vertices)
+
+    def test_carriers_anchor_the_first_step_and_sum_omega(self):
+        seed = build_graph([(0, 1), (1, 1)], [(0, 1)])
+        omega = {0: 2, 1: 3}
+        g, moves, squares = resolution._euclid(seed, 2, 1, (0, 1), omega)
+        assert moves[0].anchors == (0, 1)
+        assert omega[moves[0].vertex] == 5
+        assert squares == 2
+        assert g.has_edge(moves[-1].vertex, moves[0].vertex)
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (3, 0), (4, 2)])
+    def test_rejects_unsorted_or_shared_factor_pair(self, a, b):
+        # a shared factor would never reach (1, 1)
+        with pytest.raises(ValueError):
+            resolution._euclid(build_graph([]), a, b)
+
+
+class TestFailedChecks:
+    def test_check_result_passes_iff_values_agree(self):
+        assert CheckResult("same", (1, 2), (1, 2)).passed
+        assert not CheckResult("differ", 3, 4).passed
+
+    def test_wrong_discriminant_fails_the_certificate(self, monkeypatch):
+        real = resolution.discriminant
+        monkeypatch.setattr(resolution, "discriminant", lambda g, sel=None: real(g, sel) + 1)
+        cert = theorem_pipeline(CuspPair(3, 2))
+        assert not cert.passed
+        failed = {c.name: c for c in cert.checks if not c.passed}
+        assert (failed["near_discriminant_one"].expected,
+                failed["near_discriminant_one"].computed) == (3, 4)
+        assert "history_rebuilds" not in failed
+
+    def test_accounting_exception_is_a_failed_check(self, monkeypatch):
+        def broken(model):
+            raise ModelInconsistent("sections disagree")
+        monkeypatch.setattr(resolution, "fujita_accounting", broken)
+        cert = theorem_pipeline(CuspPair(5, 3))
+        (failed,) = [c for c in cert.checks if not c.passed]
+        assert failed.name == "counting_identity"
+        assert failed.computed == "ModelInconsistent: sections disagree"
+
+    def test_completion_names_the_failed_check(self, monkeypatch):
+        real = resolution.discriminant
+        monkeypatch.setattr(resolution, "discriminant", lambda g, sel=None: real(g, sel) + 1)
+        with pytest.raises(PipelineInvariantViolation) as err:
+            build_completion(CuspPair(5, 2))
+        assert "boundary_discriminant: expected -1, computed 0" in str(err.value)
