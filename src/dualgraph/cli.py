@@ -15,7 +15,6 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import standardize_chain
@@ -269,6 +268,11 @@ def _resolve_infinity(pair: CuspPair) -> CommandResult:
     )
 
 
+#: the completion model's checks that `resolve --stage completion` prints
+_COMPLETION_CHECKS = ("boundary_discriminant", "far_part_floor", "sides_coprime",
+                     "euler_vs_bridge_contacts")
+
+
 def _resolve_completion(pair: CuspPair) -> CommandResult:
     c = build_completion(pair)
     g = c.graph
@@ -280,31 +284,20 @@ def _resolve_completion(pair: CuspPair) -> CommandResult:
     if c.line is not None:
         roles["line"] = (c.line,)
     out = GraphDocument(g, roles)
-    chain = tuple(c.line_part) + (c.bridge,) + tuple(c.far_part)
-    d_chain = discriminant(g, chain)
-    d_far = discriminant(g, c.far_part)
-    d_line = discriminant(g, c.line_part)
-    contacts = sum(g.edge_multiplicity(c.bridge, v) for v in c.line_part)
-    checks = [
-        CheckResult("boundary_discriminant", -1, d_chain),
-        CheckResult("far_part_floor", True, d_far >= 2),
-        CheckResult("sides_coprime", 1, gcd(abs(d_line), d_far)),
-        CheckResult("euler_vs_bridge_contacts", -contacts, c.euler_open_part),
-    ]
     return CommandResult(
         results={"n": pair.n, "m": pair.m, "stage": "completion",
                  "rho": c.rho, "euler_open_part": c.euler_open_part,
                  "curve_weight": g.weight(c.curve),
-                 "d_boundary_chain": d_chain, "d_far_part": d_far,
-                 "d_line_part": d_line,
+                 "d_boundary_chain": c.d_chain, "d_far_part": c.d_far,
+                 "d_line_part": c.d_line,
                  "d_cusp_part": discriminant(g, c.cusp_part),
                  "graph": _graph_payload(out)},
-        checks=checks,
+        checks=[chk for chk in c.checks if chk.name in _COMPLETION_CHECKS],
         moves={"resolution": _move_rows(c.history.resolution),
                "minimalization": _move_rows(c.history.minimalization)},
         document=out,
         summary=[f"completion of x^{pair.n} = y^{pair.m}: rho {c.rho}, "
-                 f"euler {c.euler_open_part}, d_far {d_far}"],
+                 f"euler {c.euler_open_part}, d_far {c.d_far}"],
     )
 
 
@@ -584,9 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # parsing leaves a parser as it was, so one serves every call
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         result = args.handler(args)
         rendered = render(args, result)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
-from .graph import WeightedGraph, build_graph, classify_shape, intersection_matrix
+from .graph import WeightedGraph, build_graph, classify_shape
 from .lattice import discriminant
 from .moves import MoveLog, blow_up
 
@@ -64,10 +64,14 @@ def fiber_blow_up(f: Fiber, position: Position) -> Fiber:
 
 
 def is_numerically_trivial(f: Fiber) -> bool:
-    """Q m = 0: the full fiber meets every component in zero points."""
-    q = intersection_matrix(f.graph)
-    m = f.multiplicity_vector()
-    return all(sum(row[j] * m[j] for j in range(len(m))) == 0 for row in q)
+    """Q m = 0: the full fiber meets every component in zero points.
+
+    (Q m)_v = w_v m_v + the sum of m_u over the edges at v, read off the
+    adjacency in time linear in the graph.
+    """
+    g, m = f.graph, f.multiplicity
+    return all(g.weight(v) * m[v] + sum(m[u] for u in g.neighbors(v)) == 0
+               for v in g.vertices)
 
 
 def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int]], root: int):

@@ -2,6 +2,14 @@
 
 The discriminant of a selection is det(-Q) where Q is its intersection
 matrix; the empty selection has discriminant 1.  Everything is exact.
+
+On a forest selection one leaves-first pass gives both the discriminant
+(the splitting rule, i.e. the plumbing-tree determinant recursion) and
+the inertia of Q (tree pivot counting after Jacobs-Trevisan), in linear
+ring operations on plain ints.  The pass notices a cycle or a parallel
+edge on its own walk; such selections fall back to the dense kernels,
+Bareiss for the determinant and Berkowitz for the inertia.  The Smith
+normal form is always dense.
 """
 
 from __future__ import annotations
@@ -11,19 +19,109 @@ from math import prod
 from typing import Optional, Tuple
 
 from .errors import NotAForest
-from .graph import Selection, WeightedGraph, classify_shape, intersection_matrix, subdivisor
-from .intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form, symmetric_signature
+from .graph import (
+    Selection,
+    SubDivisor,
+    WeightedGraph,
+    classify_shape,
+    intersection_matrix,
+    subdivisor,
+)
+from .intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
 INDEFINITE = "indefinite"
 EMPTY = "empty"
 
+def _forest_pass(g: WeightedGraph, s: SubDivisor, inertia: bool = False):
+    """(det(-Q), inertia of Q or None) of a forest selection; None on a cycle.
+
+    Each tree is rooted at its first vertex and walked breadth first.  The
+    walk counts edge ends: more than V - C edges on V vertices in C
+    components means a cycle or a parallel edge, and the pass returns None.
+
+    Then, leaves first, each vertex v carries the pair (d_v, e_v) =
+    (d(T_v), d(T_v - v)) of its subtree T_v, starting from (-weight, 1),
+    and folds into its parent p by the splitting rule
+
+        (d_p, e_p) <- (d_p d_v - e_p e_v, e_p d_v).
+
+    The pivot of -Q at v, once T_v - v is eliminated, is d_v / e_v, and
+    e_v is a product of nonzero d's.  A child j with d_j = 0 triggers the
+    zero-child rule of Jacobs-Trevisan: j and p span a block of inertia
+    (1, 0, 1), p leaves its own parent, and p's other children keep their
+    pivots.  The subtree of p then has determinant -e_j times the d of
+    p's other children, which e_p accumulates; the determinant of the
+    forest is the product of these and of the roots' d.  With inertia
+    False no sign is tested, so the weights may lie in any commutative
+    ring.
+    """
+    sel = s.selected
+    neighbors = g.neighbors
+    parent = {}
+    order = []
+    ends = roots = i = 0
+    for root in s.order():
+        if root in parent:
+            continue
+        parent[root] = None
+        order.append(root)
+        roots += 1
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for u in neighbors(v):
+                if u in sel:
+                    ends += 1
+                    if u not in parent:
+                        parent[u] = v
+                        order.append(u)
+    if ends != 2 * (len(order) - roots):
+        return None
+    whole = {v: -g.weight(v) for v in order}
+    pruned = dict.fromkeys(order, 1)
+    paired = set()
+    d = 1
+    pairs = plus = zero = minus = 0
+    for v in reversed(order):
+        t, e = whole[v], pruned[v]
+        if v in paired:
+            d *= e
+            continue
+        p = parent[v]
+        if p is not None and p not in paired and t == 0:
+            paired.add(p)
+            pruned[p] *= -e
+            pairs += 1
+            continue
+        if inertia:  # v's pivot t / e of -Q is final
+            if t == 0:
+                zero += 1
+            elif (t > 0) == (e > 0):
+                minus += 1
+            else:
+                plus += 1
+        if p is None:
+            d *= t
+        elif p in paired:
+            pruned[p] *= t
+        else:
+            whole[p], pruned[p] = whole[p] * t - pruned[p] * e, pruned[p] * t
+    return d, ((plus + pairs, zero, minus + pairs) if inertia else None)
+
 
 def discriminant(g: WeightedGraph, selection: Selection = None) -> int:
-    """det(-Q) of the selection, exactly; 1 for the empty selection."""
-    q = intersection_matrix(g, selection)
-    return det_bareiss([[-x for x in row] for row in q])
+    """det(-Q) of the selection, exactly; 1 for the empty selection.
+
+    Forests take the leaves-first pass; a cycle or a parallel edge takes
+    the dense Bareiss determinant.
+    """
+    s = subdivisor(g, selection)
+    tree = _forest_pass(g, s)
+    if tree is not None:
+        return tree[0]
+    return det_bareiss([[-x for x in row] for row in intersection_matrix(g, s)])
 
 
 def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> int:
@@ -34,34 +132,27 @@ def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> 
 
         d(T1 + T2) = d(T1) d(T2) - d(T1 - c1) d(T2 - c2)
 
-    and disjoint pieces multiply.  Each tree is rooted at its first vertex
-    and its edges are split off leaves first, carrying (d(T_v), d(T_v - v))
-    for the subtree T_v under each vertex v, starting from (-weight, 1).
-    Only ring operations are used: no division, no elimination, no
-    recursion.  Works verbatim on symbolic weights.
+    and disjoint pieces multiply.  This is the forest pass behind
+    discriminant, without its dense fallback: only ring operations are
+    used, no division, no elimination, no recursion, so it works verbatim
+    on symbolic weights.  A cycle or a parallel edge raises NotAForest.
     """
-    s = subdivisor(g, selection)
-    shape = classify_shape(g, s)
-    if not shape.is_forest:
+    tree = _forest_pass(g, subdivisor(g, selection))
+    if tree is None:
         raise NotAForest("the splitting rule needs a forest selection")
-    total = 1
-    for comp in shape.components:
-        root = comp[0]
-        parent = {root: root}
-        order = [root]
-        for v in order:
-            for u in s.neighbors(v):
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
-        whole = {v: -g.weight(v) for v in comp}
-        pruned = dict.fromkeys(comp, 1)
-        for v in reversed(order[1:]):
-            p = parent[v]
-            whole[p], pruned[p] = (whole[p] * whole[v] - pruned[p] * pruned[v],
-                                   pruned[p] * whole[v])
-        total *= whole[root]
-    return total
+    return tree[0]
+
+
+def _discriminant_and_inertia(g: WeightedGraph, s: SubDivisor):
+    """(det(-Q), inertia of Q): the forest pass, else one Berkowitz charpoly.
+
+    The charpoly's constant term is det(0*I - Q) = det(-Q).
+    """
+    tree = _forest_pass(g, s, inertia=True)
+    if tree is not None:
+        return tree
+    c = charpoly(intersection_matrix(g, s))
+    return c[-1], charpoly_inertia(c)
 
 
 def definiteness(g: WeightedGraph, selection: Selection = None) -> str:
@@ -84,7 +175,7 @@ def _definiteness_of(inertia: Tuple[int, int, int]) -> str:
 
 def signature(g: WeightedGraph, selection: Selection = None) -> Tuple[int, int, int]:
     """Inertia (positive, zero, negative) of the intersection matrix."""
-    return symmetric_signature(intersection_matrix(g, selection))
+    return _discriminant_and_inertia(g, subdivisor(g, selection))[1]
 
 
 @dataclass(frozen=True)
@@ -98,16 +189,16 @@ class LatticeInvariants:
 def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeInvariants:
     """Discriminant, Smith invariant factors, and definiteness of a selection.
 
-    The discriminant and the inertia both come from one characteristic
-    polynomial c of Q: its constant term is det(0*I - Q) = det(-Q).  When
-    the discriminant is nonzero, the product of the invariant factors
-    equals its absolute value (the order of the cokernel of Q).
+    The discriminant and the inertia come from the forest pass, or on a
+    cycle from one characteristic polynomial of Q; the invariant factors
+    from the dense Smith normal form.  When the discriminant is nonzero,
+    the product of the invariant factors equals its absolute value (the
+    order of the cokernel of Q).
     """
-    q = intersection_matrix(g, selection)
-    c = charpoly(q)
-    d = c[-1]
-    factors = tuple(smith_normal_form(q))
-    return LatticeInvariants(d, factors, _definiteness_of(charpoly_inertia(c)),
+    s = subdivisor(g, selection)
+    d, inertia = _discriminant_and_inertia(g, s)
+    factors = tuple(smith_normal_form(intersection_matrix(g, s)))
+    return LatticeInvariants(d, factors, _definiteness_of(inertia),
                              prod(factors) if d else None)
 
 

@@ -221,6 +221,9 @@ class CompletionModel:
     consumed the far line itself.  euler_open_part is the Euler
     characteristic of the complement of the boundary with the bridge put
     back in; it equals minus the number of bridge/line_part contacts.
+    d_far, d_line and d_chain are the discriminants of far_part, line_part
+    and the whole chain at infinity; checks records every identity the
+    model was held to.
     """
 
     n: int
@@ -235,6 +238,10 @@ class CompletionModel:
     rho: int
     euler_open_part: int
     history: BuildHistory
+    d_far: int
+    d_line: int
+    d_chain: int
+    checks: Tuple[CheckResult, ...]
 
     def boundary(self) -> Tuple[int, ...]:
         return tuple(self.graph.vertices)
@@ -274,41 +281,37 @@ def build_completion(pair: CuspPair) -> CompletionModel:
 
     rho = 1 + len(moves) - len(psi.moves)
     chi = euler_open(rho, g, [v for v in g.vertices if v != bridge])
+    history = BuildHistory(seed, MoveLog(moves), assembly, psi)
+    cusp_part = _created(origin_moves)
+    d_far = discriminant(g, far_part)
+    d_line = discriminant(g, line_part)
+    d_chain = discriminant(g, line_part + (bridge,) + far_part)
     bridge_line_edges = sum(g.edge_multiplicity(bridge, v) for v in line_part)
-    model = CompletionModel(
-        n, m, g, curve, _created(origin_moves), line, line_part, bridge, far_part,
-        rho, chi, BuildHistory(seed, MoveLog(moves), assembly, psi),
-    )
-    _check_completion(model, bridge_line_edges)
-    return model
-
-
-def _check_completion(model: CompletionModel, bridge_line_edges: int) -> None:
-    g = model.graph
-    d_far = discriminant(g, model.far_part)
-    d_line = discriminant(g, model.line_part)
-    infinity_chain = model.line_part + (model.bridge,) + model.far_part
     checks = [
-        CheckResult("boundary_discriminant", -1, discriminant(g, infinity_chain)),
+        CheckResult("boundary_discriminant", -1, d_chain),
         CheckResult("far_part_floor", True, d_far >= 2),
         CheckResult("sides_coprime", 1, gcd(abs(d_line), abs(d_far))),
         CheckResult("far_part_softer_than_minus_two", [],
-                    [v for v in model.far_part if g.weight(v) > -2]),
-        CheckResult("euler_vs_bridge_contacts", -bridge_line_edges, model.euler_open_part),
-        CheckResult("curve_meets_bridge", True, g.has_edge(model.curve, model.bridge)),
+                    [v for v in far_part if g.weight(v) > -2]),
+        CheckResult("euler_vs_bridge_contacts", -bridge_line_edges, chi),
+        CheckResult("curve_meets_bridge", True, g.has_edge(curve, bridge)),
     ]
-    if model.cusp_part:
-        tip = model.cusp_part[-1]
+    if cusp_part:
+        tip = cusp_part[-1]
         checks += [
             CheckResult("cusp_part_minus_ones", [tip],
-                        [v for v in model.cusp_part if g.weight(v) == -1]),
-            CheckResult("curve_meets_cusp_part", True, g.has_edge(model.curve, tip)),
+                        [v for v in cusp_part if g.weight(v) == -1]),
+            CheckResult("curve_meets_cusp_part", True, g.has_edge(curve, tip)),
         ]
-    checks.append(CheckResult("history_rebuilds", True, model.history.rebuild() == g))
+    checks.append(CheckResult("history_rebuilds", True, history.rebuild() == g))
     failed = [c for c in checks if not c.passed]
     if failed:
         raise PipelineInvariantViolation("; ".join(
             f"{c.name}: expected {c.expected}, computed {c.computed}" for c in failed))
+    return CompletionModel(
+        n, m, g, curve, cusp_part, line, line_part, bridge, far_part, rho, chi, history,
+        d_far, d_line, d_chain, tuple(checks),
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from dualgraph import cli, resolution
 from dualgraph.cli import main
 from dualgraph.errors import DualGraphError
+from dualgraph.lattice import discriminant
 
 CHAIN_212 = "v 1 -2\nv 2 -1\nv 3 -2\ne 1 2\ne 2 3\n"
 ZERO_ZERO = "v 1 0\nv 2 0\ne 1 2\n"
@@ -166,6 +167,31 @@ class TestResolve:
         assert "boundary_discriminant" in names
         assert all(c["pass"] for c in payload["checks"])
         assert payload["results"]["rho"] == 8
+
+    def test_completion_stage_reads_the_model(self, run, monkeypatch):
+        # the four printed checks are the model's, so the CLI adds only the
+        # cusp part's discriminant to the three the model computed
+        calls = []
+
+        def counted(g, selection=None):
+            calls.append(selection)
+            return discriminant(g, selection)
+
+        monkeypatch.setattr(cli, "discriminant", counted)
+        monkeypatch.setattr(resolution, "discriminant", counted)
+        code, out, _ = run("resolve", "5", "2", "--stage", "completion",
+                           "--format", "json")
+        assert code == 0
+        assert len(calls) == 4
+        model = resolution.build_completion(resolution.CuspPair(5, 2))
+        shown = [(c.name, c.expected, c.computed) for c in model.checks
+                 if c.name in ("boundary_discriminant", "far_part_floor",
+                               "sides_coprime", "euler_vs_bridge_contacts")]
+        payload = json.loads(out)
+        assert [(c["name"], c["expected"], c["computed"])
+                for c in payload["checks"]] == shown
+        assert (payload["results"]["d_boundary_chain"], payload["results"]["d_far_part"],
+                payload["results"]["d_line_part"]) == (model.d_chain, model.d_far, model.d_line)
 
     def test_shared_factor_is_usage_error(self, run):
         code, _, err = run("resolve", "6", "2", "--stage", "local")
@@ -372,3 +398,24 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path):
             if code not in (0, 1, 2):
                 bad.append((argv, fmt, code))
     assert bad == []
+
+
+def test_main_builds_its_parser_once(run, tmp_path, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    path = write(tmp_path, ZERO_ZERO)
+    assert run("disc", path)[0] == 0
+    with pytest.raises(SystemExit):  # a rejected invocation leaves the parser usable
+        main(["disc", path, "--format", "yaml"])
+    code, out, _ = run("disc", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["discriminant"] == -1
+    assert len(built) == 1
+    assert original() is not original()

@@ -1,7 +1,7 @@
 import pytest
 
 from dualgraph.errors import ModelInconsistent
-from dualgraph.graph import build_graph, classify_shape
+from dualgraph.graph import build_graph, classify_shape, intersection_matrix
 from dualgraph.lattice import discriminant, signature
 from dualgraph.chains import chain_order
 from dualgraph.fibration import (
@@ -134,6 +134,27 @@ def test_validate_flags_branching_minus_one():
     report = validate_fiber(f)
     assert not report.ok
     assert any("branches" in v for v in report.violations)
+
+
+def dense_q_times_m_is_zero(f):
+    """Q m = 0 with the dense intersection matrix. Oracle only."""
+    q = intersection_matrix(f.graph)
+    m = f.multiplicity_vector()
+    return all(sum(x * y for x, y in zip(row, m)) == 0 for row in q)
+
+
+def test_numerical_triviality_matches_dense_product():
+    # every fiber up to 6 vertices, and each with one multiplicity raised,
+    # which leaves the kernel of Q unless Q = 0 (the smooth fiber)
+    for f in enumerate_fibers(6):
+        assert is_numerically_trivial(f) and dense_q_times_m_is_zero(f)
+        for v in f.graph.vertices:
+            bumped = Fiber(f.graph, {**f.multiplicity, v: f.multiplicity[v] + 1}, f.history)
+            assert is_numerically_trivial(bumped) == dense_q_times_m_is_zero(bumped) == (
+                len(f.graph) == 1)
+    # parallel edges count once each: two (-2)-curves meeting twice
+    double = Fiber(build_graph([(0, -2), (1, -2)], [(0, 1), (0, 1)]), {0: 1, 1: 1}, MoveLog())
+    assert is_numerically_trivial(double) and dense_q_times_m_is_zero(double)
 
 
 def test_validate_flags_non_tree_and_bad_multiplicity():

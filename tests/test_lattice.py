@@ -1,11 +1,14 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
+from dualgraph import intmat
 from dualgraph.errors import NotAForest
 from dualgraph.fibration import enumerate_fibers
-from dualgraph.graph import build_graph, intersection_matrix, subdivisor
+from dualgraph.graph import build_graph, classify_shape, intersection_matrix, subdivisor
+from dualgraph.intmat import det_bareiss, symmetric_signature
 from dualgraph.lattice import (
     EMPTY,
     INDEFINITE,
@@ -18,6 +21,7 @@ from dualgraph.lattice import (
     signature,
     smith_invariants,
 )
+from dualgraph.resolution import CuspPair, theorem_pipeline
 
 from test_graph import chain
 from test_intmat import det_naive
@@ -57,6 +61,11 @@ def test_splitting_known():
     assert discriminant_by_splitting(build_graph([(1, -5)], [])) == 5
 
 
+def bareiss_discriminant(g, selection=None):
+    """det(-Q) by the dense Bareiss kernel, which the forest pass never calls."""
+    return det_bareiss([[-x for x in row] for row in intersection_matrix(g, selection)])
+
+
 def test_splitting_matches_direct_random_trees():
     rng = random.Random(77)
     for _ in range(120):
@@ -64,10 +73,10 @@ def test_splitting_matches_direct_random_trees():
         vs = [(i, rng.randint(-5, 2)) for i in range(1, n + 1)]
         es = [(rng.randint(1, i - 1), i) for i in range(2, n + 1)]
         g = build_graph(vs, es)
-        assert discriminant_by_splitting(g) == discriminant(g)
+        assert discriminant_by_splitting(g) == bareiss_discriminant(g)
         # and on a random subselection (a forest)
         sel = [i for i in range(1, n + 1) if rng.random() < 0.6]
-        assert discriminant_by_splitting(g, sel) == discriminant(g, sel)
+        assert discriminant_by_splitting(g, sel) == bareiss_discriminant(g, sel)
 
 
 def test_splitting_rejects_cycles():
@@ -113,10 +122,10 @@ def test_splitting_on_long_chains_and_forks():
     rng = random.Random(2000)
     for _ in range(20):  # the oracles themselves, against Bareiss
         ws = [rng.randint(-5, 3) for _ in range(rng.randint(1, 7))]
-        assert continuant(ws) == discriminant(chain(ws))
+        assert continuant(ws) == bareiss_discriminant(chain(ws))
         center = rng.randint(-5, 3)
         arms = [[rng.randint(-5, 3) for _ in range(rng.randint(1, 3))] for _ in range(3)]
-        assert fork_discriminant(center, arms) == discriminant(fork(center, arms))
+        assert fork_discriminant(center, arms) == bareiss_discriminant(fork(center, arms))
     ws = [rng.randint(-5, 3) for _ in range(2000)]
     assert discriminant_by_splitting(chain(ws)) == continuant(ws)
     center = rng.randint(-5, 3)
@@ -273,3 +282,211 @@ def test_quotient_type_degree_four_center_is_not_fork():
     )
     assert definiteness(g) == NEGATIVE_DEFINITE
     assert not is_quotient_type(g).ok
+
+
+# ------------------------------------------------- forest pass against dense oracles
+
+def random_forest(rng, size, weights=(-3, 2)):
+    """Vertices 0..size-1; each later vertex hangs off an earlier one, or starts a tree."""
+    spec = [(v, rng.randint(*weights)) for v in range(size)]
+    edges = [(rng.randrange(v), v) for v in range(1, size) if rng.random() < 0.85]
+    return build_graph(spec, edges)
+
+
+def test_forest_inertia_matches_berkowitz_random_forests():
+    # weights in -3..2 make zero pivots common: many forests are singular,
+    # some with nullity 2 or more, which the zero-child rule has to count
+    rng = random.Random(2011)
+    singular = nullity_two = 0
+    for _ in range(2000):
+        g = random_forest(rng, rng.randint(0, 12))
+        sel = None if rng.random() < 0.5 else [v for v in g.vertices if rng.random() < 0.7]
+        want = symmetric_signature(intersection_matrix(g, sel))
+        assert signature(g, sel) == want
+        d = bareiss_discriminant(g, sel)
+        assert discriminant(g, sel) == d
+        assert (d == 0) == (want[1] > 0)
+        inv = smith_invariants(g, sel)
+        assert inv.discriminant == d
+        assert inv.definiteness == definiteness(g, sel)
+        singular += want[1] > 0
+        nullity_two += want[1] >= 2
+    assert singular > 300 and nullity_two > 20
+
+
+def test_forest_inertia_on_every_small_fiber():
+    # a fiber's intersection form is negative semidefinite of nullity one
+    fibers = enumerate_fibers(7)
+    assert len(fibers) == 417
+    for f in fibers:
+        n = len(f.graph)
+        assert signature(f.graph) == (0, 1, n - 1) == symmetric_signature(
+            intersection_matrix(f.graph))
+        assert definiteness(f.graph) == NEGATIVE_SEMIDEFINITE
+        assert discriminant(f.graph) == 0
+
+
+def test_cycles_and_parallel_edges_fall_back_to_dense_kernels():
+    rng = random.Random(3)
+    cyclic = 0
+    for _ in range(400):
+        g = random_forest(rng, rng.randint(2, 9), weights=(-4, 2))
+        extra = [tuple(rng.sample(g.vertices, 2)) for _ in range(rng.randint(1, 3))]
+        g = build_graph([(v, g.weight(v)) for v in g.vertices], list(g.edges) + extra)
+        sel = None if rng.random() < 0.5 else [v for v in g.vertices if rng.random() < 0.8]
+        q = intersection_matrix(g, sel)
+        d = bareiss_discriminant(g, sel)
+        assert discriminant(g, sel) == d
+        assert signature(g, sel) == symmetric_signature(q)
+        inv = smith_invariants(g, sel)
+        assert (inv.discriminant, inv.definiteness) == (d, definiteness(g, sel))
+        if classify_shape(g, sel).is_forest:
+            assert discriminant_by_splitting(g, sel) == d
+        else:
+            cyclic += 1
+            with pytest.raises(NotAForest):
+                discriminant_by_splitting(g, sel)
+    assert cyclic > 200
+
+
+def prefix_continuants(weights):
+    """[d(w[:0]), d(w[:1]), ..., d(w)]: leading principal minors of -Q on a chain."""
+    out, before, d = [1], 0, 1
+    for w in weights:
+        before, d = d, -w * d - before
+        out.append(d)
+    return out
+
+
+def fork_leading_minors(center, arms):
+    """Leading principal minors of -Q for fork(center, arms), in its vertex order.
+
+    The first rows are the chain arm 1 (reversed), centre, arm 2; each
+    further row adds the next vertex of arm 3, and the splitting rule at
+    the edge from the centre gives d(spine) d(A) - d(spine - centre) d(A - a).
+    """
+    a1, a2, a3 = arms
+    head = prefix_continuants(a1[::-1] + [center] + a2)
+    without_center = continuant(a1) * continuant(a2)
+    whole, pruned = prefix_continuants(a3), prefix_continuants(a3[1:])
+    return head + [head[-1] * whole[k] - without_center * pruned[k - 1]
+                   for k in range(1, len(a3) + 1)]
+
+
+def jacobi_inertia(minors):
+    """Inertia of a nonsingular Q from the leading minors 1, D_1, ..., D_n of -Q.
+
+    Jacobi: -Q has as many negative eigenvalues as the sequence has sign
+    changes, and each is a positive eigenvalue of Q.  Frobenius: a zero
+    D_k between nonzero neighbours may be dropped, since those neighbours
+    then have opposite signs.  Two zeros in a row do not occur on a chain,
+    where D_k = 0 gives D_{k+1} = -D_{k-1}.
+    """
+    assert minors[-1] != 0
+    assert all(a or b for a, b in zip(minors, minors[1:]))
+    signs = [m > 0 for m in minors if m]
+    plus = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return plus, 0, len(minors) - 1 - plus
+
+
+def test_leading_minor_oracles_against_bareiss():
+    rng = random.Random(99)
+    for _ in range(30):
+        ws = [rng.randint(-5, 3) for _ in range(rng.randint(1, 8))]
+        q = intersection_matrix(chain(ws))
+        assert prefix_continuants(ws) == [
+            det_bareiss([[-x for x in row[:k]] for row in q[:k]]) for k in range(len(ws) + 1)]
+        arms = [[rng.randint(-5, 3) for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        center = rng.randint(-5, 3)
+        q = intersection_matrix(fork(center, arms))
+        assert fork_leading_minors(center, arms) == [
+            det_bareiss([[-x for x in row[:k]] for row in q[:k]]) for k in range(len(q) + 1)]
+    interior_zero = 0
+    for _ in range(1000):  # Jacobi-Frobenius against Berkowitz, zero minors included
+        ws = [rng.randint(-3, 2) for _ in range(rng.randint(1, 7))]
+        minors = prefix_continuants(ws)
+        if minors[-1]:
+            interior_zero += 0 in minors
+            assert jacobi_inertia(minors) == symmetric_signature(intersection_matrix(chain(ws)))
+    assert interior_zero > 100
+
+
+def test_2000_vertex_chain_and_fork_on_every_path():
+    rng = random.Random(7)
+    ws = [rng.randint(-5, 3) for _ in range(2000)]
+    g = chain(ws)
+    minors = prefix_continuants(ws)
+    assert discriminant(g) == minors[-1]
+    assert signature(g) == jacobi_inertia(minors)
+    assert definiteness(g) == INDEFINITE
+    assert not is_quotient_type(g).ok
+
+    ws = [rng.randint(-5, -2) for _ in range(2000)]
+    g = chain(ws)
+    minors = prefix_continuants(ws)
+    assert discriminant(g) == minors[-1]
+    assert signature(g) == jacobi_inertia(minors) == (0, 0, 2000)
+    assert definiteness(g) == NEGATIVE_DEFINITE
+    r = is_quotient_type(g)
+    assert r.ok and r.kind == "cyclic"
+
+    center = rng.randint(-5, 3)
+    arms = [[rng.randint(-5, 3) for _ in range(k)] for k in (667, 666, 666)]
+    g = fork(center, arms)
+    minors = fork_leading_minors(center, arms)
+    assert discriminant(g) == minors[-1] == fork_discriminant(center, arms)
+    assert signature(g) == jacobi_inertia(minors)
+    assert definiteness(g) == INDEFINITE
+
+    center = rng.randint(-5, -3)
+    arms = [[rng.randint(-5, -2) for _ in range(k)] for k in (667, 666, 666)]
+    g = fork(center, arms)
+    minors = fork_leading_minors(center, arms)
+    assert discriminant(g) == minors[-1] == fork_discriminant(center, arms)
+    assert signature(g) == jacobi_inertia(minors) == (0, 0, 2000)
+    assert definiteness(g) == NEGATIVE_DEFINITE
+    r = is_quotient_type(g)
+    assert r.ok and r.kind == "fork"
+    assert r.twig_discriminants == tuple(sorted(continuant(arm) for arm in arms))
+
+
+# ------------------------------------------------------ dense-kernel call guard
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Count calls of the dense kernels, under whatever name a module imported them."""
+    counts = {"det_bareiss": 0, "charpoly": 0}
+    for name in counts:
+        original = getattr(intmat, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("dualgraph") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_pipeline_makes_no_dense_kernel_call(dense_calls):
+    for n, m in ((31, 30), (41, 2)):
+        assert theorem_pipeline(CuspPair(n, m)).passed
+    assert dense_calls == {"det_bareiss": 0, "charpoly": 0}
+
+
+def test_tree_kernels_make_no_dense_kernel_call(dense_calls):
+    g = fork(-3, [[-2, -2], [-2], [0, -1, -3]])
+    assert signature(g) == (1, 0, 6)
+    inv = smith_invariants(g)
+    assert inv.definiteness == INDEFINITE and inv.discriminant == discriminant(g)
+    assert dense_calls == {"det_bareiss": 0, "charpoly": 0}
+
+
+def test_triangle_takes_the_dense_path(dense_calls):
+    tri = build_graph([(1, -2), (2, -2), (3, -2)], [(1, 2), (2, 3), (1, 3)])
+    assert discriminant(tri) == 0
+    assert dense_calls == {"det_bareiss": 1, "charpoly": 0}
+    assert signature(tri) == (0, 1, 2)
+    assert smith_invariants(tri).invariant_factors == (1, 3, 0)
+    assert dense_calls == {"det_bareiss": 1, "charpoly": 2}

@@ -173,6 +173,19 @@ class TestCompletion:
             if p.m >= 2:
                 assert discriminant(g, c.cusp_part) == 1
 
+    def test_model_keeps_its_discriminants_and_checks(self):
+        for p in coprime_pairs(1, 12):
+            c = build_completion(p)
+            g = c.graph
+            assert c.d_chain == discriminant(g, c.line_part + (c.bridge,) + c.far_part) == -1
+            assert c.d_far == discriminant(g, c.far_part)
+            assert c.d_line == discriminant(g, c.line_part)
+            names = [chk.name for chk in c.checks]
+            assert names[:3] == ["boundary_discriminant", "far_part_floor", "sides_coprime"]
+            assert names[-1] == "history_rebuilds"
+            assert len(names) == (9 if c.cusp_part else 7)
+            assert all(chk.passed for chk in c.checks)
+
     def test_pruning_acts_when_line_softens(self):
         c = build_completion(CuspPair(5, 2))
         assert c.line is None
