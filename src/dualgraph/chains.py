@@ -25,14 +25,7 @@ from typing import List, Tuple
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
 from .graph import Selection, WeightedGraph, classify_shape, induced_graph, subdivisor
 from .lattice import signature
-from .moves import (
-    Move,
-    MoveLog,
-    blow_down,
-    blow_up_edge,
-    blow_up_free,
-    elementary_transformation,
-)
+from .moves import Move, MoveLog, _Draft
 
 
 @dataclass(frozen=True)
@@ -102,10 +95,10 @@ def _is_terminal(t: List[int]) -> bool:
 
 
 class _Session:
-    """Mutable rewriting state: current graph plus accumulated move list."""
+    """Mutable rewriting state: a draft of the chain plus the moves applied to it."""
 
     def __init__(self, g: WeightedGraph, budget: int):
-        self.g = g
+        self.d = _Draft(g)
         self.moves: List[Move] = []
         self.budget = budget
 
@@ -116,38 +109,33 @@ class _Session:
                 "chain rewriting exceeded its move budget; "
                 "this indicates a bug in the case analysis")
 
-    def prim(self, result) -> Move:
-        self.g, move = result
+    def prim(self, move: Move) -> Move:
         self.moves.append(move)
         self._spend(1)
         return move
 
-    def comp(self, result) -> MoveLog:
-        self.g, log = result
-        self.moves.extend(log.moves)
-        self._spend(len(log))
-        return log
+    def comp(self, moves: Tuple[Move, ...]) -> Tuple[Move, ...]:
+        self.moves.extend(moves)
+        self._spend(len(moves))
+        return moves
 
 
 def _contract_type_ones(s: _Session) -> None:
     # blow down every weight -1 vertex, smallest id first, but never the
     # last remaining vertex
-    while len(s.g) > 1:
-        for v in sorted(s.g.vertices):
-            if s.g.weight(v) == -1 and s.g.degree(v) <= 2:
-                s.prim(blow_down(s.g, v))
-                break
-        else:
-            return
+    d = s.d
+    s.comp(tuple(d.contract_all(lambda v: d.weights[v] == -1 and len(d.adj[v]) <= 2,
+                                keep=1)))
 
 
 def _ramp_single_negative(s: _Session, v: int) -> None:
     # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end
-    s.prim(blow_up_free(s.g, v))
-    while -s.g.weight(v) < 0:
-        last = [u for u in s.g.neighbors(v) if s.g.weight(u) == -1][0]
-        s.prim(blow_up_edge(s.g, last, v))
-    s.comp(elementary_transformation(s.g, v, "free"))
+    d = s.d
+    s.prim(d.blow_up((v,)))
+    while -d.weight(v) < 0:
+        last = [u for u in d.neighbors(v) if d.weight(u) == -1][0]
+        s.prim(d.blow_up((last, v)))
+    s.comp(d.elementary_transformation(v, "free"))
 
 
 def _run_ets(s: _Session, zero: int, side, count: int) -> None:
@@ -155,8 +143,7 @@ def _run_ets(s: _Session, zero: int, side, count: int) -> None:
     # fresh vertex each time.  side "free" lowers the tip's neighbor by one
     # unit of type, a neighbor id raises that neighbor instead
     for _ in range(count):
-        log = s.comp(elementary_transformation(s.g, zero, side))
-        zero = log.moves[0].vertex
+        zero = s.comp(s.d.elementary_transformation(zero, side))[0].vertex
 
 
 def standardize_chain(g: WeightedGraph, selection: Selection = None) -> StandardizeResult:
@@ -181,8 +168,10 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
 
     while True:
         _contract_type_ones(s)
-        order = list(chain_order(s.g))
-        t = _types(s.g, order)
+        # one graph per round: chain_order reads a frozen graph
+        g = s.d.freeze()
+        order = list(chain_order(g))
+        t = _types(g, order)
         if _is_terminal(t):
             break
         k = len(t)
@@ -217,9 +206,8 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
                 # transformation
                 left, right = order[0], order[1]
                 for _ in range(-t[0]):
-                    move = s.prim(blow_up_edge(s.g, left, right))
-                    right = move.vertex
-                s.comp(elementary_transformation(s.g, left, "free"))
+                    right = s.prim(s.d.blow_up((left, right))).vertex
+                s.comp(s.d.elementary_transformation(left, "free"))
         elif t[p] == 0:
             # walk the zero toward the left tip
             _run_ets(s, order[p], order[p + 1], t[p - 1] - 1)
@@ -228,14 +216,13 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             # edge, then absorb the transient 1
             v, right = order[p], order[p + 1]
             for _ in range(-t[p]):
-                move = s.prim(blow_up_edge(s.g, v, right))
-                right = move.vertex
-            s.comp(elementary_transformation(s.g, v, right))
+                right = s.prim(s.d.blow_up((v, right))).vertex
+            s.comp(s.d.elementary_transformation(v, right))
 
-    final_type = chain_type(s.g) if len(s.g) else ChainType(())
+    final_type = ChainType(tuple(t))
     return StandardizeResult(
         chain_type=final_type,
         log=MoveLog(tuple(s.moves)),
-        graph=s.g,
+        graph=g,
         is_standard=final_type.is_standard,
     )

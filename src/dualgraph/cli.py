@@ -513,68 +513,88 @@ def build_parser() -> argparse.ArgumentParser:
                     "moves, fibration combinatorics, cusp resolution.")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, handler, help_text):
+    def add(name, help_text):
         sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=_handler(name))
         return sp
 
-    sp = add("disc", cmd_disc, "discriminant of a graph or a selection")
+    sp = add("disc", "discriminant of a graph or a selection")
     sp.add_argument("file")
     sp.add_argument("--sub", type=_ids, default=None, metavar="IDS",
                     help="comma-separated vertex ids (default: whole graph)")
 
-    sp = add("minimalize", cmd_minimalize, "contract non-branching (-1)-vertices")
+    sp = add("minimalize", "contract non-branching (-1)-vertices")
     sp.add_argument("file")
     sp.add_argument("--protect", type=_ids, default=None, metavar="IDS",
                     help="vertex ids that must not be contracted")
 
-    sp = add("standardize", cmd_standardize, "bring a chain to standard form")
+    sp = add("standardize", "bring a chain to standard form")
     sp.add_argument("file")
 
-    sp = add("blowup", cmd_blowup, "blow up at a vertex or on an edge")
+    sp = add("blowup", "blow up at a vertex or on an edge")
     sp.add_argument("file")
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--vertex", type=int, metavar="ID")
     grp.add_argument("--edge", type=_edge, metavar="ID,ID")
 
-    sp = add("blowdown", cmd_blowdown, "blow down a (-1)-vertex")
+    sp = add("blowdown", "blow down a (-1)-vertex")
     sp.add_argument("file")
     sp.add_argument("--vertex", type=int, required=True, metavar="ID")
 
-    sp = add("fibers", cmd_fibers, "enumerate singular fiber shapes")
+    sp = add("fibers", "enumerate singular fiber shapes")
     sp.add_argument("--max", type=int, required=True, metavar="N",
                     help="largest vertex count to enumerate")
     sp.add_argument("--validate", action="store_true",
                     help="run structural validation on every fiber")
 
-    sp = add("resolve", cmd_resolve, "resolve x^N = y^M (one stage)")
+    sp = add("resolve", "resolve x^N = y^M (one stage)")
     sp.add_argument("n", type=int)
     sp.add_argument("m", type=int)
     sp.add_argument("--stage", required=True,
                     choices=("local", "infinity", "completion"))
 
-    sp = add("verify-theorem", cmd_verify,
+    sp = add("verify-theorem",
              "build the fibration for x^N = y^M and certify d(V1)=N, d(V2)=M")
     sp.add_argument("pair", type=int, nargs="*", metavar="N M")
     sp.add_argument("--range", type=int, nargs=2, metavar=("A", "B"),
                     help="verify all coprime pairs with A <= m < n <= B")
 
-    sp = add("homology", cmd_homology, "lattice invariants of a graph")
+    sp = add("homology", "lattice invariants of a graph")
     sp.add_argument("file")
 
-    sp = add("check-acyclic", cmd_check_acyclic,
-             "test the torsion relation |d| = |de| * t^2")
+    sp = add("check-acyclic", "test the torsion relation |d| = |de| * t^2")
     sp.add_argument("--d", type=int, required=True, metavar="INT",
                     help="boundary discriminant")
     sp.add_argument("--de", type=int, required=True, metavar="INT",
                     help="product of exceptional discriminants")
 
-    sp = add("euler", cmd_euler, "euler characteristic of a boundary complement")
+    sp = add("euler", "euler characteristic of a boundary complement")
     sp.add_argument("file")
     sp.add_argument("--rho", type=int, required=True, metavar="R",
                     help="Picard rank of the ambient surface")
 
     return p
+
+
+#: the module attribute that handles each command
+_HANDLERS = {
+    "disc": "cmd_disc",
+    "minimalize": "cmd_minimalize",
+    "standardize": "cmd_standardize",
+    "blowup": "cmd_blowup",
+    "blowdown": "cmd_blowdown",
+    "fibers": "cmd_fibers",
+    "resolve": "cmd_resolve",
+    "verify-theorem": "cmd_verify",
+    "homology": "cmd_homology",
+    "check-acyclic": "cmd_check_acyclic",
+    "euler": "cmd_euler",
+}
+
+
+def _handler(command: str):
+    """The function bound to the command's handler name at the time of the call."""
+    return globals()[_HANDLERS[command]]
 
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -586,7 +606,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        result = args.handler(args)
+        # looked up on every call: the cached parser's handler defaults go
+        # stale when a cmd_* name is rebound
+        result = _handler(args.command)(args)
         rendered = render(args, result)
     except UsageFailure as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,10 +10,12 @@ vertex order is insertion order and never changes under derived-graph
 construction.  Ids of removed vertices are never handed out again.
 
 Each graph builds its adjacency index (every vertex's neighbours in
-canonical order, one entry per parallel edge) once, on the first read, and
-keeps it.  Immutability makes that safe: nothing can change the vertices
-or edges the index was built from.  Graphs that are only written, such as
-the intermediate steps of a blow-up sequence, never build it.
+canonical order, one entry per parallel edge) and its position table once,
+on the first read that needs them, and keeps them.  Immutability makes
+that safe: nothing can change the vertices or edges they were built from.
+A run of moves does not make a graph per step: the move engine patches one
+mutable draft (moves._Draft) and freezes it into a graph only where a
+caller reads one, so graphs are built once per run, not once per move.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class WeightedGraph:
     operations, which maintain the fresh-id counter.
     """
 
-    __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj")
+    __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj", "_pos")
 
     def __init__(self, order, weight, edges, next_id):
         self._order: Tuple[int, ...] = tuple(order)
@@ -47,21 +49,30 @@ class WeightedGraph:
         self._edges: Tuple[Edge, ...] = tuple(sorted(_norm_edge(a, b) for a, b in edges))
         self._next_id: int = next_id
         self._adj: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._pos: Optional[Dict[int, int]] = None
 
     def _index(self) -> Dict[int, Tuple[int, ...]]:
         if self._adj is None:
-            incident: Dict[int, List[int]] = {v: [] for v in self._order}
-            for a, b in self._edges:
-                incident[a].append(b)
-                incident[b].append(a)
-            # visiting the vertices in canonical order lists each one's
-            # neighbours in canonical order without a sort
-            adj: Dict[int, List[int]] = {v: [] for v in self._order}
-            for u in self._order:
-                for v in incident[u]:
-                    adj[v].append(u)
-            self._adj = {v: tuple(ns) for v, ns in adj.items()}
+            self._adj = self._build_index()
         return self._adj
+
+    def _build_index(self) -> Dict[int, Tuple[int, ...]]:
+        incident: Dict[int, List[int]] = {v: [] for v in self._order}
+        for a, b in self._edges:
+            incident[a].append(b)
+            incident[b].append(a)
+        # visiting the vertices in canonical order lists each one's
+        # neighbours in canonical order without a sort
+        adj: Dict[int, List[int]] = {v: [] for v in self._order}
+        for u in self._order:
+            for v in incident[u]:
+                adj[v].append(u)
+        return {v: tuple(ns) for v, ns in adj.items()}
+
+    def _positions(self) -> Dict[int, int]:
+        if self._pos is None:
+            self._pos = {v: i for i, v in enumerate(self._order)}
+        return self._pos
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -111,7 +122,7 @@ class WeightedGraph:
     def position(self, v: int) -> int:
         """Index of v in the canonical order."""
         self.require_vertex(v)
-        return self._order.index(v)
+        return self._positions()[v]
 
     def __len__(self) -> int:
         return len(self._order)
@@ -188,7 +199,11 @@ def with_vertex(
 
 
 class SubDivisor:
-    """A vertex selection of a parent graph, with induced-subgraph semantics."""
+    """A vertex selection of a parent graph, with induced-subgraph semantics.
+
+    Its reads cost in proportion to the selection (its vertices and their
+    degrees in the parent), not to the parent.
+    """
 
     __slots__ = ("_parent", "_selected")
 
@@ -208,13 +223,22 @@ class SubDivisor:
     def selected(self) -> frozenset:
         return self._selected
 
+    def _is_whole(self) -> bool:
+        return len(self._selected) == len(self._parent)
+
     def order(self) -> Tuple[int, ...]:
-        return tuple(v for v in self._parent.vertices if v in self._selected)
+        """The selected ids in the parent's canonical order."""
+        if self._is_whole():
+            return self._parent.vertices
+        return tuple(sorted(self._selected, key=self._parent._positions().__getitem__))
 
     def induced_edges(self) -> Tuple[Edge, ...]:
-        return tuple(
-            (a, b) for a, b in self._parent.edges if a in self._selected and b in self._selected
-        )
+        """Edges with both ends selected, sorted like the parent's edges."""
+        if self._is_whole():
+            return self._parent.edges
+        sel = self._selected
+        adj = self._parent._index()
+        return tuple(sorted((v, u) for v in sel for u in adj[v] if v < u and u in sel))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

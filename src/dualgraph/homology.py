@@ -89,13 +89,13 @@ def divisibility_check(model) -> DivisibilityReport:
     contracted surface would further force that factor to divide the
     line-part discriminant.  A completion whose line part is coprime to a
     nontrivial far part can never satisfy this, which is the recorded
-    contradiction.
+    contradiction.  The line-part and far-part discriminants are read from
+    the model (d_line, d_far), which computed them when it was built.
     """
     if model.cusp_part:
         raise NotSmoothCase("model resolves a singular curve; contraction arithmetic not applicable")
     g = model.graph
-    d_line = discriminant(g, model.line_part)
-    d_far = discriminant(g, model.far_part)
+    d_line, d_far = model.d_line, model.d_far
     d_curve = discriminant(g, (model.curve,))
     d_joint = discriminant(g, tuple(model.far_part) + (model.curve,))
     product_ok = d_joint == d_far * d_curve
@@ -147,14 +147,14 @@ def smooth_case_obstruction(model) -> ObstructionReport:
     discriminant it is coprime to.
 
     An empty line part triggers nothing: that is the configuration the
-    obstructions funnel every acyclic candidate into.
+    obstructions funnel every acyclic candidate into.  The line-part and
+    far-part discriminants are read from the model (d_line, d_far).
     """
     if model.cusp_part:
         raise NotSmoothCase("model resolves a singular curve; smooth-case analysis not applicable")
     g = model.graph
     e2 = g.weight(model.curve)
-    d_line = discriminant(g, model.line_part)
-    d_far = discriminant(g, model.far_part)
+    d_line, d_far = model.d_line, model.d_far
     empty = len(tuple(model.line_part)) == 0
     coprime = gcd(abs(d_line), abs(d_far)) == 1
     hits = []

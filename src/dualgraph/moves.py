@@ -11,6 +11,14 @@ yields a Move record carrying a complete structural patch, so a MoveLog
 can be replayed forward or inverted exactly, restoring vertex ids and
 canonical order bit for bit.
 
+Every move is applied by one function, _Draft.apply, which patches a
+mutable copy of the graph (the order list, the weights and each vertex's
+neighbour list) in time proportional to the vertex's degree, plus a
+C-level list insert or remove for the order.  A run of moves (a replay,
+a Euclid run, a minimalization, a chain rewriting round) patches one
+draft and freezes it into an immutable graph once, at the end; a single
+move is a draft, one patch and one freeze.
+
 Composite operations: snc_minimalize (repeated contraction of unprotected
 non-branching (-1)-vertices) and elementary_transformation (blow up on a
 0-vertex, then blow the old vertex down).
@@ -19,7 +27,8 @@ non-branching (-1)-vertices) and elementary_transformation (blow up on a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .errors import (
     NotMinusOne,
@@ -27,6 +36,7 @@ from .errors import (
     NotZeroCurve,
     TooBranched,
     UnknownEdge,
+    UnknownVertex,
 )
 from .graph import WeightedGraph, _norm_edge
 
@@ -83,9 +93,182 @@ class MoveLog:
         return MoveLog(tuple(m.inverted() for m in reversed(self.moves)))
 
     def replay(self, g: WeightedGraph) -> WeightedGraph:
+        d = _Draft(g)
         for m in self.moves:
-            g = apply_move(g, m)
-        return g
+            d.apply(m)
+        return d.freeze()
+
+
+class _Draft:
+    """A graph being rewritten: moves patch it in place, freeze() copies it out.
+
+    order is the canonical vertex order, weights maps ids to weights, and
+    adj lists each vertex's neighbours, one entry per edge, in no
+    particular order.  weight, has_edge and neighbors answer as
+    WeightedGraph's do; neighbors sorts into canonical order.
+    """
+
+    __slots__ = ("order", "weights", "adj", "next_id")
+
+    def __init__(self, g: WeightedGraph):
+        self.order: List[int] = list(g.vertices)
+        self.weights: Dict[int, int] = dict(g._weight)
+        adj: Dict[int, List[int]] = {v: [] for v in self.order}
+        for a, b in g.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        self.adj = adj
+        self.next_id: int = g.next_id
+
+    def freeze(self) -> WeightedGraph:
+        """The current graph, which later patches leave unchanged."""
+        edges = [(a, b) for a, ns in self.adj.items() for b in ns if a < b]
+        return WeightedGraph(self.order, self.weights, edges, self.next_id)
+
+    # ------------------------------------------------------------ reads
+
+    def require_vertex(self, v: int) -> None:
+        if v not in self.weights:
+            raise UnknownVertex(f"no vertex {v!r}")
+
+    def weight(self, v: int) -> int:
+        self.require_vertex(v)
+        return self.weights[v]
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return b in self.adj.get(a, ())
+
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        """Adjacent ids, one entry per incident edge, in canonical order."""
+        self.require_vertex(v)
+        ns = self.adj[v]
+        return tuple(ns) if len(ns) < 2 else tuple(sorted(ns, key=self.order.index))
+
+    # ----------------------------------------------------------- writes
+
+    def apply(self, m: Move) -> None:
+        """Mechanically apply a Move patch (no snc precondition re-checks).
+
+        A blow-down undoes exactly the patch of the blow-up with the same
+        anchors, so the kind must match the anchor count (see blow_up).
+        Every check runs before the first write, so a rejected move leaves
+        the draft as it was.
+        """
+        if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
+            raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
+        corner = _norm_edge(*m.anchors) if len(m.anchors) == 2 else None
+        v, adj, weights = m.vertex, self.adj, self.weights
+        if m.kind == BLOW_DOWN:
+            self.require_vertex(v)
+            if weights[v] != -1:
+                raise NotMinusOne(f"vertex {v} has weight {weights[v]}")
+            if tuple(sorted(adj[v])) != tuple(sorted(m.anchors)):
+                raise ValueError(f"move anchors {m.anchors} do not match the graph")
+            if corner is not None and corner[0] == corner[1]:
+                raise ValueError(f"vertex {v} meets {corner[0]} twice")
+            self.order.remove(v)
+            del weights[v]
+            for a in adj.pop(v):
+                adj[a].remove(v)
+                weights[a] += 1
+            if corner is not None:
+                a, b = corner
+                adj[a].append(b)
+                adj[b].append(a)
+            return
+        if corner is not None and not self.has_edge(*corner):
+            raise UnknownEdge("no edge {}-{}".format(*m.anchors))
+        for a in m.anchors:
+            self.require_vertex(a)
+        if v in weights:
+            raise ValueError(f"move would recreate existing vertex {v}")
+        if not 0 <= m.position <= len(self.order):
+            raise ValueError(f"insertion position {m.position} out of range")
+        self.order.insert(m.position, v)
+        if corner is not None:
+            a, b = corner
+            adj[a].remove(b)
+            adj[b].remove(a)
+        adj[v] = list(m.anchors)
+        weights[v] = -1
+        for a in m.anchors:
+            adj[a].append(v)
+            weights[a] -= 1
+        self.next_id = max(self.next_id, v + 1)
+
+    def blow_up(self, anchors: Iterable[int] = ()) -> Move:
+        anchors = tuple(anchors)
+        m = Move(_blow_up_kind(anchors), self.next_id, len(self.order), anchors)
+        self.apply(m)
+        return m
+
+    def blow_down(self, v: int) -> Move:
+        w = self.weight(v)
+        if w != -1:
+            raise NotMinusOne(f"vertex {v} has weight {w}, need -1")
+        if len(self.adj[v]) >= 3:
+            raise TooBranched(f"vertex {v} meets {len(self.adj[v])} intersection points")
+        nbs = self.neighbors(v)
+        if len(nbs) == 2:
+            if nbs[0] == nbs[1]:
+                raise NotSnc(f"vertex {v} meets {nbs[0]} twice")
+            if self.has_edge(nbs[0], nbs[1]):
+                raise NotSnc(f"neighbors {nbs[0]} and {nbs[1]} already meet")
+        m = Move(BLOW_DOWN, v, self.order.index(v), nbs)
+        self.apply(m)
+        return m
+
+    def contract_all(self, eligible: Callable[[int], bool], keep: int = 0) -> List[Move]:
+        """Blow down eligible vertices, smallest id first, while more than keep remain.
+
+        eligible(v) must depend only on v's weight, its neighbours and
+        whether they meet.  Candidates wait in a min-heap of ids and are
+        checked when popped; one found ineligible is dropped.  Only a
+        blow-down's former neighbours can become eligible, so they are the
+        only ids it pushes back: elsewhere it changes no weight and no
+        neighbour list, and the one edge it adds can only spoil a vertex
+        whose two neighbours it joins, never free one.
+        """
+        heap = sorted(self.order)
+        moves: List[Move] = []
+        while heap and len(self.order) > keep:
+            v = heappop(heap)
+            if v in self.weights and eligible(v):
+                m = self.blow_down(v)
+                moves.append(m)
+                for a in m.anchors:
+                    heappush(heap, a)
+        return moves
+
+    def contractible(self, v: int, protected) -> bool:
+        if v in protected or self.weights[v] != -1:
+            return False
+        nbs = self.adj[v]
+        if len(nbs) >= 3:
+            return False
+        if len(nbs) == 2 and (nbs[0] == nbs[1] or self.has_edge(*nbs)):
+            return False
+        return True
+
+    def elementary_transformation(self, zero_vertex: int, side) -> Tuple[Move, Move]:
+        w = self.weight(zero_vertex)
+        if w != 0:
+            raise NotZeroCurve(f"vertex {zero_vertex} has weight {w}")
+        deg = len(self.adj[zero_vertex])
+        if deg > 2:
+            raise TooBranched(f"vertex {zero_vertex} meets {deg} intersection points")
+        if side == "free":
+            if deg >= 2:
+                raise TooBranched(
+                    "free transformation on a vertex with two intersection points "
+                    "would leave it too branched to contract"
+                )
+            m1 = self.blow_up((zero_vertex,))
+        else:
+            if not self.has_edge(zero_vertex, side):
+                raise UnknownEdge(f"no edge {zero_vertex}-{side}")
+            m1 = self.blow_up((zero_vertex, side))
+        return m1, self.blow_down(zero_vertex)
 
 
 def apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
@@ -94,41 +277,9 @@ def apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
     A blow-down undoes exactly the patch of the blow-up with the same
     anchors, so the kind must match the anchor count (see blow_up).
     """
-    if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
-        raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
-    corner = _norm_edge(*m.anchors) if len(m.anchors) == 2 else None
-    if m.kind == BLOW_DOWN:
-        g.require_vertex(m.vertex)
-        if g.weight(m.vertex) != -1:
-            raise NotMinusOne(f"vertex {m.vertex} has weight {g.weight(m.vertex)}")
-        if tuple(sorted(g.neighbors(m.vertex))) != tuple(sorted(m.anchors)):
-            raise ValueError(f"move anchors {m.anchors} do not match the graph")
-        if corner is not None and corner[0] == corner[1]:
-            raise ValueError(f"vertex {m.vertex} meets {corner[0]} twice")
-        order = [v for v in g.vertices if v != m.vertex]
-        edges = [e for e in g.edges if m.vertex not in e]
-        if corner is not None:
-            edges.append(corner)
-        step, next_id = 1, g.next_id
-    else:
-        if corner is not None and not g.has_edge(*corner):
-            raise UnknownEdge("no edge {}-{}".format(*m.anchors))
-        for a in m.anchors:
-            g.require_vertex(a)
-        if g.has_vertex(m.vertex):
-            raise ValueError(f"move would recreate existing vertex {m.vertex}")
-        if not 0 <= m.position <= len(g):
-            raise ValueError(f"insertion position {m.position} out of range")
-        order = list(g.vertices)
-        order.insert(m.position, m.vertex)
-        edges = list(g.edges) + [_norm_edge(m.vertex, a) for a in m.anchors]
-        if corner is not None:
-            edges.remove(corner)
-        step, next_id = -1, max(g.next_id, m.vertex + 1)
-    weights = {v: g.weight(v) if v != m.vertex else -1 for v in order}
-    for a in m.anchors:
-        weights[a] += step
-    return WeightedGraph(order, weights, edges, next_id)
+    d = _Draft(g)
+    d.apply(m)
+    return d.freeze()
 
 
 def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGraph, Move]:
@@ -138,9 +289,9 @@ def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGrap
     drops by 1; two anchors must meet, and the new vertex replaces one of
     their edges.  No anchor means a point on no tracked curve.
     """
-    anchors = tuple(anchors)
-    m = Move(_blow_up_kind(anchors), g.next_id, len(g), anchors)
-    return apply_move(g, m), m
+    d = _Draft(g)
+    m = d.blow_up(anchors)
+    return d.freeze(), m
 
 
 def blow_up_free(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
@@ -160,35 +311,14 @@ def blow_down(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
     points; with two, its neighbors must be distinct and not already meet
     (contracting would otherwise leave a non-transversal double point).
     """
-    g.require_vertex(v)
-    if g.weight(v) != -1:
-        raise NotMinusOne(f"vertex {v} has weight {g.weight(v)}, need -1")
-    nbs = g.neighbors(v)
-    if len(nbs) >= 3:
-        raise TooBranched(f"vertex {v} meets {len(nbs)} intersection points")
-    if len(nbs) == 2:
-        if nbs[0] == nbs[1]:
-            raise NotSnc(f"vertex {v} meets {nbs[0]} twice")
-        if g.has_edge(nbs[0], nbs[1]):
-            raise NotSnc(f"neighbors {nbs[0]} and {nbs[1]} already meet")
-    m = Move(BLOW_DOWN, v, g.position(v), nbs)
-    return apply_move(g, m), m
+    d = _Draft(g)
+    m = d.blow_down(v)
+    return d.freeze(), m
 
 
 def spawn(g: WeightedGraph) -> Tuple[WeightedGraph, Move]:
     """Add an isolated fresh (-1)-vertex (blow-up at an untracked point)."""
     return blow_up(g)
-
-
-def _contractible(g: WeightedGraph, v: int, protected) -> bool:
-    if v in protected or g.weight(v) != -1:
-        return False
-    nbs = g.neighbors(v)
-    if len(nbs) >= 3:
-        return False
-    if len(nbs) == 2 and (nbs[0] == nbs[1] or g.has_edge(nbs[0], nbs[1])):
-        return False
-    return True
 
 
 def snc_minimalize(
@@ -204,15 +334,9 @@ def snc_minimalize(
     prot = frozenset(protected)
     for v in prot:
         g.require_vertex(v)
-    log: List[Move] = []
-    while True:
-        for v in sorted(g.vertices):
-            if _contractible(g, v, prot):
-                g, m = blow_down(g, v)
-                log.append(m)
-                break
-        else:
-            return g, MoveLog(tuple(log))
+    d = _Draft(g)
+    log = d.contract_all(lambda v: d.contractible(v, prot))
+    return d.freeze(), MoveLog(tuple(log))
 
 
 def elementary_transformation(
@@ -226,22 +350,6 @@ def elementary_transformation(
     [a+1, 0, b-1]; on a 0-tip with side "free" the neighbor weight rises by
     1 and the new tip is again a 0-vertex.
     """
-    g.require_vertex(zero_vertex)
-    if g.weight(zero_vertex) != 0:
-        raise NotZeroCurve(f"vertex {zero_vertex} has weight {g.weight(zero_vertex)}")
-    deg = g.degree(zero_vertex)
-    if deg > 2:
-        raise TooBranched(f"vertex {zero_vertex} meets {deg} intersection points")
-    if side == "free":
-        if deg >= 2:
-            raise TooBranched(
-                "free transformation on a vertex with two intersection points "
-                "would leave it too branched to contract"
-            )
-        g1, m1 = blow_up_free(g, zero_vertex)
-    else:
-        if not g.has_edge(zero_vertex, side):
-            raise UnknownEdge(f"no edge {zero_vertex}-{side}")
-        g1, m1 = blow_up_edge(g, zero_vertex, side)
-    g2, m2 = blow_down(g1, zero_vertex)
-    return g2, MoveLog((m1, m2))
+    d = _Draft(g)
+    moves = d.elementary_transformation(zero_vertex, side)
+    return d.freeze(), MoveLog(moves)

@@ -28,7 +28,7 @@ from .fibration import Fiber, fibration_model, fujita_accounting, validate_fiber
 from .graph import WeightedGraph, build_graph, classify_shape, induced_graph, with_vertex
 from .homology import euler_open
 from .lattice import discriminant
-from .moves import Move, MoveLog, blow_up, snc_minimalize
+from .moves import Move, MoveLog, _Draft, snc_minimalize
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,18 @@ def _euclid(g: WeightedGraph, a: int, b: int,
     if a < b or b < 1 or gcd(a, b) != 1:
         raise ValueError(f"contact pair must be coprime with a >= b >= 1, got ({a}, {b})")
     ca, cb = carriers
+    d = _Draft(g)
     moves: List[Move] = []
     squares = 0
     while True:
         anchors = tuple(c for c in (ca, cb) if c is not None)
-        g, mv = blow_up(g, anchors)
+        mv = d.blow_up(anchors)
         if omega is not None:
             omega[mv.vertex] = sum(omega[c] for c in anchors)
         moves.append(mv)
         squares += b * b
         if (a, b) == (1, 1):
-            return g, tuple(moves), squares
+            return d.freeze(), tuple(moves), squares
         cb = mv.vertex
         a -= b
         if a < b:

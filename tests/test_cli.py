@@ -419,3 +419,23 @@ def test_main_builds_its_parser_once(run, tmp_path, monkeypatch):
     assert json.loads(out)["results"]["discriminant"] == -1
     assert len(built) == 1
     assert original() is not original()
+
+
+def test_main_runs_the_handler_bound_at_call_time(run, tmp_path, monkeypatch):
+    """A cmd_* rebound after the parser was built is the one main calls."""
+    path = write(tmp_path, ZERO_ZERO)
+    assert run("disc", path)[0] == 0  # builds and caches the parser
+    original = cli.cmd_disc
+    seen = []
+
+    def traced(args):
+        seen.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_disc", traced)
+    code, out, _ = run("disc", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["discriminant"] == -1
+    assert seen == ["disc"]
+    assert sorted(cli._HANDLERS) == sorted(
+        cli.build_parser()._subparsers._group_actions[0].choices)

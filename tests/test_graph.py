@@ -216,6 +216,8 @@ def _assert_reads_match_scan(g, rng):
             with pytest.raises(UnknownVertex):
                 s.neighbors(v)
         assert classify_shape(g, s) == _scan_shape(g, sel)
+        assert s.order() == tuple(v for v in ids if v in sel)
+        assert s.induced_edges() == tuple(e for e in g.edges if set(e) <= sel)
 
 
 def _random_multigraph(rng):

@@ -1,8 +1,10 @@
 import random
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
+from dualgraph import homology
 from dualgraph.errors import NotAForest, NotSmoothCase, ZeroBoundaryDiscriminant
 from dualgraph.graph import build_graph
 from dualgraph.homology import (
@@ -17,7 +19,8 @@ from dualgraph.homology import (
     q_acyclicity_relation,
     smooth_case_obstruction,
 )
-from dualgraph.resolution import CuspPair, build_completion
+from dualgraph.lattice import discriminant
+from dualgraph.resolution import CuspPair, build_completion, coprime_pairs
 
 
 def random_tree(rng, size):
@@ -107,6 +110,8 @@ def smooth_model(curve_weight, line_weights=(-2,), far_weights=(-3,)):
         cusp_part=(),
         line_part=tuple(line_part),
         far_part=tuple(far_part),
+        d_line=discriminant(g, line_part),
+        d_far=discriminant(g, far_part),
     )
 
 
@@ -167,3 +172,46 @@ class TestSmoothCaseObstruction:
     def test_singular_model_rejected(self):
         with pytest.raises(NotSmoothCase):
             smooth_case_obstruction(build_completion(CuspPair(5, 2)))
+
+
+def test_reports_read_the_model_discriminants(monkeypatch):
+    """Both reports take d_line and d_far from the model, for every n <= 40.
+
+    The values must be the discriminants of the model's parts, and the
+    reports compute only what the model does not carry: the curve's
+    discriminant, and the joint one of the far part with the curve.
+    """
+    calls = []
+
+    def counted(g, selection=None):
+        calls.append(tuple(selection))
+        return discriminant(g, selection)
+
+    monkeypatch.setattr(homology, "discriminant", counted)
+    smooth = 0
+    for pair in coprime_pairs(1, 40):
+        if pair.transversal:
+            continue
+        model = build_completion(pair)
+        if model.cusp_part:
+            with pytest.raises(NotSmoothCase):
+                divisibility_check(model)
+            with pytest.raises(NotSmoothCase):
+                smooth_case_obstruction(model)
+            continue
+        smooth += 1
+        g = model.graph
+        d_line = discriminant(g, model.line_part)
+        d_far = discriminant(g, model.far_part)
+        calls.clear()
+        div = divisibility_check(model)
+        obs = smooth_case_obstruction(model)
+        assert (div.d_line_part, div.d_far_part) == (d_line, d_far)
+        assert (obs.d_line_part, obs.d_far_part) == (d_line, d_far)
+        assert div.d_curve == discriminant(g, (model.curve,))
+        assert div.d_joint == discriminant(g, model.far_part + (model.curve,))
+        assert div.coprime == obs.coprime == (gcd(abs(d_line), abs(d_far)) == 1)
+        curve = (model.curve,)
+        assert sorted(calls) == sorted([curve, model.far_part + curve]
+                                       + [curve] * (obs.branch == NEGATIVE_BRANCH))
+    assert smooth == 39

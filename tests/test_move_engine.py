@@ -1,0 +1,283 @@
+"""The in-place move engine against a rebuild-per-move reference.
+
+rebuild_apply_move is the engine the package used before moves patched a
+mutable draft: every move rebuilds the whole immutable graph from its
+vertex order, weights and edge list.  It is kept here only as an oracle.
+"""
+
+import random
+
+import pytest
+
+from dualgraph import graph as graph_module
+from dualgraph.errors import NotMinusOne, NotSnc, TooBranched, UnknownEdge, UnknownVertex
+from dualgraph.graph import WeightedGraph, _norm_edge, build_graph
+from dualgraph.moves import (
+    BLOW_DOWN,
+    BLOW_UP_KINDS,
+    Move,
+    MoveLog,
+    _blow_up_kind,
+    _Draft,
+    apply_move,
+    blow_down,
+    snc_minimalize,
+)
+from dualgraph.chains import standardize_chain
+from dualgraph.resolution import CuspPair, theorem_pipeline
+
+from test_graph import chain
+
+
+def rebuild_apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
+    if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
+        raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
+    corner = _norm_edge(*m.anchors) if len(m.anchors) == 2 else None
+    if m.kind == BLOW_DOWN:
+        g.require_vertex(m.vertex)
+        if g.weight(m.vertex) != -1:
+            raise NotMinusOne(f"vertex {m.vertex} has weight {g.weight(m.vertex)}")
+        if tuple(sorted(g.neighbors(m.vertex))) != tuple(sorted(m.anchors)):
+            raise ValueError(f"move anchors {m.anchors} do not match the graph")
+        if corner is not None and corner[0] == corner[1]:
+            raise ValueError(f"vertex {m.vertex} meets {corner[0]} twice")
+        order = [v for v in g.vertices if v != m.vertex]
+        edges = [e for e in g.edges if m.vertex not in e]
+        if corner is not None:
+            edges.append(corner)
+        step, next_id = 1, g.next_id
+    else:
+        if corner is not None and not g.has_edge(*corner):
+            raise UnknownEdge("no edge {}-{}".format(*m.anchors))
+        for a in m.anchors:
+            g.require_vertex(a)
+        if g.has_vertex(m.vertex):
+            raise ValueError(f"move would recreate existing vertex {m.vertex}")
+        if not 0 <= m.position <= len(g):
+            raise ValueError(f"insertion position {m.position} out of range")
+        order = list(g.vertices)
+        order.insert(m.position, m.vertex)
+        edges = list(g.edges) + [_norm_edge(m.vertex, a) for a in m.anchors]
+        if corner is not None:
+            edges.remove(corner)
+        step, next_id = -1, max(g.next_id, m.vertex + 1)
+    weights = {v: g.weight(v) if v != m.vertex else -1 for v in order}
+    for a in m.anchors:
+        weights[a] += step
+    return WeightedGraph(order, weights, edges, next_id)
+
+
+def rescan_snc_minimalize(g, protected=()):
+    """Minimalization by a full rescan after every contraction."""
+    def contractible(v):
+        if v in protected or g.weight(v) != -1:
+            return False
+        nbs = g.neighbors(v)
+        return len(nbs) <= 1 or (len(nbs) == 2 and nbs[0] != nbs[1]
+                                 and not g.has_edge(*nbs))
+
+    log = []
+    while True:
+        for v in sorted(g.vertices):
+            if contractible(v):
+                m = Move(BLOW_DOWN, v, g.position(v), g.neighbors(v))
+                g = rebuild_apply_move(g, m)
+                log.append(m)
+                break
+        else:
+            return g, log
+
+
+def state(g):
+    return (g.vertices, tuple(g.weight(v) for v in g.vertices), g.edges, g.next_id)
+
+
+def random_multigraph(rng, n):
+    ids = rng.sample(range(1, 3 * n + 3), n)
+    weights = [(v, rng.choice([-1, -1, -1, -2, -3, 0, 1])) for v in ids]
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n) if rng.random() < 0.85]
+    for _ in range(rng.randint(0, 2)):
+        if n >= 2:
+            edges.append(tuple(rng.sample(ids, 2)))
+    return build_graph(weights, edges)
+
+
+def random_move(rng, g, log):
+    """A move for g: valid ones of every kind, inverses, and ones to reject."""
+    verts = list(g.vertices)
+    fresh = g.next_id + rng.choice([0, 0, 0, 3])
+    pos = rng.randint(0, len(g))
+    roll = rng.random()
+    if roll < 0.25 and verts:
+        anchors = rng.choice([(), (rng.choice(verts),)] + [e for e in g.edges])
+        return Move(BLOW_UP_KINDS[len(anchors)], fresh, pos, tuple(anchors))
+    if roll < 0.45 and verts:
+        v = rng.choice(verts)
+        anchors = list(g.neighbors(v))
+        rng.shuffle(anchors)
+        return Move(BLOW_DOWN, v, rng.randint(0, len(g)), tuple(anchors))
+    if roll < 0.6 and log:
+        return log[-1].inverted()
+    if roll < 0.7 and log:
+        return rng.choice(log).inverted()
+    # moves that must (mostly) be rejected
+    v = rng.choice(verts) if verts else 0
+    stranger = max(verts, default=0) + 100
+    return rng.choice([
+        Move("spawn", fresh, pos, (v,)),
+        Move("blow_up_free", fresh, pos, ()),
+        Move("blow_up_edge", fresh, pos, (v,)),
+        Move("blow_up_edge", fresh, pos, (v, v, v)),
+        Move(BLOW_DOWN, v, 0, (v, v, v)),
+        Move(BLOW_DOWN, stranger, 0, ()),
+        Move(BLOW_DOWN, v, 0, (stranger,)),
+        Move(BLOW_DOWN, v, 0, (v, stranger)),
+        Move("blow_up_free", fresh, pos, (stranger,)),
+        Move("blow_up_edge", fresh, pos, (v, stranger)),
+        Move("blow_up_edge", fresh, pos, (v, v)),
+        Move("blow_up_free", v, pos, (v,)),
+        Move("spawn", v, pos, ()),
+        Move("spawn", fresh, len(g) + 1, ()),
+        Move("spawn", fresh, -1, ()),
+    ])
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except (ValueError, NotMinusOne, UnknownVertex, UnknownEdge) as e:
+        return "error", (type(e), str(e))
+
+
+def test_draft_matches_rebuild_reference_on_random_move_sequences():
+    rng = random.Random(20261018)
+    kinds, rejected = set(), 0
+    for _ in range(400):
+        g = random_multigraph(rng, rng.randint(0, 8))
+        draft = _Draft(g)
+        log = []
+        for _ in range(25):
+            m = random_move(rng, g, log)
+            want = outcome(lambda: rebuild_apply_move(g, m))
+            got_one = outcome(lambda: apply_move(g, m))
+            got_draft = outcome(lambda: draft.apply(m))
+            if want[0] == "error":
+                rejected += 1
+                assert got_one == want and got_draft == want, m
+                # a rejected move leaves the draft as it was
+                assert state(draft.freeze()) == state(g)
+                continue
+            kinds.add(m.kind)
+            assert got_one[0] == got_draft[0] == "ok", m
+            assert state(got_one[1]) == state(want[1]), m
+            assert state(draft.freeze()) == state(want[1]), m
+            g = want[1]
+            log.append(m)
+        # a blow-down logged with a stale position reinserts elsewhere, or
+        # nowhere, when inverted: both engines must agree on that too
+        replayed = outcome(lambda: state(MoveLog(tuple(log)).inverted().replay(g)))
+        assert replayed == outcome(lambda: state(rebuild_inverse(g, log)))
+    assert kinds == {"spawn", "blow_up_free", "blow_up_edge", "blow_down"}
+    assert rejected > 1000
+
+
+def rebuild_inverse(g, log):
+    for m in reversed(log):
+        g = rebuild_apply_move(g, m.inverted())
+    return g
+
+
+def test_draft_reads_match_the_frozen_graph():
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_multigraph(rng, rng.randint(1, 8))
+        d = _Draft(g)
+        for v in g.vertices:
+            assert d.weight(v) == g.weight(v)
+            assert d.neighbors(v) == g.neighbors(v)
+            for u in g.vertices:
+                assert d.has_edge(v, u) == g.has_edge(v, u)
+    with pytest.raises(UnknownVertex):
+        _Draft(chain([-1])).neighbors(7)
+
+
+def test_snc_minimalize_log_matches_the_rescan_reference():
+    rng = random.Random(11)
+    contracted = 0
+    for size in [rng.randint(0, 10) for _ in range(600)] + [40] * 60:
+        g = random_multigraph(rng, size)
+        protected = frozenset(v for v in g.vertices if rng.random() < 0.2)
+        h, log = snc_minimalize(g, protected)
+        want_g, want_log = rescan_snc_minimalize(g, protected)
+        assert list(log) == want_log
+        assert state(h) == state(want_g)
+        contracted += len(want_log)
+    assert contracted > 500
+    # a long chain of -1s contracts from the smallest id, re-checking the
+    # neighbours each blow-down spoils or frees
+    g = chain([-1] * 300)
+    h, log = snc_minimalize(g)
+    want_g, want_log = rescan_snc_minimalize(g)
+    assert list(log) == want_log and state(h) == state(want_g)
+
+
+def test_blow_down_rejections_keep_their_messages():
+    g = build_graph([(1, -1), (2, -2), (3, -2), (4, -2)], [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(TooBranched, match="vertex 1 meets 3 intersection points"):
+        blow_down(g, 1)
+    with pytest.raises(NotMinusOne, match="vertex 2 has weight -2, need -1"):
+        blow_down(g, 2)
+    with pytest.raises(NotSnc, match="vertex 1 meets 2 twice"):
+        blow_down(build_graph([(1, -1), (2, 0)], [(1, 2), (1, 2)]), 1)
+    with pytest.raises(NotSnc, match="neighbors 2 and 3 already meet"):
+        blow_down(build_graph([(1, -1), (2, 0), (3, 0)], [(1, 2), (1, 3), (2, 3)]), 1)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of WeightedGraph constructions and adjacency-index builds."""
+    counts = {"graphs": 0, "indexes": 0}
+    init = WeightedGraph.__init__
+    build_index = WeightedGraph._build_index
+
+    def counted_init(self, *args):
+        counts["graphs"] += 1
+        init(self, *args)
+
+    def counted_index(self):
+        counts["indexes"] += 1
+        return build_index(self)
+
+    monkeypatch.setattr(graph_module.WeightedGraph, "__init__", counted_init)
+    monkeypatch.setattr(graph_module.WeightedGraph, "_build_index", counted_index)
+
+    def measure(fn):
+        counts.update(graphs=0, indexes=0)
+        fn()
+        return dict(counts)
+
+    return measure
+
+
+def test_pipeline_builds_as_many_graphs_at_every_size(constructions):
+    small = constructions(lambda: theorem_pipeline(CuspPair(101, 100)))
+    large = constructions(lambda: theorem_pipeline(CuspPair(401, 400)))
+    assert large["graphs"] <= small["graphs"] and large["indexes"] <= small["indexes"]
+    assert small["graphs"] <= 20
+
+
+def test_chain_rewriting_builds_one_graph_per_round(constructions):
+    small = constructions(lambda: standardize_chain(chain([60])))
+    large = constructions(lambda: standardize_chain(chain([200])))
+    assert large["graphs"] <= small["graphs"] and large["indexes"] <= small["indexes"]
+
+
+def test_a_run_of_moves_freezes_once(constructions):
+    g = chain([-2] * 50)
+    history = theorem_pipeline(CuspPair(41, 40)).history
+    assert len(history.resolution) == 82
+    assert constructions(lambda: history.resolution.replay(history.seed)) == {
+        "graphs": 1, "indexes": 0}
+    assert constructions(lambda: snc_minimalize(g)) == {"graphs": 1, "indexes": 0}
+    assert constructions(lambda: apply_move(g, Move("spawn", 99, 0))) == {
+        "graphs": 1, "indexes": 0}
