@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
-from .graph import Selection, WeightedGraph, classify_shape, induced_graph, subdivisor
+from .graph import Selection, WeightedGraph, classify_shape, induced_graph
 from .lattice import signature
 from .moves import Move, MoveLog, _Draft
 
@@ -51,15 +51,15 @@ class ChainType:
 
 def chain_order(g: WeightedGraph, selection: Selection = None) -> Tuple[int, ...]:
     """Vertex ids of a chain in path order, starting from the earlier tip."""
-    sel = subdivisor(g, selection)
-    shape = classify_shape(g, sel)
+    g = induced_graph(g, selection)
+    shape = classify_shape(g)
     if not shape.is_chain:
         raise NotAChain("selection is not a connected cycle-free chain")
     # tips come in canonical order, so the first is the earlier one
     order = [shape.tips[0]]
     prev = None
-    while len(order) < len(sel):
-        nxt = [u for u in sel.neighbors(order[-1]) if u != prev]
+    while len(order) < len(g):
+        nxt = [u for u in g.neighbors(order[-1]) if u != prev]
         prev = order[-1]
         order.append(nxt[0])
     return tuple(order)
@@ -154,8 +154,8 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
     intersection form has two or more non-negative eigenvalues admit no
     normal form and raise NotStandardizable.
     """
-    order0 = chain_order(g, selection)
     start = induced_graph(g, selection)
+    chain_order(start)  # raises NotAChain before any rewriting
     plus, zero_eigs, _minus = signature(start)
     if plus + zero_eigs >= 2:
         raise NotStandardizable(

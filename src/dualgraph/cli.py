@@ -430,7 +430,7 @@ def cmd_euler(args) -> CommandResult:
 # --------------------------------------------------------------- rendering
 
 def _render_json(args, result: CommandResult) -> str:
-    skip = {"handler", "command", "format", "out"}
+    skip = {"command", "format", "out"}
     inputs = {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
     payload = {
         "schema": SCHEMA,
@@ -514,9 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name, help_text):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.set_defaults(handler=_handler(name))
-        return sp
+        return sub.add_parser(name, parents=[common], help=help_text)
 
     sp = add("disc", "discriminant of a graph or a selection")
     sp.add_argument("file")
@@ -606,8 +604,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        # looked up on every call: the cached parser's handler defaults go
-        # stale when a cmd_* name is rebound
+        # looked up on every call, so a rebound cmd_* name is the one that runs
         result = _handler(args.command)(args)
         rendered = render(args, result)
     except UsageFailure as e:

@@ -41,9 +41,6 @@ class Fiber:
     def mult(self, v: int) -> int:
         return self.multiplicity[v]
 
-    def multiplicity_vector(self) -> Tuple[int, ...]:
-        return tuple(self.multiplicity[v] for v in self.graph.vertices)
-
 
 def initial_fiber() -> Fiber:
     """The smooth fiber: one 0-curve of multiplicity 1."""

@@ -16,6 +16,10 @@ that safe: nothing can change the vertices or edges they were built from.
 A run of moves does not make a graph per step: the move engine patches one
 mutable draft (moves._Draft) and freezes it into a graph only where a
 caller reads one, so graphs are built once per run, not once per move.
+
+A vertex selection (a twig, a fiber member, a far chain) becomes its
+induced graph once, on entry to each function that takes one, so every
+kernel reads a WeightedGraph; selecting everything gives the graph itself.
 """
 
 from __future__ import annotations
@@ -199,10 +203,10 @@ def with_vertex(
 
 
 class SubDivisor:
-    """A vertex selection of a parent graph, with induced-subgraph semantics.
+    """A validated vertex selection of a parent graph.
 
-    Its reads cost in proportion to the selection (its vertices and their
-    degrees in the parent), not to the parent.
+    It exists only to build the selection's induced graph: every kernel
+    reads a WeightedGraph, and induced_graph turns a selection into one.
     """
 
     __slots__ = ("_parent", "_selected")
@@ -223,53 +227,22 @@ class SubDivisor:
     def selected(self) -> frozenset:
         return self._selected
 
-    def _is_whole(self) -> bool:
-        return len(self._selected) == len(self._parent)
-
     def order(self) -> Tuple[int, ...]:
         """The selected ids in the parent's canonical order."""
-        if self._is_whole():
-            return self._parent.vertices
         return tuple(sorted(self._selected, key=self._parent._positions().__getitem__))
 
     def induced_edges(self) -> Tuple[Edge, ...]:
         """Edges with both ends selected, sorted like the parent's edges."""
-        if self._is_whole():
-            return self._parent.edges
         sel = self._selected
         adj = self._parent._index()
         return tuple(sorted((v, u) for v in sel for u in adj[v] if v < u and u in sel))
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def neighbors(self, v: int) -> Tuple[int, ...]:
+        """Selected neighbours of v; nothing calls it, but bench/tracer.py times it."""
         if v not in self._selected:
             raise UnknownVertex(f"vertex {v!r} not in selection")
         sel = self._selected
         return tuple(u for u in self._parent.neighbors(v) if u in sel)
-
-    def complement(self) -> "SubDivisor":
-        return SubDivisor(self._parent, set(self._parent.vertices) - self._selected)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._selected
-
-    def __iter__(self):
-        return iter(self.order())
-
-    def __len__(self) -> int:
-        return len(self._selected)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubDivisor):
-            return NotImplemented
-        return self._parent == other._parent and self._selected == other._selected
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<SubDivisor {sorted(self._selected)} of {len(self._parent)}-vertex graph>"
 
 
 Selection = Union[SubDivisor, Iterable[int], None]
@@ -287,14 +260,19 @@ def subdivisor(g: WeightedGraph, selection: Selection = None) -> SubDivisor:
 
 
 def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGraph:
-    """The selection as a graph of its own.
+    """The selection as a graph of its own; g itself when it selects everything.
 
+    Every function that takes a selection reads it through this graph.
     Vertex ids, their canonical order, weights and the fresh-id counter are
     kept, so moves on the result never reuse an id of g.
     """
+    if selection is None:
+        return g
     s = subdivisor(g, selection)
+    if len(s.selected) == len(g):
+        return g
     verts = s.order()
-    return WeightedGraph(verts, {v: g.weight(v) for v in verts}, s.induced_edges(), g.next_id)
+    return WeightedGraph(verts, {v: g._weight[v] for v in verts}, s.induced_edges(), g.next_id)
 
 
 def intersection_matrix(g: WeightedGraph, selection: Selection = None) -> List[List[int]]:
@@ -302,14 +280,12 @@ def intersection_matrix(g: WeightedGraph, selection: Selection = None) -> List[L
 
     Row order is the canonical vertex order restricted to the selection.
     """
-    s = subdivisor(g, selection)
-    verts = s.order()
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    q = [[0] * n for _ in range(n)]
-    for i, v in enumerate(verts):
+    g = induced_graph(g, selection)
+    idx = g._positions()
+    q = [[0] * len(g) for _ in range(len(g))]
+    for i, v in enumerate(g.vertices):
         q[i][i] = g.weight(v)
-    for a, b in s.induced_edges():
+    for a, b in g.edges:
         q[idx[a]][idx[b]] += 1
         q[idx[b]][idx[a]] += 1
     return q
@@ -334,8 +310,8 @@ def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport
     forestness.  Tips are vertices of degree <= 1 (isolated ones included);
     branching vertices have degree >= 3.
     """
-    s = subdivisor(g, selection)
-    verts = s.order()
+    g = induced_graph(g, selection)
+    verts = g.vertices
     deg: Dict[int, int] = {}
     label: Dict[int, int] = {}
     for root in verts:
@@ -345,7 +321,7 @@ def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport
         stack = [root]
         while stack:
             v = stack.pop()
-            nbs = s.neighbors(v)
+            nbs = g.neighbors(v)
             deg[v] = len(nbs)
             for u in nbs:
                 if u not in label:
@@ -358,7 +334,7 @@ def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport
     tips = tuple(v for v in verts if deg[v] <= 1)
     branching = tuple(v for v in verts if deg[v] >= 3)
     # a graph is a forest iff it has exactly V - C edges
-    is_forest = sum(deg.values()) == 2 * (len(verts) - len(components))
+    is_forest = len(g.edges) == len(verts) - len(components)
     is_tree = is_forest and len(components) == 1
     is_chain = is_tree and all(deg[v] <= 2 for v in verts)
     return ShapeReport(is_forest, is_tree, is_chain, components, tips, branching)

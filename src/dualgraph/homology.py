@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import Optional, Tuple
 
 from .errors import NotAForest, NotSmoothCase, ZeroBoundaryDiscriminant
-from .graph import Selection, WeightedGraph, classify_shape, subdivisor
+from .graph import Selection, WeightedGraph, classify_shape, induced_graph
 from .lattice import discriminant
 
 
@@ -28,10 +28,10 @@ def euler_open(rho: int, g: WeightedGraph, boundary: Selection = None) -> int:
     contributes 2 * #vertices - #edges.  Cyclic boundaries fall outside
     this count and are rejected.
     """
-    b = subdivisor(g, boundary)
-    if not classify_shape(g, b).is_forest:
+    b = induced_graph(g, boundary)
+    if not classify_shape(b).is_forest:
         raise NotAForest("boundary must be a forest of spheres")
-    return (2 + rho) - (2 * len(b) - len(b.induced_edges()))
+    return (2 + rho) - (2 * len(b) - len(b.edges))
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,6 @@ def charpoly(rows: Matrix) -> List[int]:
     return coeffs
 
 
-def symmetric_signature(rows: Matrix) -> Tuple[int, int, int]:
-    """Inertia (positive, zero, negative eigenvalue counts) of a symmetric matrix."""
-    return charpoly_inertia(charpoly(rows))
-
-
 def charpoly_inertia(c: Sequence[int]) -> Tuple[int, int, int]:
     """Inertia of a symmetric matrix read off its characteristic polynomial.
 

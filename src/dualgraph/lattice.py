@@ -3,13 +3,13 @@
 The discriminant of a selection is det(-Q) where Q is its intersection
 matrix; the empty selection has discriminant 1.  Everything is exact.
 
-On a forest selection one leaves-first pass gives both the discriminant
-(the splitting rule, i.e. the plumbing-tree determinant recursion) and
-the inertia of Q (tree pivot counting after Jacobs-Trevisan), in linear
-ring operations on plain ints.  The pass notices a cycle or a parallel
-edge on its own walk; such selections fall back to the dense kernels,
-Bareiss for the determinant and Berkowitz for the inertia.  The Smith
-normal form is always dense.
+Each function reads its selection as its induced graph.  On a forest one
+leaves-first pass gives both the discriminant (the splitting rule, i.e.
+the plumbing-tree determinant recursion) and the inertia of Q (tree pivot
+counting after Jacobs-Trevisan), in linear ring operations on plain ints.
+The pass notices a cycle or a parallel edge on its own walk; such graphs
+fall back to the dense kernels, Bareiss for the determinant and Berkowitz
+for the inertia.  The Smith normal form is always dense.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from math import prod
 from typing import Optional, Tuple
 
 from .errors import NotAForest
-from .graph import (
-    Selection,
-    SubDivisor,
-    WeightedGraph,
-    classify_shape,
-    intersection_matrix,
-    subdivisor,
-)
+from .graph import Selection, WeightedGraph, classify_shape, induced_graph, intersection_matrix
 from .intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form
 
 NEGATIVE_DEFINITE = "negative-definite"
@@ -34,11 +27,11 @@ NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
 INDEFINITE = "indefinite"
 EMPTY = "empty"
 
-def _forest_pass(g: WeightedGraph, s: SubDivisor, inertia: bool = False):
-    """(det(-Q), inertia of Q or None) of a forest selection; None on a cycle.
+def _forest_pass(g: WeightedGraph, inertia: bool = False):
+    """(det(-Q), inertia of Q or None) of a forest; None on a cycle.
 
     Each tree is rooted at its first vertex and walked breadth first.  The
-    walk counts edge ends: more than V - C edges on V vertices in C
+    walk counts the components: more than V - C edges on V vertices in C
     components means a cycle or a parallel edge, and the pass returns None.
 
     Then, leaves first, each vertex v carries the pair (d_v, e_v) =
@@ -57,12 +50,11 @@ def _forest_pass(g: WeightedGraph, s: SubDivisor, inertia: bool = False):
     False no sign is tested, so the weights may lie in any commutative
     ring.
     """
-    sel = s.selected
     neighbors = g.neighbors
     parent = {}
     order = []
-    ends = roots = i = 0
-    for root in s.order():
+    roots = i = 0
+    for root in g.vertices:
         if root in parent:
             continue
         parent[root] = None
@@ -72,12 +64,10 @@ def _forest_pass(g: WeightedGraph, s: SubDivisor, inertia: bool = False):
             v = order[i]
             i += 1
             for u in neighbors(v):
-                if u in sel:
-                    ends += 1
-                    if u not in parent:
-                        parent[u] = v
-                        order.append(u)
-    if ends != 2 * (len(order) - roots):
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+    if len(g.edges) != len(order) - roots:
         return None
     whole = {v: -g.weight(v) for v in order}
     pruned = dict.fromkeys(order, 1)
@@ -117,11 +107,11 @@ def discriminant(g: WeightedGraph, selection: Selection = None) -> int:
     Forests take the leaves-first pass; a cycle or a parallel edge takes
     the dense Bareiss determinant.
     """
-    s = subdivisor(g, selection)
-    tree = _forest_pass(g, s)
+    g = induced_graph(g, selection)
+    tree = _forest_pass(g)
     if tree is not None:
         return tree[0]
-    return det_bareiss([[-x for x in row] for row in intersection_matrix(g, s)])
+    return det_bareiss([[-x for x in row] for row in intersection_matrix(g)])
 
 
 def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> int:
@@ -137,21 +127,21 @@ def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> 
     used, no division, no elimination, no recursion, so it works verbatim
     on symbolic weights.  A cycle or a parallel edge raises NotAForest.
     """
-    tree = _forest_pass(g, subdivisor(g, selection))
+    tree = _forest_pass(induced_graph(g, selection))
     if tree is None:
         raise NotAForest("the splitting rule needs a forest selection")
     return tree[0]
 
 
-def _discriminant_and_inertia(g: WeightedGraph, s: SubDivisor):
+def _discriminant_and_inertia(g: WeightedGraph):
     """(det(-Q), inertia of Q): the forest pass, else one Berkowitz charpoly.
 
     The charpoly's constant term is det(0*I - Q) = det(-Q).
     """
-    tree = _forest_pass(g, s, inertia=True)
+    tree = _forest_pass(g, inertia=True)
     if tree is not None:
         return tree
-    c = charpoly(intersection_matrix(g, s))
+    c = charpoly(intersection_matrix(g))
     return c[-1], charpoly_inertia(c)
 
 
@@ -175,7 +165,7 @@ def _definiteness_of(inertia: Tuple[int, int, int]) -> str:
 
 def signature(g: WeightedGraph, selection: Selection = None) -> Tuple[int, int, int]:
     """Inertia (positive, zero, negative) of the intersection matrix."""
-    return _discriminant_and_inertia(g, subdivisor(g, selection))[1]
+    return _discriminant_and_inertia(induced_graph(g, selection))[1]
 
 
 @dataclass(frozen=True)
@@ -195,9 +185,9 @@ def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeIn
     the product of the invariant factors equals its absolute value (the
     order of the cokernel of Q).
     """
-    s = subdivisor(g, selection)
-    d, inertia = _discriminant_and_inertia(g, s)
-    factors = tuple(smith_normal_form(intersection_matrix(g, s)))
+    g = induced_graph(g, selection)
+    d, inertia = _discriminant_and_inertia(g)
+    factors = tuple(smith_normal_form(intersection_matrix(g)))
     return LatticeInvariants(d, factors, _definiteness_of(inertia),
                              prod(factors) if d else None)
 
@@ -220,19 +210,19 @@ class QuotientTypeReport:
 
 
 def is_quotient_type(g: WeightedGraph, selection: Selection = None) -> QuotientTypeReport:
-    s = subdivisor(g, selection)
-    has_m1 = any(g.weight(v) == -1 for v in s.order())
-    if definiteness(g, s) != NEGATIVE_DEFINITE:
+    g = induced_graph(g, selection)
+    has_m1 = any(g.weight(v) == -1 for v in g.vertices)
+    if definiteness(g) != NEGATIVE_DEFINITE:
         return QuotientTypeReport(False, None, None, has_m1)
-    shape = classify_shape(g, s)
+    shape = classify_shape(g)
     if shape.is_chain:
         return QuotientTypeReport(True, "cyclic", None, has_m1)
     if shape.is_tree and len(shape.branching) == 1:
         center = shape.branching[0]
-        if s.degree(center) == 3:
-            rest = subdivisor(g, s.selected - {center})
-            comps = classify_shape(g, rest).components
+        if g.degree(center) == 3:
+            rest = induced_graph(g, [v for v in g.vertices if v != center])
+            comps = classify_shape(rest).components
             if len(comps) == 3:
-                twigs = tuple(sorted(discriminant(g, c) for c in comps))
+                twigs = tuple(sorted(discriminant(rest, c) for c in comps))
                 return QuotientTypeReport(True, "fork", twigs, has_m1)
     return QuotientTypeReport(False, None, None, has_m1)

@@ -452,9 +452,10 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
 
 def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
                 tag) -> Tuple[FiberRole, Fiber]:
-    shape = classify_shape(g, ids)
+    member = induced_graph(g, ids)
+    shape = classify_shape(member)
     check(f"member_{tag}_is_chain", True, shape.is_chain)
-    vertices = chain_order(g, ids) if shape.is_chain else tuple(sorted(ids))
+    vertices = chain_order(member) if shape.is_chain else tuple(sorted(ids))
     near = tuple(v for v in vertices if v in origin_set)
     far = tuple(v for v in vertices if v in far_set)
     free = tuple(v for v in vertices if v == axis)
@@ -467,7 +468,7 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
         sides = {frozenset(vertices[:i]), frozenset(vertices[i + 1:])}
         check(f"member_{tag}_sides_are_near_far",
               {frozenset(near), frozenset(far)}, sides)
-    fiber = Fiber(induced_graph(g, vertices), mult, MoveLog())
+    fiber = Fiber(member, mult, MoveLog())
     check(f"member_{tag}_fiber_report", (), validate_fiber(fiber).violations)
     return role, fiber
 

@@ -18,7 +18,7 @@ import pytest
 import sympy
 
 from dualgraph.chains import standardize_chain
-from dualgraph.cli import _render_json, build_parser
+from dualgraph.cli import _handler, _render_json, build_parser
 from dualgraph.errors import NotSnc, TooBranched
 from dualgraph.fibration import enumerate_fibers, validate_fiber
 from dualgraph.graph import build_graph, intersection_matrix
@@ -338,7 +338,7 @@ def test_criterion_9_frozen_regressions():
     for p in pairs:
         args = parser.parse_args(
             ["verify-theorem", str(p.n), str(p.m), "--format", "json"])
-        payload = json.loads(_render_json(args, args.handler(args)))
+        payload = json.loads(_render_json(args, _handler(args.command)(args)))
         want = frozen[f"{p.n},{p.m}"]
         assert json.dumps(payload, sort_keys=True) == json.dumps(want, sort_keys=True)
     note(9, "fiber counts and 45 certificates match frozen bytes")

@@ -43,6 +43,12 @@ class TestDisc:
         assert code == 0
         assert json.loads(out)["results"]["discriminant"] == 4
 
+    def test_unknown_selection_id_is_an_operation_error(self, run, tmp_path):
+        path = write(tmp_path, CHAIN_212)
+        for fmt in ("text", "json", "dot"):
+            code, out, err = run("disc", path, "--sub", "1,9", "--format", fmt)
+            assert (code, out, err) == (1, "", "error: selection contains unknown vertex 9\n")
+
     def test_missing_file_is_usage_error(self, run, tmp_path):
         code, out, err = run("disc", str(tmp_path / "absent.dg"))
         assert code == 2

@@ -139,7 +139,7 @@ def test_validate_flags_branching_minus_one():
 def dense_q_times_m_is_zero(f):
     """Q m = 0 with the dense intersection matrix. Oracle only."""
     q = intersection_matrix(f.graph)
-    m = f.multiplicity_vector()
+    m = [f.multiplicity[v] for v in f.graph.vertices]
     return all(sum(x * y for x, y in zip(row, m)) == 0 for row in q)
 
 

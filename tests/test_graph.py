@@ -12,7 +12,6 @@ from dualgraph.errors import (
 )
 from dualgraph.graph import (
     ShapeReport,
-    SubDivisor,
     build_graph,
     classify_shape,
     induced_graph,
@@ -90,9 +89,11 @@ def test_subdivisor_semantics():
     s = subdivisor(g, [1, 3])
     assert s.order() == (1, 3)
     assert s.induced_edges() == ()
-    assert s.degree(1) == 0
-    assert s.complement().order() == (2,)
-    assert 2 not in s
+    assert s.neighbors(1) == () and subdivisor(g, [1, 2]).neighbors(1) == (2,)
+    with pytest.raises(UnknownVertex, match="not in selection"):
+        s.neighbors(2)
+    with pytest.raises(UnknownVertex, match="belongs to a different graph"):
+        subdivisor(chain([-2, -1]), s)
 
 
 def test_classify_chain():
@@ -146,8 +147,15 @@ def test_induced_graph_keeps_ids_order_weights_and_fresh_counter():
     assert [h.weight(v) for v in h.vertices] == [-2, 0, -1]
     assert h.edges == ((3, 7), (3, 9), (3, 9))
     assert h.next_id == g.next_id == 11  # not max(selection) + 1
-    assert induced_graph(g) == g
     assert induced_graph(g, []).vertices == ()
+
+
+def test_a_whole_selection_is_the_graph_itself():
+    g = build_graph([(7, -2), (3, 0), (9, -1)], [(7, 3), (3, 9)])
+    assert induced_graph(g) is g
+    assert induced_graph(g, [9, 3, 7]) is g
+    assert induced_graph(g, subdivisor(g, g.vertices)) is g
+    assert induced_graph(g, iter([3, 7, 9, 3])) is g
 
 
 def _scan_neighbors(g, v, sel):
@@ -208,16 +216,19 @@ def _assert_reads_match_scan(g, rng):
     with pytest.raises(UnknownVertex):
         g.degree(g.next_id)
     for sel in (everything, {v for v in ids if rng.random() < 0.6}, set()):
-        s = subdivisor(g, sel)
-        for v in s:
-            assert s.neighbors(v) == _scan_neighbors(g, v, sel)
-            assert s.degree(v) == len(_scan_neighbors(g, v, sel))
+        h = induced_graph(g, sel)
+        assert h.vertices == tuple(v for v in ids if v in sel)
+        assert h.edges == tuple(e for e in g.edges if set(e) <= sel)
+        assert h.next_id == g.next_id
+        for v in h.vertices:
+            assert h.weight(v) == g.weight(v)
+            assert h.neighbors(v) == _scan_neighbors(g, v, sel)
+            assert h.degree(v) == len(_scan_neighbors(g, v, sel))
         for v in everything - sel:
-            with pytest.raises(UnknownVertex):
-                s.neighbors(v)
-        assert classify_shape(g, s) == _scan_shape(g, sel)
-        assert s.order() == tuple(v for v in ids if v in sel)
-        assert s.induced_edges() == tuple(e for e in g.edges if set(e) <= sel)
+            for read in (h.neighbors, h.degree, h.weight):
+                with pytest.raises(UnknownVertex):
+                    read(v)
+        assert classify_shape(g, sel) == classify_shape(h) == _scan_shape(g, sel)
 
 
 def _random_multigraph(rng):

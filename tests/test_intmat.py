@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from dualgraph.intmat import (
-    charpoly,
-    det_bareiss,
-    smith_normal_form,
-    symmetric_signature,
-)
+from dualgraph.intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form
+
+
+def symmetric_signature(rows):
+    """Inertia of a symmetric matrix from its Berkowitz charpoly. Oracle only."""
+    return charpoly_inertia(charpoly(rows))
 
 
 def det_naive(rows):
