@@ -216,16 +216,19 @@ def _assert_reads_match_scan(g, rng):
     with pytest.raises(UnknownVertex):
         g.degree(g.next_id)
     for sel in (everything, {v for v in ids if rng.random() < 0.6}, set()):
+        s = subdivisor(g, sel)
+        assert s.order() == tuple(v for v in ids if v in sel)
+        assert s.induced_edges() == tuple(e for e in g.edges if set(e) <= sel)
         h = induced_graph(g, sel)
-        assert h.vertices == tuple(v for v in ids if v in sel)
-        assert h.edges == tuple(e for e in g.edges if set(e) <= sel)
+        assert h.vertices == s.order()
+        assert h.edges == s.induced_edges()
         assert h.next_id == g.next_id
         for v in h.vertices:
             assert h.weight(v) == g.weight(v)
-            assert h.neighbors(v) == _scan_neighbors(g, v, sel)
+            assert s.neighbors(v) == h.neighbors(v) == _scan_neighbors(g, v, sel)
             assert h.degree(v) == len(_scan_neighbors(g, v, sel))
         for v in everything - sel:
-            for read in (h.neighbors, h.degree, h.weight):
+            for read in (s.neighbors, h.neighbors, h.degree, h.weight):
                 with pytest.raises(UnknownVertex):
                     read(v)
         assert classify_shape(g, sel) == classify_shape(h) == _scan_shape(g, sel)
