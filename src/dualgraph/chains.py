@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
-from .graph import Selection, WeightedGraph, classify_shape, induced_graph
+from .graph import Selection, WeightedGraph, _walk, classify_shape, induced_graph
 from .lattice import signature
 from .moves import Move, MoveLog, _Draft
 
@@ -55,14 +55,8 @@ def chain_order(g: WeightedGraph, selection: Selection = None) -> Tuple[int, ...
     shape = classify_shape(g)
     if not shape.is_chain:
         raise NotAChain("selection is not a connected cycle-free chain")
-    # tips come in canonical order, so the first is the earlier one
-    order = [shape.tips[0]]
-    prev = None
-    while len(order) < len(g):
-        nxt = [u for u in g.neighbors(order[-1]) if u != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return tuple(order)
+    # tips come in canonical order; the walk from the earlier one is the path
+    return tuple(_walk(g, shape.tips[:1])[0])
 
 
 def chain_type(g: WeightedGraph, selection: Selection = None) -> ChainType:

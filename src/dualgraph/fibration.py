@@ -19,10 +19,10 @@ fibration model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
-from .graph import WeightedGraph, build_graph, classify_shape
+from .graph import WeightedGraph, _walk, build_graph, classify_shape
 from .lattice import discriminant
 from .moves import MoveLog, blow_up
 
@@ -37,9 +37,6 @@ class Fiber:
     graph: WeightedGraph
     multiplicity: Dict[int, int]
     history: MoveLog
-
-    def mult(self, v: int) -> int:
-        return self.multiplicity[v]
 
 
 def initial_fiber() -> Fiber:
@@ -72,19 +69,22 @@ def is_numerically_trivial(f: Fiber) -> bool:
 
 
 def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int]], root: int):
-    def enc(v: int, parent: Optional[int]):
-        kids = sorted(enc(u, v) for u in set(g.neighbors(v)) if u != parent)
-        return (labels[v], tuple(kids))
-
-    return enc(root, None)
+    """(label, sorted child keys) of the tree hung from root, built leaves first."""
+    order, parent = _walk(g, (root,))
+    kids: Dict[int, List] = {v: [] for v in order}
+    for v in reversed(order):
+        key = (labels[v], tuple(sorted(kids[v])))
+        if parent[v] is not None:
+            kids[parent[v]].append(key)
+    return key
 
 
 def fiber_key(f: Fiber):
     """Canonical form of the labeled tree, minimized over all roots."""
-    shape = classify_shape(f.graph)
-    if not shape.is_tree:
-        raise NotAForest("fiber graphs are trees")
     g = f.graph
+    # a tree has V - 1 edges and one walk reaches all of it
+    if len(g.edges) != len(g) - 1 or len(_walk(g, g.vertices[:1])[0]) != len(g):
+        raise NotAForest("fiber graphs are trees")
     labels = {v: (g.weight(v), f.multiplicity[v]) for v in g.vertices}
     return min(_encode_rooted(g, labels, r) for r in g.vertices)
 

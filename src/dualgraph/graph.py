@@ -20,6 +20,9 @@ caller reads one, so graphs are built once per run, not once per move.
 A vertex selection (a twig, a fiber member, a far chain) becomes its
 induced graph once, on entry to each function that takes one, so every
 kernel reads a WeightedGraph; selecting everything gives the graph itself.
+
+Shape questions read one breadth-first walk, _walk, with no recursion:
+classify_shape, the forest pass, chain_order and fiber_key all call it.
 """
 
 from __future__ import annotations
@@ -303,6 +306,33 @@ class ShapeReport:
     branching: Tuple[int, ...]
 
 
+def _walk(g: WeightedGraph, roots: Optional[Iterable[int]] = None):
+    """(order, parent): each component walked breadth first from its first root.
+
+    roots defaults to the canonical order, which reaches every component;
+    components holding no root are not walked.  parent maps each walked
+    vertex to the neighbour it was reached from, a root to None, and the
+    reverse of order lists every vertex after all of its descendants.
+    """
+    neighbors = g.neighbors
+    parent: Dict[int, Optional[int]] = {}
+    order: List[int] = []
+    i = 0
+    for root in g.vertices if roots is None else roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for u in neighbors(v):
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+    return order, parent
+
+
 def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport:
     """Report forest/tree/chain structure, components, tips, branch vertices.
 
@@ -312,25 +342,15 @@ def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport
     """
     g = induced_graph(g, selection)
     verts = g.vertices
-    deg: Dict[int, int] = {}
+    order, parent = _walk(g)
     label: Dict[int, int] = {}
-    for root in verts:
-        if root in label:
-            continue
-        label[root] = root
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            nbs = g.neighbors(v)
-            deg[v] = len(nbs)
-            for u in nbs:
-                if u not in label:
-                    label[u] = root
-                    stack.append(u)
+    for v in order:
+        label[v] = v if parent[v] is None else label[parent[v]]
     groups: Dict[int, List[int]] = {}
     for v in verts:
         groups.setdefault(label[v], []).append(v)
     components = tuple(tuple(vs) for vs in groups.values())
+    deg = {v: len(ns) for v, ns in g._index().items()}
     tips = tuple(v for v in verts if deg[v] <= 1)
     branching = tuple(v for v in verts if deg[v] >= 3)
     # a graph is a forest iff it has exactly V - C edges

@@ -19,7 +19,8 @@ from math import prod
 from typing import Optional, Tuple
 
 from .errors import NotAForest
-from .graph import Selection, WeightedGraph, classify_shape, induced_graph, intersection_matrix
+from .graph import (Selection, WeightedGraph, _walk, classify_shape, induced_graph,
+                    intersection_matrix)
 from .intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form
 
 NEGATIVE_DEFINITE = "negative-definite"
@@ -30,9 +31,10 @@ EMPTY = "empty"
 def _forest_pass(g: WeightedGraph, inertia: bool = False):
     """(det(-Q), inertia of Q or None) of a forest; None on a cycle.
 
-    Each tree is rooted at its first vertex and walked breadth first.  The
-    walk counts the components: more than V - C edges on V vertices in C
-    components means a cycle or a parallel edge, and the pass returns None.
+    Each tree is rooted at its first vertex and walked breadth first
+    (graph._walk), one root per component: more than V - C edges on V
+    vertices in C components means a cycle or a parallel edge, and the
+    pass returns None.
 
     Then, leaves first, each vertex v carries the pair (d_v, e_v) =
     (d(T_v), d(T_v - v)) of its subtree T_v, starting from (-weight, 1),
@@ -50,23 +52,8 @@ def _forest_pass(g: WeightedGraph, inertia: bool = False):
     False no sign is tested, so the weights may lie in any commutative
     ring.
     """
-    neighbors = g.neighbors
-    parent = {}
-    order = []
-    roots = i = 0
-    for root in g.vertices:
-        if root in parent:
-            continue
-        parent[root] = None
-        order.append(root)
-        roots += 1
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for u in neighbors(v):
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
+    order, parent = _walk(g)
+    roots = sum(p is None for p in parent.values())
     if len(g.edges) != len(order) - roots:
         return None
     whole = {v: -g.weight(v) for v in order}

@@ -244,9 +244,6 @@ class CompletionModel:
     d_chain: int
     checks: Tuple[CheckResult, ...]
 
-    def boundary(self) -> Tuple[int, ...]:
-        return tuple(self.graph.vertices)
-
 
 def build_completion(pair: CuspPair) -> CompletionModel:
     """Resolve origin and infinity on one surface and glue the curve in.

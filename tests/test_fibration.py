@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from dualgraph.errors import ModelInconsistent
+from dualgraph.errors import ModelInconsistent, NotAForest
 from dualgraph.graph import build_graph, classify_shape, intersection_matrix
 from dualgraph.lattice import discriminant, signature
 from dualgraph.chains import chain_order
@@ -73,6 +75,56 @@ def test_fiber_key_ignores_labels_and_orientation():
     assert fiber_key(a) == fiber_key(b)
     c = fiber_blow_up(fiber_blow_up(initial_fiber(), 0), (0, 1))
     assert fiber_key(a) != fiber_key(c)
+
+
+
+def reference_key(f):
+    """fiber_key by the recursive encoding it replaced: each root's nested
+    (label, sorted child keys), minimized over the roots.  Oracle only."""
+    g = f.graph
+
+    def enc(v, parent):
+        kids = sorted(enc(u, v) for u in set(g.neighbors(v)) if u != parent)
+        return ((g.weight(v), f.multiplicity[v]), tuple(kids))
+
+    return min(enc(r, None) for r in g.vertices)
+
+
+def random_labelled_tree(rng, n):
+    ids = rng.sample(range(5 * n + 5), n)
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    rng.shuffle(edges)
+    g = build_graph([(v, rng.randint(-3, 1)) for v in ids], edges)
+    return Fiber(g, {v: rng.randint(1, 3) for v in ids}, MoveLog())
+
+
+def test_fiber_key_matches_the_recursive_reference():
+    for f in enumerate_fibers(7):
+        assert fiber_key(f) == reference_key(f)
+    rng = random.Random(2024)
+    for _ in range(2000):
+        f = random_labelled_tree(rng, rng.randint(1, 12))
+        assert fiber_key(f) == reference_key(f)
+
+
+def test_enumerate_order_is_size_then_reference_key():
+    fs = enumerate_fibers(8)
+    sort_keys = [(len(f.graph), reference_key(f)) for f in fs]
+    assert sort_keys == sorted(sort_keys)
+    assert len(set(sort_keys)) == len(fs)
+
+
+@pytest.mark.parametrize("weights, edges", [
+    ([(0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)]),
+    ([(0, -2), (1, -2)], [(0, 1), (0, 1)]),
+    # V - 1 edges, yet not connected: an edge count alone accepts it
+    ([(0, -2), (1, -2), (2, -2), (3, 0)], [(0, 1), (1, 2), (2, 0)]),
+    ([(3, 0), (0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)]),
+], ids=["triangle", "double-edge", "triangle-plus-point", "point-plus-triangle"])
+def test_fiber_key_rejects_non_trees(weights, edges):
+    f = Fiber(build_graph(weights, edges), {v: 1 for v, _w in weights}, MoveLog())
+    with pytest.raises(NotAForest):
+        fiber_key(f)
 
 
 def test_enumerate_small_budgets():
