@@ -25,7 +25,7 @@ from typing import List, Tuple
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
 from .graph import Selection, WeightedGraph, _walk, classify_shape, induced_graph
 from .lattice import signature
-from .moves import Move, MoveLog, _Draft
+from .moves import MoveLog, _Draft
 
 
 @dataclass(frozen=True)
@@ -88,56 +88,21 @@ def _is_terminal(t: List[int]) -> bool:
     return False
 
 
-class _Session:
-    """Mutable rewriting state: a draft of the chain plus the moves applied to it."""
-
-    def __init__(self, g: WeightedGraph, budget: int):
-        self.d = _Draft(g)
-        self.moves: List[Move] = []
-        self.budget = budget
-
-    def _spend(self, n: int) -> None:
-        self.budget -= n
-        if self.budget < 0:
-            raise ChainRewriteInvariantViolation(
-                "chain rewriting exceeded its move budget; "
-                "this indicates a bug in the case analysis")
-
-    def prim(self, move: Move) -> Move:
-        self.moves.append(move)
-        self._spend(1)
-        return move
-
-    def comp(self, moves: Tuple[Move, ...]) -> Tuple[Move, ...]:
-        self.moves.extend(moves)
-        self._spend(len(moves))
-        return moves
-
-
-def _contract_type_ones(s: _Session) -> None:
-    # blow down every weight -1 vertex, smallest id first, but never the
-    # last remaining vertex
-    d = s.d
-    s.comp(tuple(d.contract_all(lambda v: d.weights[v] == -1 and len(d.adj[v]) <= 2,
-                                keep=1)))
-
-
-def _ramp_single_negative(s: _Session, v: int) -> None:
+def _ramp_single_negative(d: _Draft, v: int) -> None:
     # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end
-    d = s.d
-    s.prim(d.blow_up((v,)))
+    d.blow_up((v,))
     while -d.weight(v) < 0:
         last = [u for u in d.neighbors(v) if d.weight(u) == -1][0]
-        s.prim(d.blow_up((last, v)))
-    s.comp(d.elementary_transformation(v, "free"))
+        d.blow_up((last, v))
+    d.elementary_transformation(v, "free")
 
 
-def _run_ets(s: _Session, zero: int, side, count: int) -> None:
+def _run_ets(d: _Draft, zero: int, side, count: int) -> None:
     # repeated elementary transformation on a 0-vertex; the 0 migrates to a
     # fresh vertex each time.  side "free" lowers the tip's neighbor by one
     # unit of type, a neighbor id raises that neighbor instead
     for _ in range(count):
-        zero = s.comp(s.d.elementary_transformation(zero, side))[0].vertex
+        zero = d.elementary_transformation(zero, side)[0].vertex
 
 
 def standardize_chain(g: WeightedGraph, selection: Selection = None) -> StandardizeResult:
@@ -158,19 +123,26 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
         )
     total_weight = sum(abs(start.weight(v)) for v in start.vertices)
     budget = 50 * (len(start) + total_weight + 4) ** 2
-    s = _Session(start, budget)
+    d = _Draft(start)
 
     while True:
-        _contract_type_ones(s)
+        # blow down every weight -1 vertex, smallest id first, but never
+        # the last remaining vertex; the loop leaves only past the budget
+        # check, so it counts every move
+        d.contract_all(keep=1)
+        if len(d.log) > budget:
+            raise ChainRewriteInvariantViolation(
+                "chain rewriting exceeded its move budget; "
+                "this indicates a bug in the case analysis")
         # one graph per round: chain_order reads a frozen graph
-        g = s.d.freeze()
+        g = d.freeze()
         order = list(chain_order(g))
         t = _types(g, order)
         if _is_terminal(t):
             break
         k = len(t)
         if k == 1:
-            _ramp_single_negative(s, order[0])
+            _ramp_single_negative(d, order[0])
             continue
         bad = [i for i, x in enumerate(t) if x <= 0]
         if len(bad) > 2 or (len(bad) == 2 and bad[1] != bad[0] + 1):
@@ -183,40 +155,40 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
         if len(bad) == 2:
             # a 0,0 pair at a tip is terminal, so p == 0 never meets it
             if t[p] == 0 and t[p + 1] <= -1:
-                _run_ets(s, order[p], order[p + 1], -t[p + 1])
+                _run_ets(d, order[p], order[p + 1], -t[p + 1])
             elif t[p] <= -1 and t[p + 1] == 0:
-                _run_ets(s, order[p + 1], order[p], -t[p])
+                _run_ets(d, order[p + 1], order[p], -t[p])
             elif t[p] == 0 and t[p + 1] == 0:
-                _run_ets(s, order[p], order[p + 1], 2)
+                _run_ets(d, order[p], order[p + 1], 2)
             else:
                 raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
         elif p == 0:
             if t[0] == 0:
                 # free transformations push the tip's neighbor to 0
-                _run_ets(s, order[0], "free", t[1])
+                _run_ets(d, order[0], "free", t[1])
             else:
                 # ladder of edge blow-ups raises the negative tip to 0,
                 # leaving a single transient 1 to absorb by one free
                 # transformation
                 left, right = order[0], order[1]
                 for _ in range(-t[0]):
-                    right = s.prim(s.d.blow_up((left, right))).vertex
-                s.comp(s.d.elementary_transformation(left, "free"))
+                    right = d.blow_up((left, right)).vertex
+                d.elementary_transformation(left, "free")
         elif t[p] == 0:
             # walk the zero toward the left tip
-            _run_ets(s, order[p], order[p + 1], t[p - 1] - 1)
+            _run_ets(d, order[p], order[p + 1], t[p - 1] - 1)
         else:
             # raise the interior negative to 0 with a ladder on its right
             # edge, then absorb the transient 1
             v, right = order[p], order[p + 1]
             for _ in range(-t[p]):
-                right = s.prim(s.d.blow_up((v, right))).vertex
-            s.comp(s.d.elementary_transformation(v, right))
+                right = d.blow_up((v, right)).vertex
+            d.elementary_transformation(v, right)
 
     final_type = ChainType(tuple(t))
     return StandardizeResult(
         chain_type=final_type,
-        log=MoveLog(tuple(s.moves)),
+        log=MoveLog(tuple(d.log)),
         graph=g,
         is_standard=final_type.is_standard,
     )

@@ -90,6 +90,8 @@ def _load(path: str) -> GraphDocument:
             text = fh.read()
     except OSError as e:
         raise UsageFailure(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise UsageFailure(f"cannot read {path}: {e}")
     try:
         return parse_document(text)
     except DualGraphError as e:

@@ -14,10 +14,11 @@ canonical order bit for bit.
 Every move is applied by one function, _Draft.apply, which patches a
 mutable copy of the graph (the order list, the weights and each vertex's
 neighbour list) in time proportional to the vertex's degree, plus a
-C-level list insert or remove for the order.  A run of moves (a replay,
-a Euclid run, a minimalization, a chain rewriting round) patches one
-draft and freezes it into an immutable graph once, at the end; a single
-move is a draft, one patch and one freeze.
+C-level list insert or remove for the order, and records the move in the
+draft's log.  A run of moves (a replay, a Euclid run, a minimalization,
+a chain rewriting) patches one draft, freezes it into an immutable graph
+once, at the end (a chain rewriting once per round), and reads its move
+log from the draft; a single move is a draft, one patch and one freeze.
 
 Composite operations: snc_minimalize (repeated contraction of unprotected
 non-branching (-1)-vertices) and elementary_transformation (blow up on a
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
     NotMinusOne,
@@ -102,13 +103,14 @@ class MoveLog:
 class _Draft:
     """A graph being rewritten: moves patch it in place, freeze() copies it out.
 
-    order is the canonical vertex order, weights maps ids to weights, and
+    order is the canonical vertex order, weights maps ids to weights,
     adj lists each vertex's neighbours, one entry per edge, in no
-    particular order.  weight, has_edge and neighbors answer as
-    WeightedGraph's do; neighbors sorts into canonical order.
+    particular order, and log lists the moves applied, oldest first.
+    weight, has_edge and neighbors answer as WeightedGraph's do;
+    neighbors sorts into canonical order.
     """
 
-    __slots__ = ("order", "weights", "adj", "next_id")
+    __slots__ = ("order", "weights", "adj", "next_id", "log")
 
     def __init__(self, g: WeightedGraph):
         self.order: List[int] = list(g.vertices)
@@ -119,6 +121,7 @@ class _Draft:
             adj[b].append(a)
         self.adj = adj
         self.next_id: int = g.next_id
+        self.log: List[Move] = []
 
     def freeze(self) -> WeightedGraph:
         """The current graph, which later patches leave unchanged."""
@@ -152,7 +155,8 @@ class _Draft:
         A blow-down undoes exactly the patch of the blow-up with the same
         anchors, so the kind must match the anchor count (see blow_up).
         Every check runs before the first write, so a rejected move leaves
-        the draft as it was.
+        the draft, and its log, as it was; an accepted one is appended to
+        the log.
         """
         if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
             raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
@@ -175,26 +179,27 @@ class _Draft:
                 a, b = corner
                 adj[a].append(b)
                 adj[b].append(a)
-            return
-        if corner is not None and not self.has_edge(*corner):
-            raise UnknownEdge("no edge {}-{}".format(*m.anchors))
-        for a in m.anchors:
-            self.require_vertex(a)
-        if v in weights:
-            raise ValueError(f"move would recreate existing vertex {v}")
-        if not 0 <= m.position <= len(self.order):
-            raise ValueError(f"insertion position {m.position} out of range")
-        self.order.insert(m.position, v)
-        if corner is not None:
-            a, b = corner
-            adj[a].remove(b)
-            adj[b].remove(a)
-        adj[v] = list(m.anchors)
-        weights[v] = -1
-        for a in m.anchors:
-            adj[a].append(v)
-            weights[a] -= 1
-        self.next_id = max(self.next_id, v + 1)
+        else:
+            if corner is not None and not self.has_edge(*corner):
+                raise UnknownEdge("no edge {}-{}".format(*m.anchors))
+            for a in m.anchors:
+                self.require_vertex(a)
+            if v in weights:
+                raise ValueError(f"move would recreate existing vertex {v}")
+            if not 0 <= m.position <= len(self.order):
+                raise ValueError(f"insertion position {m.position} out of range")
+            self.order.insert(m.position, v)
+            if corner is not None:
+                a, b = corner
+                adj[a].remove(b)
+                adj[b].remove(a)
+            adj[v] = list(m.anchors)
+            weights[v] = -1
+            for a in m.anchors:
+                adj[a].append(v)
+                weights[a] -= 1
+            self.next_id = max(self.next_id, v + 1)
+        self.log.append(m)
 
     def blow_up(self, anchors: Iterable[int] = ()) -> Move:
         anchors = tuple(anchors)
@@ -218,27 +223,22 @@ class _Draft:
         self.apply(m)
         return m
 
-    def contract_all(self, eligible: Callable[[int], bool], keep: int = 0) -> List[Move]:
-        """Blow down eligible vertices, smallest id first, while more than keep remain.
+    def contract_all(self, protected=frozenset(), keep: int = 0) -> None:
+        """Blow down contractible vertices, smallest id first, while more than keep remain.
 
-        eligible(v) must depend only on v's weight, its neighbours and
-        whether they meet.  Candidates wait in a min-heap of ids and are
-        checked when popped; one found ineligible is dropped.  Only a
-        blow-down's former neighbours can become eligible, so they are the
-        only ids it pushes back: elsewhere it changes no weight and no
-        neighbour list, and the one edge it adds can only spoil a vertex
-        whose two neighbours it joins, never free one.
+        Candidates wait in a min-heap of ids and are checked when popped;
+        one found not contractible is dropped.  Only a blow-down's former
+        neighbours can become contractible, so they are the only ids it
+        pushes back: elsewhere it changes no weight and no neighbour list,
+        and the one edge it adds can only spoil a vertex whose two
+        neighbours it joins, never free one.
         """
         heap = sorted(self.order)
-        moves: List[Move] = []
         while heap and len(self.order) > keep:
             v = heappop(heap)
-            if v in self.weights and eligible(v):
-                m = self.blow_down(v)
-                moves.append(m)
-                for a in m.anchors:
+            if v in self.weights and self.contractible(v, protected):
+                for a in self.blow_down(v).anchors:
                     heappush(heap, a)
-        return moves
 
     def contractible(self, v: int, protected) -> bool:
         if v in protected or self.weights[v] != -1:
@@ -335,8 +335,8 @@ def snc_minimalize(
     for v in prot:
         g.require_vertex(v)
     d = _Draft(g)
-    log = d.contract_all(lambda v: d.contractible(v, prot))
-    return d.freeze(), MoveLog(tuple(log))
+    d.contract_all(prot)
+    return d.freeze(), MoveLog(tuple(d.log))
 
 
 def elementary_transformation(
@@ -351,5 +351,5 @@ def elementary_transformation(
     1 and the new tip is again a 0-vertex.
     """
     d = _Draft(g)
-    moves = d.elementary_transformation(zero_vertex, side)
-    return d.freeze(), MoveLog(moves)
+    d.elementary_transformation(zero_vertex, side)
+    return d.freeze(), MoveLog(tuple(d.log))

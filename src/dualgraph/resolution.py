@@ -91,17 +91,15 @@ def _euclid(g: WeightedGraph, a: int, b: int,
         raise ValueError(f"contact pair must be coprime with a >= b >= 1, got ({a}, {b})")
     ca, cb = carriers
     d = _Draft(g)
-    moves: List[Move] = []
     squares = 0
     while True:
         anchors = tuple(c for c in (ca, cb) if c is not None)
         mv = d.blow_up(anchors)
         if omega is not None:
             omega[mv.vertex] = sum(omega[c] for c in anchors)
-        moves.append(mv)
         squares += b * b
         if (a, b) == (1, 1):
-            return d.freeze(), tuple(moves), squares
+            return d.freeze(), tuple(d.log), squares
         cb = mv.vertex
         a -= b
         if a < b:

@@ -10,14 +10,13 @@ from dualgraph.errors import (
 )
 from dualgraph.graph import build_graph
 from dualgraph.lattice import discriminant, signature
+from dualgraph import chains
 from dualgraph.chains import (
     ChainType,
-    _Session,
     chain_order,
     chain_type,
     standardize_chain,
 )
-from dualgraph.moves import blow_up_free
 
 from test_graph import chain
 
@@ -284,9 +283,20 @@ def test_standardize_random_chains_by_inertia():
     assert seen["kernel"] >= 1, seen
 
 
-def test_exhausted_move_budget_is_a_typed_error():
-    g = chain([-2, -2])
-    s = _Session(g, 0)
+def test_exhausted_move_budget_is_a_typed_error(monkeypatch):
+    # a case analysis that never reaches a terminal chain runs out of moves:
+    # [0, 0] has a budget of 1800 moves at four a round, so the check
+    # trips at the end of round 451
+    monkeypatch.setattr(chains, "_is_terminal", lambda t: False)
+    rounds, run_ets = [], chains._run_ets
+
+    def counted(*args):
+        rounds.append(args)
+        assert len(rounds) <= 1000, "the move budget never stopped the rewriting"
+        run_ets(*args)
+
+    monkeypatch.setattr(chains, "_run_ets", counted)
     with pytest.raises(ChainRewriteInvariantViolation, match="move budget"):
-        s.prim(blow_up_free(g, 1))
+        standardize_chain(chain([0, 0]))
+    assert len(rounds) == 451
     assert issubclass(ChainRewriteInvariantViolation, DualGraphError)

@@ -54,6 +54,13 @@ class TestDisc:
         assert code == 2
         assert "error:" in err
 
+    def test_undecodable_file_is_usage_error(self, run, tmp_path):
+        path = tmp_path / "bad.dg"
+        path.write_bytes(b"\xff\xfe v 1 -2\n")
+        code, out, err = run("disc", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     def test_bad_syntax_is_usage_error(self, run, tmp_path):
         code, _, err = run("disc", write(tmp_path, "v 1\n"))
         assert code == 2
@@ -372,6 +379,8 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path):
     files = {name: write(tmp_path, text, f"{name}.dg") for name, text in
              (("chain", CHAIN_212), ("loop", LOOP), ("star", STAR))}
     files["missing"] = str(tmp_path / "absent.dg")
+    files["undecodable"] = str(tmp_path / "undecodable.dg")
+    (tmp_path / "undecodable.dg").write_bytes(b"\xff\xfe v 1 -2\n")
     cases = [[cmd, path, *extra] for cmd, extra in FILE_COMMANDS.items()
              for path in files.values()]
     chain = files["chain"]

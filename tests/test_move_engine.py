@@ -67,25 +67,31 @@ def rebuild_apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
     return WeightedGraph(order, weights, edges, next_id)
 
 
-def rescan_snc_minimalize(g, protected=()):
-    """Minimalization by a full rescan after every contraction."""
-    def contractible(v):
+def rescan_snc_minimalize(g, protected=(), keep=0, eligible=None):
+    """Minimalization by a full rescan after every contraction.
+
+    eligible(g, v), when given, replaces the snc rule; contraction stops
+    once only keep vertices remain.
+    """
+    def contractible(g, v):
         if v in protected or g.weight(v) != -1:
             return False
         nbs = g.neighbors(v)
         return len(nbs) <= 1 or (len(nbs) == 2 and nbs[0] != nbs[1]
                                  and not g.has_edge(*nbs))
 
+    eligible = eligible or contractible
     log = []
-    while True:
+    while len(g) > keep:
         for v in sorted(g.vertices):
-            if contractible(v):
+            if eligible(g, v):
                 m = Move(BLOW_DOWN, v, g.position(v), g.neighbors(v))
                 g = rebuild_apply_move(g, m)
                 log.append(m)
                 break
         else:
-            return g, log
+            break
+    return g, log
 
 
 def state(g):
@@ -164,8 +170,9 @@ def test_draft_matches_rebuild_reference_on_random_move_sequences():
             if want[0] == "error":
                 rejected += 1
                 assert got_one == want and got_draft == want, m
-                # a rejected move leaves the draft as it was
+                # a rejected move leaves the draft and its log as they were
                 assert state(draft.freeze()) == state(g)
+                assert draft.log == log
                 continue
             kinds.add(m.kind)
             assert got_one[0] == got_draft[0] == "ok", m
@@ -173,6 +180,7 @@ def test_draft_matches_rebuild_reference_on_random_move_sequences():
             assert state(draft.freeze()) == state(want[1]), m
             g = want[1]
             log.append(m)
+            assert draft.log == log
         # a blow-down logged with a stale position reinserts elsewhere, or
         # nowhere, when inverted: both engines must agree on that too
         replayed = outcome(lambda: state(MoveLog(tuple(log)).inverted().replay(g)))
@@ -219,6 +227,33 @@ def test_snc_minimalize_log_matches_the_rescan_reference():
     h, log = snc_minimalize(g)
     want_g, want_log = rescan_snc_minimalize(g)
     assert list(log) == want_log and state(h) == state(want_g)
+
+
+def test_contract_all_keeps_the_chain_rule_on_chains():
+    """On a chain, the snc rule contracts exactly what the chain rule does.
+
+    The chain rule is weight -1 and at most two neighbours, smallest id
+    first, never the last vertex: a chain vertex's two neighbours are
+    distinct and never meet, so the snc checks never bite.
+    """
+    def chain_rule(g, v):
+        return g.weight(v) == -1 and len(g.neighbors(v)) <= 2
+
+    rng = random.Random(17)
+    sizes = [rng.randint(1, 12) for _ in range(800)] + list(range(1, 8)) * 10
+    contracted, kept_last = 0, 0
+    for n in sizes:
+        ids = rng.sample(range(1, 4 * n + 1), n)
+        weights = [rng.choice([-1, -1, -1, -1, -2, 0, 1]) for _ in ids]
+        g = build_graph(list(zip(ids, weights)), list(zip(ids, ids[1:])))
+        d = _Draft(g)
+        d.contract_all(keep=1)
+        want_g, want_log = rescan_snc_minimalize(g, keep=1, eligible=chain_rule)
+        assert d.log == want_log
+        assert state(d.freeze()) == state(want_g)
+        contracted += len(want_log)
+        kept_last += len(want_g) == 1 and want_g.weight(want_g.vertices[0]) == -1
+    assert contracted > 2000 and kept_last > 50
 
 
 def test_blow_down_rejections_keep_their_messages():
