@@ -53,7 +53,6 @@ from .graph import (
     induced_graph,
     intersection_matrix,
     subdivisor,
-    with_vertex,
 )
 from .homology import (
     AcyclicityCheck,

@@ -86,7 +86,7 @@ def _graph_payload(doc: GraphDocument) -> dict:
 
 def _load(path: str) -> GraphDocument:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             text = fh.read()
     except OSError as e:
         raise UsageFailure(f"cannot read {path}: {e.strerror or e}")
@@ -303,7 +303,7 @@ def _resolve_completion(pair: CuspPair) -> CommandResult:
     )
 
 
-def cmd_verify(args) -> CommandResult:
+def cmd_verify_theorem(args) -> CommandResult:
     if args.range is not None:
         if args.pair:
             raise UsageFailure("give either N M or --range A B, not both")
@@ -576,25 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: the module attribute that handles each command
-_HANDLERS = {
-    "disc": "cmd_disc",
-    "minimalize": "cmd_minimalize",
-    "standardize": "cmd_standardize",
-    "blowup": "cmd_blowup",
-    "blowdown": "cmd_blowdown",
-    "fibers": "cmd_fibers",
-    "resolve": "cmd_resolve",
-    "verify-theorem": "cmd_verify",
-    "homology": "cmd_homology",
-    "check-acyclic": "cmd_check_acyclic",
-    "euler": "cmd_euler",
-}
-
-
 def _handler(command: str):
-    """The function bound to the command's handler name at the time of the call."""
-    return globals()[_HANDLERS[command]]
+    """The function bound to cmd_<command> (dashes as underscores) at the time of the call."""
+    return globals()["cmd_" + command.replace("-", "_")]
 
 
 _parser: Optional[argparse.ArgumentParser] = None

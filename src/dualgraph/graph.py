@@ -186,25 +186,6 @@ def build_graph(
     return WeightedGraph(order, weight, edge_list, next_id)
 
 
-def with_vertex(
-    g: WeightedGraph, weight: int, neighbors: Iterable[int] = ()
-) -> Tuple[WeightedGraph, int]:
-    """Append one fresh vertex, optionally wired to existing vertices.
-
-    This covers assembly steps that fall outside the blow-up calculus,
-    such as gluing a resolved germ onto its exceptional locus.  Returns
-    the new graph and the id it assigned.
-    """
-    vid = g.next_id
-    w = dict(g._weight)
-    w[vid] = weight
-    edge_list = list(g.edges)
-    for u in neighbors:
-        g.require_vertex(u)
-        edge_list.append(_norm_edge(vid, u))
-    return WeightedGraph(g.vertices + (vid,), w, edge_list, vid + 1), vid
-
-
 class SubDivisor:
     """A validated vertex selection of a parent graph.
 

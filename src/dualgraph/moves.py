@@ -15,10 +15,13 @@ Every move is applied by one function, _Draft.apply, which patches a
 mutable copy of the graph (the order list, the weights and each vertex's
 neighbour list) in time proportional to the vertex's degree, plus a
 C-level list insert or remove for the order, and records the move in the
-draft's log.  A run of moves (a replay, a Euclid run, a minimalization,
-a chain rewriting) patches one draft, freezes it into an immutable graph
-once, at the end (a chain rewriting once per round), and reads its move
-log from the draft; a single move is a draft, one patch and one freeze.
+draft's log.  _Draft.glue appends a fresh vertex wired to existing ones,
+the one assembly step outside the calculus, and logs nothing.  A run of
+moves (a replay, a minimalization, a chain rewriting, a whole resolution
+pipeline with its gluing) patches one draft, freezes it into an
+immutable graph once, at the end (a chain rewriting once per round), and
+reads its move log from the draft; a single move is a draft, one patch
+and one freeze.
 
 Composite operations: snc_minimalize (repeated contraction of unprotected
 non-branching (-1)-vertices) and elementary_transformation (blow up on a
@@ -200,6 +203,25 @@ class _Draft:
                 weights[a] -= 1
             self.next_id = max(self.next_id, v + 1)
         self.log.append(m)
+
+    def glue(self, weight: int, neighbors: Iterable[int] = ()) -> int:
+        """Append a fresh vertex meeting each listed neighbour once; returns its id.
+
+        This is the assembly step outside the blow-up calculus (gluing a
+        resolved germ onto its exceptional locus), so it is not logged.
+        Every neighbour is checked before the first write.
+        """
+        nbs = tuple(neighbors)
+        for u in nbs:
+            self.require_vertex(u)
+        vid = self.next_id
+        self.order.append(vid)
+        self.weights[vid] = weight
+        self.adj[vid] = list(nbs)
+        for u in nbs:
+            self.adj[u].append(vid)
+        self.next_id = vid + 1
+        return vid
 
     def blow_up(self, anchors: Iterable[int] = ()) -> Move:
         anchors = tuple(anchors)

@@ -7,6 +7,9 @@ origin it resolves the cusp; run at the far line it resolves the point
 where the curve's closure leaves the affine plane; run on both and
 glued along the proper transform it yields the boundary graphs and the
 pencil fibration whose invariants the rest of the package measures.
+A pipeline run is one draft (moves._Draft): both Euclid runs, the gluing
+of the curve's proper transform and the minimalization patch it in
+place, and it is frozen once, into the graph the run returns.
 Each identity a construction is held to is one CheckResult: a name, the
 expected value and the computed one.
 """
@@ -25,10 +28,10 @@ from .errors import (
     Transversal,
 )
 from .fibration import Fiber, fibration_model, fujita_accounting, validate_fiber
-from .graph import WeightedGraph, build_graph, classify_shape, induced_graph, with_vertex
+from .graph import WeightedGraph, build_graph, classify_shape, induced_graph
 from .homology import euler_open
 from .lattice import discriminant
-from .moves import Move, MoveLog, _Draft, snc_minimalize
+from .moves import Move, MoveLog, _Draft
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,10 @@ def coprime_pairs(lo: int, hi: int) -> List[CuspPair]:
     ]
 
 
-def _euclid(g: WeightedGraph, a: int, b: int,
+def _euclid(d: _Draft, a: int, b: int,
             carriers: Tuple[Optional[int], Optional[int]] = (None, None),
             omega: Optional[Dict[int, int]] = None,
-            ) -> Tuple[WeightedGraph, Tuple[Move, ...], int]:
+            ) -> Tuple[Tuple[Move, ...], int]:
     """Subtractive Euclid on a coprime pair a >= b >= 1, one blow-up per step.
 
     Each side of the pair carries the vertex of the curve its branch datum
@@ -82,15 +85,16 @@ def _euclid(g: WeightedGraph, a: int, b: int,
     ends with one last blow-up at (1, 1), after which the germ is smooth
     and meets only the final curve, moves[-1].vertex, transversally.
 
-    Returns the graph, the moves, and the sum of the germ's squared
-    multiplicities b*b at the centres, which is a*b: the steps cut an
-    a x b rectangle into squares.  When omega is given, a new curve's
-    vanishing order is the sum of its anchors' orders.
+    The blow-ups patch the caller's draft d.  Returns the moves this run
+    appended to d.log, and the sum of the germ's squared multiplicities
+    b*b at the centres, which is a*b: the steps cut an a x b rectangle
+    into squares.  When omega is given, a new curve's vanishing order is
+    the sum of its anchors' orders.
     """
     if a < b or b < 1 or gcd(a, b) != 1:
         raise ValueError(f"contact pair must be coprime with a >= b >= 1, got ({a}, {b})")
     ca, cb = carriers
-    d = _Draft(g)
+    start = len(d.log)
     squares = 0
     while True:
         anchors = tuple(c for c in (ca, cb) if c is not None)
@@ -99,7 +103,7 @@ def _euclid(g: WeightedGraph, a: int, b: int,
             omega[mv.vertex] = sum(omega[c] for c in anchors)
         squares += b * b
         if (a, b) == (1, 1):
-            return d.freeze(), tuple(d.log), squares
+            return tuple(d.log[start:]), squares
         cb = mv.vertex
         a -= b
         if a < b:
@@ -128,12 +132,10 @@ class LocalResolution:
 
 
 def resolve_cusp_local(pair: CuspPair) -> LocalResolution:
-    if pair.m == 1:
-        g, e = with_vertex(build_graph([]), 0)
-        return LocalResolution(g, (), e, MoveLog())
-    g, moves, _ = _euclid(build_graph([]), pair.n, pair.m)
-    g, e = with_vertex(g, 0, (moves[-1].vertex,))
-    return LocalResolution(g, _created(moves), e, MoveLog(moves))
+    d = _Draft(build_graph([]))
+    moves = _euclid(d, pair.n, pair.m)[0] if pair.m > 1 else ()
+    e = d.glue(0, _created(moves[-1:]))
+    return LocalResolution(d.freeze(), _created(moves), e, MoveLog(moves))
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,9 @@ class InfinityResolution:
 def resolve_at_infinity(pair: CuspPair) -> InfinityResolution:
     if pair.transversal:
         raise Transversal("a degree-one curve crosses the far line transversally")
-    g, moves, _ = _euclid(build_graph([(0, 1)]), pair.n, pair.n - pair.m, (0, None))
+    d = _Draft(build_graph([(0, 1)]))
+    moves, _ = _euclid(d, pair.n, pair.n - pair.m, (0, None))
+    g = d.freeze()
     bridge = moves[-1].vertex
     line_part, far_part = _split_at(chain_order(g), bridge, 0)
     return InfinityResolution(g, 0, line_part, bridge, far_part, MoveLog(moves))
@@ -189,11 +193,31 @@ class BuildHistory:
     minimalization: MoveLog
 
     def rebuild(self) -> WeightedGraph:
-        g = self.resolution.replay(self.seed)
-        g, vid = with_vertex(g, self.assembly.weight, self.assembly.attach_to)
-        if vid != self.assembly.vertex:
+        d = _Draft(self.seed)
+        for m in self.resolution:
+            d.apply(m)
+        if d.glue(self.assembly.weight, self.assembly.attach_to) != self.assembly.vertex:
             raise PipelineInvariantViolation("assembly id drifted during replay")
-        return self.minimalization.replay(g)
+        for m in self.minimalization:
+            d.apply(m)
+        return d.freeze()
+
+
+def _glue_and_minimalize(d: _Draft, seed: WeightedGraph, weight: int, attach: Tuple[int, ...],
+                         protected) -> Tuple[WeightedGraph, int, BuildHistory]:
+    """Glue the curve onto d, contract to a minimal model and freeze once.
+
+    d holds seed patched by the resolution moves alone.  The curve's
+    proper transform is glued on with the given weight, meeting each
+    vertex of attach once; contraction spares it and every protected id.
+    Returns the graph, the curve's id and the history that rebuilds it.
+    """
+    resolution = MoveLog(tuple(d.log))
+    curve = d.glue(weight, attach)
+    d.contract_all(frozenset(protected) | {curve})
+    psi = MoveLog(tuple(d.log[len(resolution):]))
+    history = BuildHistory(seed, resolution, AssemblyStep(curve, weight, attach), psi)
+    return d.freeze(), curve, history
 
 
 @dataclass(frozen=True)
@@ -254,30 +278,22 @@ def build_completion(pair: CuspPair) -> CompletionModel:
         raise Transversal("a degree-one curve crosses the far line transversally")
     n, m = pair.n, pair.m
     seed = build_graph([(0, 1)])
-    g = seed
-    origin_moves: Tuple[Move, ...] = ()
-    curve_weight = n * n
-    if m >= 2:
-        g, origin_moves, squares = _euclid(g, n, m)
-        curve_weight -= squares
-    g, inf_moves, squares = _euclid(g, n, n - m, (0, None))
-    curve_weight -= squares
-    moves = origin_moves + inf_moves
+    d = _Draft(seed)
+    origin_moves, origin_squares = _euclid(d, n, m) if m >= 2 else ((), 0)
+    inf_moves, inf_squares = _euclid(d, n, n - m, (0, None))
     bridge = inf_moves[-1].vertex
+    line_side, far_part = _split_at(
+        chain_order(d.freeze(), (0,) + _created(inf_moves)), bridge, 0)
 
-    attach = (origin_moves[-1].vertex, bridge) if origin_moves else (bridge,)
-    g, curve = with_vertex(g, curve_weight, attach)
-    assembly = AssemblyStep(curve, curve_weight, attach)
-
-    line_side, far_part = _split_at(chain_order(g, (0,) + _created(inf_moves)), bridge, 0)
-    protected = [v for v in g.vertices if v not in line_side]
-    g, psi = snc_minimalize(g, protected)
+    protected = [v for v in d.order if v not in line_side]
+    g, curve, history = _glue_and_minimalize(
+        d, seed, n * n - origin_squares - inf_squares,
+        _created(origin_moves[-1:]) + (bridge,), protected)
     line_part = tuple(v for v in line_side if g.has_vertex(v))
     line = 0 if g.has_vertex(0) else None
 
-    rho = 1 + len(moves) - len(psi.moves)
+    rho = 1 + len(history.resolution) - len(history.minimalization)
     chi = euler_open(rho, g, [v for v in g.vertices if v != bridge])
-    history = BuildHistory(seed, MoveLog(moves), assembly, psi)
     cusp_part = _created(origin_moves)
     d_far = discriminant(g, far_part)
     d_line = discriminant(g, line_part)
@@ -379,20 +395,16 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     seed = build_graph([(AXIS_X, 1), (AXIS_Y, 1), (FAR_LINE, 1)],
                        [(AXIS_X, AXIS_Y), (AXIS_X, FAR_LINE), (AXIS_Y, FAR_LINE)])
     omega = {AXIS_X: -m, AXIS_Y: n, FAR_LINE: m - n}
-    g, origin_moves, origin_squares = _euclid(seed, n, m, (AXIS_X, AXIS_Y), omega)
-    g, inf_moves, inf_squares = _euclid(g, n, n - m, (FAR_LINE, AXIS_Y), omega)
-    moves = origin_moves + inf_moves
+    d = _Draft(seed)
+    origin_moves, origin_squares = _euclid(d, n, m, (AXIS_X, AXIS_Y), omega)
+    inf_moves, inf_squares = _euclid(d, n, n - m, (FAR_LINE, AXIS_Y), omega)
     sections = (origin_moves[-1].vertex, inf_moves[-1].vertex)
 
-    curve_weight = n * n - origin_squares - inf_squares
-    g, curve = with_vertex(g, curve_weight, sections)
-    assembly = AssemblyStep(curve, curve_weight, sections)
+    g, curve, history = _glue_and_minimalize(
+        d, seed, n * n - origin_squares - inf_squares, sections,
+        (AXIS_X, AXIS_Y, *sections))
     omega[curve] = 0
-
-    protected = {AXIS_X, AXIS_Y, curve, *sections}
-    g, psi = snc_minimalize(g, protected)
-    rho = 1 + len(moves) - len(psi.moves)
-    history = BuildHistory(seed, MoveLog(moves), assembly, psi)
+    rho = 1 + len(history.resolution) - len(history.minimalization)
 
     checks: List[CheckResult] = []
 

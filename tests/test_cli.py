@@ -61,6 +61,17 @@ class TestDisc:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("command", ["disc", "minimalize", "standardize"])
+    def test_byte_order_mark_is_skipped(self, run, tmp_path, command):
+        """A file an editor saved with a UTF-8 BOM reads as the same file without it."""
+        path = tmp_path / "g.dg"
+        outcomes = []
+        for bom in (b"\xef\xbb\xbf", b""):
+            path.write_bytes(bom + CHAIN_212.encode())
+            outcomes.append(run(command, str(path), "--format", "json"))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+
     def test_bad_syntax_is_usage_error(self, run, tmp_path):
         code, _, err = run("disc", write(tmp_path, "v 1\n"))
         assert code == 2
@@ -452,5 +463,8 @@ def test_main_runs_the_handler_bound_at_call_time(run, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["results"]["discriminant"] == -1
     assert seen == ["disc"]
-    assert sorted(cli._HANDLERS) == sorted(
-        cli.build_parser()._subparsers._group_actions[0].choices)
+
+
+def test_every_command_resolves_to_a_handler():
+    for command in cli.build_parser()._subparsers._group_actions[0].choices:
+        assert callable(cli._handler(command)), command

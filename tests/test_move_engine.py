@@ -2,7 +2,9 @@
 
 rebuild_apply_move is the engine the package used before moves patched a
 mutable draft: every move rebuilds the whole immutable graph from its
-vertex order, weights and edge list.  It is kept here only as an oracle.
+vertex order, weights and edge list.  rebuild_with_vertex is the same for
+the one assembly step, gluing a fresh vertex on.  Both are kept here only
+as oracles.
 """
 
 import random
@@ -24,7 +26,7 @@ from dualgraph.moves import (
     snc_minimalize,
 )
 from dualgraph.chains import standardize_chain
-from dualgraph.resolution import CuspPair, theorem_pipeline
+from dualgraph.resolution import CuspPair, build_completion, theorem_pipeline
 
 from test_graph import chain
 
@@ -65,6 +67,18 @@ def rebuild_apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
     for a in m.anchors:
         weights[a] += step
     return WeightedGraph(order, weights, edges, next_id)
+
+
+def rebuild_with_vertex(g: WeightedGraph, weight: int, neighbors=()):
+    """Append one fresh vertex, meeting each listed neighbour once; (graph, id)."""
+    vid = g.next_id
+    w = dict(g._weight)
+    w[vid] = weight
+    edge_list = list(g.edges)
+    for u in neighbors:
+        g.require_vertex(u)
+        edge_list.append(_norm_edge(vid, u))
+    return WeightedGraph(g.vertices + (vid,), w, edge_list, vid + 1), vid
 
 
 def rescan_snc_minimalize(g, protected=(), keep=0, eligible=None):
@@ -209,6 +223,35 @@ def test_draft_reads_match_the_frozen_graph():
         _Draft(chain([-1])).neighbors(7)
 
 
+def test_glue_matches_the_rebuild_reference():
+    rng = random.Random(20261019)
+    for _ in range(600):
+        g = random_multigraph(rng, rng.randint(0, 8))
+        d = _Draft(g)
+        if g.vertices and rng.random() < 0.5:  # glue mid-run, after a move
+            d.blow_up((rng.choice(g.vertices),))
+        before = d.freeze()
+        verts = before.vertices
+        nbs = [rng.choice(verts) for _ in range(rng.randint(0, 3))] if verts else []
+        weight = rng.randint(-4, 4)
+        want, vid = rebuild_with_vertex(before, weight, nbs)
+        log = list(d.log)
+        assert d.glue(weight, nbs) == vid
+        assert d.log == log  # gluing is not a move
+        assert state(d.freeze()) == state(want)
+
+
+def test_glue_onto_an_unknown_vertex_leaves_the_draft_unchanged():
+    g = build_graph([(1, -2), (2, -1)], [(1, 2)])
+    d = _Draft(g)
+    with pytest.raises(UnknownVertex):
+        rebuild_with_vertex(g, 0, (1, 9))
+    with pytest.raises(UnknownVertex):
+        d.glue(0, (1, 9))
+    assert state(d.freeze()) == state(g)
+    assert d.log == [] and d.adj == {1: [2], 2: [1]}
+
+
 def test_snc_minimalize_log_matches_the_rescan_reference():
     rng = random.Random(11)
     contracted = 0
@@ -298,7 +341,15 @@ def test_pipeline_builds_as_many_graphs_at_every_size(constructions):
     small = constructions(lambda: theorem_pipeline(CuspPair(101, 100)))
     large = constructions(lambda: theorem_pipeline(CuspPair(401, 400)))
     assert large["graphs"] <= small["graphs"] and large["indexes"] <= small["indexes"]
-    assert small["graphs"] <= 20
+    assert small["graphs"] <= 14
+
+
+@pytest.mark.parametrize("k", [100, 400])
+def test_a_completion_and_a_rebuild_freeze_one_draft(constructions, k):
+    pair = CuspPair(k + 1, k)
+    assert constructions(lambda: build_completion(pair))["graphs"] <= 9
+    for history in (theorem_pipeline(pair).history, build_completion(pair).history):
+        assert constructions(history.rebuild) == {"graphs": 1, "indexes": 0}
 
 
 def test_chain_rewriting_builds_one_graph_per_round(constructions):

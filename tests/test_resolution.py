@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -11,8 +12,9 @@ from dualgraph.errors import (
     PipelineInvariantViolation,
     Transversal,
 )
-from dualgraph.graph import build_graph, with_vertex
+from dualgraph.graph import build_graph
 from dualgraph.lattice import definiteness, discriminant
+from dualgraph.moves import _Draft
 from dualgraph.resolution import (
     CheckResult,
     CuspPair,
@@ -89,10 +91,11 @@ class TestLocalResolution:
 
     def test_log_replays_exceptional_part(self):
         loc = resolve_cusp_local(CuspPair(5, 3))
-        replayed = loc.log.replay(build_graph([]))
-        glued, vid = with_vertex(replayed, 0, (loc.cusp_part[-1],))
-        assert vid == loc.curve
-        assert glued == loc.graph
+        d = _Draft(build_graph([]))
+        for mv in loc.log:
+            d.apply(mv)
+        assert d.glue(0, (loc.cusp_part[-1],)) == loc.curve
+        assert d.freeze() == loc.graph
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 13)
                                      for m in range(2, n) if gcd(n, m) == 1])
@@ -270,6 +273,12 @@ class TestTheoremPipeline:
         cert = theorem_pipeline(CuspPair(4, 3))
         assert cert.history.rebuild() == cert.graph
 
+    def test_rebuild_rejects_a_drifted_assembly_id(self):
+        history = theorem_pipeline(CuspPair(4, 3)).history
+        off = replace(history.assembly, vertex=history.assembly.vertex + 1)
+        with pytest.raises(PipelineInvariantViolation, match="assembly id drifted during replay"):
+            replace(history, assembly=off).rebuild()
+
     def test_sections_are_exactly_the_level_zero_vertices(self):
         cert = theorem_pipeline(CuspPair(5, 3))
         g = cert.graph
@@ -286,24 +295,32 @@ class TestEuclid:
     def test_squares_tile_the_rectangle(self):
         # subtractive Euclid cuts an n x m rectangle into b x b squares
         for p in coprime_pairs(1, 25):
-            g, moves, squares = resolution._euclid(build_graph([]), p.n, p.m)
+            d = _Draft(build_graph([]))
+            moves, squares = resolution._euclid(d, p.n, p.m)
             assert squares == p.n * p.m
-            assert tuple(mv.vertex for mv in moves) == tuple(g.vertices)
+            assert tuple(mv.vertex for mv in moves) == tuple(d.freeze().vertices)
 
     def test_carriers_anchor_the_first_step_and_sum_omega(self):
-        seed = build_graph([(0, 1), (1, 1)], [(0, 1)])
+        d = _Draft(build_graph([(0, 1), (1, 1)], [(0, 1)]))
         omega = {0: 2, 1: 3}
-        g, moves, squares = resolution._euclid(seed, 2, 1, (0, 1), omega)
+        moves, squares = resolution._euclid(d, 2, 1, (0, 1), omega)
         assert moves[0].anchors == (0, 1)
         assert omega[moves[0].vertex] == 5
         assert squares == 2
-        assert g.has_edge(moves[-1].vertex, moves[0].vertex)
+        assert d.freeze().has_edge(moves[-1].vertex, moves[0].vertex)
+
+    def test_a_second_run_returns_only_its_own_moves(self):
+        d = _Draft(build_graph([(0, 1)]))
+        first, _ = resolution._euclid(d, 5, 3)
+        second, squares = resolution._euclid(d, 5, 2, (0, None))
+        assert tuple(d.log) == first + second
+        assert second[0].anchors == (0,) and squares == 10
 
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 0), (4, 2)])
     def test_rejects_unsorted_or_shared_factor_pair(self, a, b):
         # a shared factor would never reach (1, 1)
         with pytest.raises(ValueError):
-            resolution._euclid(build_graph([]), a, b)
+            resolution._euclid(_Draft(build_graph([])), a, b)
 
 
 class TestFailedChecks:
