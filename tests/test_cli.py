@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,8 @@ from dualgraph import cli, resolution
 from dualgraph.cli import main
 from dualgraph.errors import DualGraphError
 from dualgraph.lattice import discriminant
+
+from test_lattice import cycle_discriminant
 
 CHAIN_212 = "v 1 -2\nv 2 -1\nv 3 -2\ne 1 2\ne 2 3\n"
 ZERO_ZERO = "v 1 0\nv 2 0\ne 1 2\n"
@@ -36,6 +39,15 @@ class TestDisc:
         code, out, _ = run("disc", write(tmp_path, CHAIN_212))
         assert code == 0
         assert "discriminant: 0" in out
+
+    def test_1000_vertex_cycle_prints_the_closed_form(self, run, tmp_path):
+        rng = random.Random(1000)
+        ws = [rng.randint(-5, 3) for _ in range(1000)]
+        text = "".join(f"v {i} {w}\n" for i, w in enumerate(ws))
+        text += "".join(f"e {i} {(i + 1) % 1000}\n" for i in range(1000))
+        code, out, _ = run("disc", write(tmp_path, text), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["discriminant"] == cycle_discriminant(ws)
 
     def test_subselection(self, run, tmp_path):
         code, out, _ = run("disc", write(tmp_path, CHAIN_212), "--sub", "1,3",

@@ -9,6 +9,8 @@ from dualgraph.fibration import enumerate_fibers
 from dualgraph.graph import build_graph, classify_shape, intersection_matrix
 from dualgraph.intmat import det_bareiss
 from dualgraph.lattice import (
+    _congruence_pass,
+    _pivot_blocks,
     EMPTY,
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -495,10 +497,152 @@ def test_tree_kernels_make_no_dense_kernel_call(dense_calls):
     assert dense_calls == {"det_bareiss": 0, "charpoly": 0}
 
 
-def test_triangle_takes_the_dense_path(dense_calls):
+def test_cyclic_graphs_make_no_dense_kernel_call(dense_calls):
     tri = build_graph([(1, -2), (2, -2), (3, -2)], [(1, 2), (2, 3), (1, 3)])
     assert discriminant(tri) == 0
-    assert dense_calls == {"det_bareiss": 1, "charpoly": 0}
     assert signature(tri) == (0, 1, 2)
     assert smith_invariants(tri).invariant_factors == (1, 3, 0)
-    assert dense_calls == {"det_bareiss": 1, "charpoly": 2}
+    g = lattice_kernels_graphs(1)[-1]
+    assert (len(g), classify_shape(g).is_forest) == (40, False)
+    d, inertia = discriminant(g), signature(g)
+    assert smith_invariants(g).discriminant == d and sum(inertia) == 40
+    assert dense_calls == {"det_bareiss": 0, "charpoly": 0}
+
+
+# ------------------------------------------- congruence pass against dense oracles
+
+def random_multigraph(rng, size):
+    """Weights in -3..2, zero with a per-graph share; each pair of vertices
+    joined with a per-graph chance, by one edge or two parallel ones."""
+    zeros, density = rng.random(), rng.random() * 0.6
+    weights = [(v, 0 if rng.random() < zeros else rng.randint(-3, 2)) for v in range(size)]
+    edges = [(a, b) for a in range(size) for b in range(a + 1, size)
+             for _ in range(rng.choice((1, 1, 2))) if rng.random() < density]
+    return build_graph(weights, edges)
+
+
+def definiteness_of_inertia(inertia):
+    plus, zero, minus = inertia
+    if plus + zero + minus == 0:
+        return EMPTY
+    if plus:
+        return INDEFINITE
+    return NEGATIVE_SEMIDEFINITE if zero else NEGATIVE_DEFINITE
+
+
+def assert_matches_dense_oracles(g):
+    want = symmetric_signature(intersection_matrix(g))
+    d = bareiss_discriminant(g)
+    assert _congruence_pass(g) == (d, want)
+    assert signature(g) == want
+    assert discriminant(g) == d
+    assert definiteness(g) == definiteness_of_inertia(want)
+    inv = smith_invariants(g)
+    assert (inv.discriminant, inv.definiteness) == (d, definiteness_of_inertia(want))
+    assert inv.invariant_factors.count(0) == want[1]
+    assert inv.torsion_order == (abs(d) if d else None)
+
+
+def test_congruence_pass_matches_dense_oracles_on_random_multigraphs():
+    # the pass runs on every graph, forests too; the public functions take
+    # it on the graphs with a cycle or a parallel edge
+    rng = random.Random(1971)
+    pairs = remainders = cyclic = disconnected = parallel = indefinite = 0
+    for _ in range(3000):
+        g = random_multigraph(rng, rng.randint(0, 10))
+        assert_matches_dense_oracles(g)
+        blocks = [inertia for _, inertia in _pivot_blocks(g)]
+        pairs += (1, 0, 1) in blocks
+        remainders += (0, 1, 0) in blocks
+        shape = classify_shape(g)
+        cyclic += not shape.is_forest
+        disconnected += len(shape.components) > 1
+        parallel += len(set(g.edges)) < len(g.edges)
+        indefinite += signature(g)[0] > 0
+    assert pairs > 100 and remainders > 100
+    assert min(cyclic, disconnected, parallel, indefinite) > 500
+
+
+def lattice_kernels_graphs(seed):
+    """The 48 graphs of the lattice_kernels benchmark workload, built the same way."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(10, 41, 2):
+        for shape in ("chain", "tree", "cyclic"):
+            weights = [rng.randint(-6, -1) for _ in range(n)]
+            if shape == "chain":
+                edges = [(i, i + 1) for i in range(n - 1)]
+            else:
+                edges = [(i, rng.randrange(i)) for i in range(1, n)]
+            if shape == "cyclic":
+                edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+            graphs.append(build_graph(list(enumerate(weights)), edges))
+    return graphs
+
+
+def test_congruence_pass_on_lattice_kernels_graphs():
+    graphs = lattice_kernels_graphs(1)
+    assert len(graphs) == 48
+    assert sum(not classify_shape(g).is_forest for g in graphs) == 16
+    for g in graphs:
+        assert_matches_dense_oracles(g)
+
+
+def cycle(weights):
+    """Vertices 0..n-1 in a ring; n = 2 is two vertices joined twice."""
+    n = len(weights)
+    return build_graph(list(enumerate(weights)), [(i, (i + 1) % n) for i in range(n)])
+
+
+def cycle_discriminant(weights):
+    """det(-Q) of a cycle: trace(prod [[-w_i, -1], [1, 0]]) - 2.
+
+    The transfer matrices multiply out the periodic three-term recurrence
+    of -Q, whose off-diagonal entries are all -1.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for w in weights:
+        a, b, c, d = -w * a + c, -w * b + d, -a, -b
+    return a + d - 2
+
+
+def cycle_inertia(weights):
+    """Jacobi over the leading minors of -Q: the chain's, then the cycle's."""
+    return jacobi_inertia(prefix_continuants(weights)[:-1] + [cycle_discriminant(weights)])
+
+
+def jacobi_applies(minors):
+    return minors[-1] != 0 and all(a or b for a, b in zip(minors, minors[1:]))
+
+
+def test_cycle_oracles_against_dense_kernels():
+    rng = random.Random(250)
+    checked = 0
+    for _ in range(300):
+        ws = [rng.randint(-4, 2) for _ in range(rng.randint(2, 12))]
+        q = intersection_matrix(cycle(ws))
+        assert cycle_discriminant(ws) == det_bareiss([[-x for x in row] for row in q])
+        if jacobi_applies(prefix_continuants(ws)[:-1] + [cycle_discriminant(ws)]):
+            checked += 1
+            assert cycle_inertia(ws) == symmetric_signature(q)
+    assert checked > 200
+
+
+def test_2000_vertex_cycle_against_closed_forms():
+    rng = random.Random(2000)
+    ws = [rng.randint(-5, 3) for _ in range(2000)]
+    g = cycle(ws)
+    assert discriminant(g) == cycle_discriminant(ws)
+    assert signature(g) == cycle_inertia(ws)
+    assert definiteness(g) == INDEFINITE
+
+    g = cycle([-2] * 2000)
+    assert cycle_discriminant([-2] * 2000) == discriminant(g) == 0
+    assert signature(g) == (0, 1, 1999)
+    assert definiteness(g) == NEGATIVE_SEMIDEFINITE
+
+    g = cycle([-3] * 2000)
+    assert discriminant(g) == cycle_discriminant([-3] * 2000)
+    assert signature(g) == cycle_inertia([-3] * 2000) == (0, 0, 2000)
+    assert definiteness(g) == NEGATIVE_DEFINITE
+    assert not is_quotient_type(g).ok
