@@ -5,9 +5,10 @@ touches floats: determinants via fraction-free elimination, characteristic
 polynomials via a division-free recurrence, Smith normal form via gcd
 reduction, and inertia of symmetric matrices via exact root counting.
 
-The package itself calls only smith_normal_form: determinants and inertia
-come from the sparse passes in lattice.py, and the dense kernels here are
-their independent oracles in the tests.
+The package itself calls only smith_normal_form, and only on the small
+residue that lattice.py's unit pivots leave, which holds no entry +-1.
+Determinants and inertia come from the sparse passes in lattice.py, and
+the dense kernels here are their independent oracles in the tests.
 
 Matrices are lists of equal-length lists.  The empty matrix [] is legal and
 behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).

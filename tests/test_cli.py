@@ -326,6 +326,16 @@ class TestScalarCommands:
         assert payload["results"]["discriminant"] == 0
         assert payload["results"]["torsion_order"] is None
 
+    def test_homology_of_a_1000_vertex_cycle(self, run, tmp_path):
+        # coker of the cycle Laplacian is Z + Z/1000
+        text = "".join(f"v {i} -2\n" for i in range(1000))
+        text += "".join(f"e {i} {(i + 1) % 1000}\n" for i in range(1000))
+        code, out, _ = run("homology", write(tmp_path, text), "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["invariant_factors"] == [1] * 998 + [1000, 0]
+        assert results["discriminant"] == 0 and results["torsion_order"] is None
+
     def test_check_acyclic_pass(self, run):
         code, out, _ = run("check-acyclic", "--d", "9", "--de", "1",
                            "--format", "json")

@@ -7,10 +7,11 @@ import pytest
 from dualgraph.errors import NotAForest
 from dualgraph.fibration import enumerate_fibers
 from dualgraph.graph import build_graph, classify_shape, intersection_matrix
-from dualgraph.intmat import det_bareiss
+from dualgraph.intmat import det_bareiss, smith_normal_form
 from dualgraph.lattice import (
     _congruence_pass,
     _pivot_blocks,
+    _unit_pivots,
     EMPTY,
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -25,7 +26,7 @@ from dualgraph.lattice import (
 from dualgraph.resolution import CuspPair, theorem_pipeline
 
 from test_graph import chain
-from test_intmat import det_naive, symmetric_signature
+from test_intmat import det_naive, determinantal_factors, symmetric_signature
 
 
 def test_discriminant_known():
@@ -327,7 +328,7 @@ def test_forest_inertia_on_every_small_fiber():
         assert discriminant(f.graph) == 0
 
 
-def test_cycles_and_parallel_edges_fall_back_to_dense_kernels():
+def test_cycles_and_parallel_edges_take_the_congruence_pass():
     rng = random.Random(3)
     cyclic = 0
     for _ in range(400):
@@ -341,6 +342,7 @@ def test_cycles_and_parallel_edges_fall_back_to_dense_kernels():
         assert signature(g, sel) == symmetric_signature(q)
         inv = smith_invariants(g, sel)
         assert (inv.discriminant, inv.definiteness) == (d, definiteness(g, sel))
+        assert inv.invariant_factors == tuple(smith_normal_form(q))
         if classify_shape(g, sel).is_forest:
             assert discriminant_by_splitting(g, sel) == d
         else:
@@ -453,16 +455,15 @@ def test_2000_vertex_chain_and_fork_on_every_path():
 
 # ------------------------------------------------------ dense-kernel call guard
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Count calls of the dense kernels, under whatever name a module imported them.
+def watch_intmat(monkeypatch, name, seen):
+    """Call seen(*args) before each call of the intmat kernel name, under
+    whatever name a module imported it.
 
     The namespaces patched are the package modules in sys.modules and the
     globals of every package function this test module imported.  The two
     differ once something re-imports the package (the benchmark harness
     does), and the tests call through the functions they imported.
     """
-    counts = {"det_bareiss": 0, "charpoly": 0}
     namespaces = {id(mod.__dict__): mod.__dict__ for modname, mod in list(sys.modules.items())
                   if modname.startswith("dualgraph")}
     for obj in list(globals().values()):
@@ -470,17 +471,34 @@ def dense_calls(monkeypatch):
         if ns is not None and ns.get("__name__", "").startswith("dualgraph"):
             namespaces[id(ns)] = ns
     for ns in namespaces.values():
-        for name in counts:
-            original = ns.get(name)
-            if getattr(original, "__module__", None) != "dualgraph.intmat":
-                continue
+        original = ns.get(name)
+        if getattr(original, "__module__", None) != "dualgraph.intmat":
+            continue
 
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+        def watched(*args, _original=original):
+            seen(*args)
+            return _original(*args)
 
-            monkeypatch.setitem(ns, name, counted)
+        monkeypatch.setitem(ns, name, watched)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Count calls of the dense determinant and characteristic polynomial."""
+    counts = {"det_bareiss": 0, "charpoly": 0}
+    for name in counts:
+        def count(*args, _name=name):
+            counts[_name] += 1
+        watch_intmat(monkeypatch, name, count)
     return counts
+
+
+@pytest.fixture
+def smith_inputs(monkeypatch):
+    """The matrices smith_normal_form receives, in call order."""
+    inputs = []
+    watch_intmat(monkeypatch, "smith_normal_form", lambda rows: inputs.append(rows))
+    return inputs
 
 
 def test_pipeline_makes_no_dense_kernel_call(dense_calls):
@@ -646,3 +664,69 @@ def test_2000_vertex_cycle_against_closed_forms():
     assert signature(g) == cycle_inertia([-3] * 2000) == (0, 0, 2000)
     assert definiteness(g) == NEGATIVE_DEFINITE
     assert not is_quotient_type(g).ok
+
+
+# ------------------------------------------------ unit pivots before the Smith form
+
+def test_smith_invariants_match_determinantal_divisors():
+    # an oracle independent of both Smith form paths, on every small shape:
+    # zero weights, parallel edges, cycles, disconnected and empty graphs
+    rng = random.Random(2001)
+    residues = 0
+    for _ in range(500):
+        g = random_multigraph(rng, rng.randint(0, 6))
+        want = tuple(determinantal_factors(intersection_matrix(g)))
+        assert smith_invariants(g).invariant_factors == want
+        residues += len(_unit_pivots(g)[1]) > 0
+    assert residues > 100
+
+
+def test_unit_pivots_leave_no_unit_in_the_residue():
+    rng = random.Random(1981)
+    for _ in range(1000):
+        g = random_multigraph(rng, rng.randint(0, 10))
+        ones, residue = _unit_pivots(g)
+        assert ones + len(residue) == len(g)
+        assert all(len(row) == len(residue) and 1 not in map(abs, row) for row in residue)
+        want = smith_normal_form(intersection_matrix(g))
+        assert [1] * ones + smith_normal_form(residue) == want
+
+
+def test_smith_invariants_of_2000_vertex_chain_and_cycle(smith_inputs):
+    # a chain's cokernel is cyclic of order |d|: the minor without the first
+    # row and the last column is 1
+    rng = random.Random(4)
+    ws = [rng.randint(-5, 3) for _ in range(2000)]
+    assert smith_invariants(chain(ws)).invariant_factors == (1,) * 1999 + (abs(continuant(ws)),)
+    assert [(len(rows), len(rows[0])) for rows in smith_inputs] == [(1, 1)]
+    # the cokernel of the cycle Laplacian is Z + Z/n
+    inv = smith_invariants(cycle([-2] * 2000))
+    assert inv.invariant_factors == (1,) * 1998 + (2000, 0)
+    assert inv.torsion_order is None
+
+
+def star(center, leaves):
+    return build_graph([(0, center)] + list(enumerate(leaves, 1)),
+                       [(0, v) for v in range(1, len(leaves) + 1)])
+
+
+def test_stars_match_the_dense_smith_form():
+    # every leaf hangs off one column, so the residue keeps L - 1 leaves
+    rng = random.Random(40)
+    for n_leaves in range(1, 41):
+        leaves = [rng.randint(-5, 0) for _ in range(n_leaves)]
+        g = star(rng.randint(-5, 1), leaves)
+        want = tuple(smith_normal_form(intersection_matrix(g)))
+        assert smith_invariants(g).invariant_factors == want
+    assert len(_unit_pivots(star(-2, [-2] * 40))[1]) == 39
+
+
+def test_smith_form_sees_only_the_unit_free_residue(smith_inputs):
+    # this module's own smith_normal_form is the unwatched original
+    graphs = lattice_kernels_graphs(1)
+    for g in graphs:
+        want = tuple(smith_normal_form(intersection_matrix(g)))
+        assert smith_invariants(g).invariant_factors == want
+    assert len(smith_inputs) == len(graphs)
+    assert all(1 not in map(abs, row) for rows in smith_inputs for row in rows)
+    assert max(map(len, smith_inputs)) < 20
