@@ -19,6 +19,7 @@ fibration model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
@@ -68,25 +69,50 @@ def is_numerically_trivial(f: Fiber) -> bool:
                for v in g.vertices)
 
 
-def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int]], root: int):
-    """(label, sorted child keys) of the tree hung from root, built leaves first."""
+# The close token of a flat key sorts below every label token (1, w, m), so a
+# subtree with fewer children compares like a shorter tuple of child keys.
+_CLOSE = (0,)
+
+
+def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int, int]], root: int):
+    """Flat key of the tree hung from root, built leaves first.
+
+    A subtree's key is its root's label token, then its children's keys in
+    increasing order, then _CLOSE.  Raises NotAForest when the walk from
+    root misses a vertex.
+    """
     order, parent = _walk(g, (root,))
-    kids: Dict[int, List] = {v: [] for v in order}
+    if len(order) != len(g):
+        raise NotAForest("fiber graphs are trees")
+    kids: Dict[int, List[tuple]] = {v: [] for v in order}
     for v in reversed(order):
-        key = (labels[v], tuple(sorted(kids[v])))
+        below = kids[v]
+        below.sort()
+        key = tuple(chain((labels[v],), *below, (_CLOSE,)))
         if parent[v] is not None:
             kids[parent[v]].append(key)
     return key
 
 
-def fiber_key(f: Fiber):
-    """Canonical form of the labeled tree, minimized over all roots."""
+def fiber_key(f: Fiber) -> tuple:
+    """Canonical form of the labeled tree: the least rooted key over all roots.
+
+    A rooted key is flat: the root's label token (1, weight, multiplicity),
+    the children's rooted keys in increasing order, then a close token (0,)
+    that sorts below every label token.  Flat keys compare exactly like the
+    nested (label, sorted child keys) tuples, so one key serves both dedup
+    and the census order, and no comparison recurses.  A rooted key begins
+    with its root's label, so only the roots with the least label are
+    tried; usually there is one.  A graph is a tree when it has V - 1 edges
+    and the first rooting's walk reaches all V vertices.
+    """
     g = f.graph
-    # a tree has V - 1 edges and one walk reaches all of it
-    if len(g.edges) != len(g) - 1 or len(_walk(g, g.vertices[:1])[0]) != len(g):
+    # the empty graph fails here too, before min sees no labels
+    if len(g.edges) != len(g) - 1:
         raise NotAForest("fiber graphs are trees")
-    labels = {v: (g.weight(v), f.multiplicity[v]) for v in g.vertices}
-    return min(_encode_rooted(g, labels, r) for r in g.vertices)
+    labels = {v: (1, g.weight(v), f.multiplicity[v]) for v in g.vertices}
+    least = min(labels.values())
+    return min(_encode_rooted(g, labels, r) for r in g.vertices if labels[r] == least)
 
 
 def enumerate_fibers(max_vertices: int) -> List[Fiber]:

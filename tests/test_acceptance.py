@@ -326,7 +326,7 @@ def test_criterion_8_torsion_and_divisibility():
 
 def test_criterion_9_frozen_regressions():
     counts = json.loads((FIXTURES / "fiber_counts.json").read_text())
-    fibers = enumerate_fibers(8)
+    fibers = enumerate_fibers(9)
     by_size = Counter(len(f.graph.vertices) for f in fibers)
     assert {str(k): by_size[k] for k in sorted(by_size)} == counts
 

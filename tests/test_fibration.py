@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from dualgraph import fibration
 from dualgraph.errors import ModelInconsistent, NotAForest
 from dualgraph.graph import build_graph, classify_shape, intersection_matrix
 from dualgraph.lattice import discriminant, signature
@@ -90,21 +92,102 @@ def reference_key(f):
     return min(enc(r, None) for r in g.vertices)
 
 
-def random_labelled_tree(rng, n):
+def flatten(key):
+    """The flat token sequence of a nested (label, child keys) key: the
+    label token (1, w, m), each child's tokens, then the close token (0,)."""
+    (w, m), kids = key
+    tokens = [(1, w, m)]
+    for kid in kids:
+        tokens.extend(flatten(kid))
+    tokens.append((0,))
+    return tuple(tokens)
+
+
+def random_labelled_tree(rng, n, palette=None):
+    """A random tree on n scattered ids, its edges shuffled.  Labels are
+    drawn from palette, a list of (weight, multiplicity), when one is given."""
     ids = rng.sample(range(5 * n + 5), n)
     edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
     rng.shuffle(edges)
-    g = build_graph([(v, rng.randint(-3, 1)) for v in ids], edges)
-    return Fiber(g, {v: rng.randint(1, 3) for v in ids}, MoveLog())
+    if palette is None:
+        g = build_graph([(v, rng.randint(-3, 1)) for v in ids], edges)
+        return Fiber(g, {v: rng.randint(1, 3) for v in ids}, MoveLog())
+    label = {v: rng.choice(palette) for v in ids}
+    g = build_graph([(v, label[v][0]) for v in ids], edges)
+    return Fiber(g, {v: label[v][1] for v in ids}, MoveLog())
 
 
 def test_fiber_key_matches_the_recursive_reference():
     for f in enumerate_fibers(7):
-        assert fiber_key(f) == reference_key(f)
+        assert fiber_key(f) == flatten(reference_key(f))
     rng = random.Random(2024)
     for _ in range(2000):
         f = random_labelled_tree(rng, rng.randint(1, 12))
-        assert fiber_key(f) == reference_key(f)
+        assert fiber_key(f) == flatten(reference_key(f))
+
+
+def test_fiber_key_orders_pairs_like_the_reference():
+    # one- and two-label palettes make many roots tie for the least label,
+    # and small trees on one label make many pairs isomorphic
+    palettes = [None, [(-2, 1)], [(-2, 1), (-1, 2)], [(-2, 1), (-2, 2)]]
+    rng = random.Random(13)
+    outcomes = Counter()
+    for _ in range(3000):
+        palette = rng.choice(palettes)
+        a, b = (random_labelled_tree(rng, rng.randint(1, 9), palette) for _ in range(2))
+        ka, kb = fiber_key(a), fiber_key(b)
+        ra, rb = reference_key(a), reference_key(b)
+        assert (ka < kb) == (ra < rb)
+        assert (ka == kb) == (ra == rb)
+        outcomes[(ka > kb) - (ka < kb)] += 1
+    assert min(outcomes[-1], outcomes[0], outcomes[1]) >= 50
+
+
+def edge_blow_up_chain(n):
+    """A chain fiber of n vertices: blow up the 0-curve at a free point, then
+    keep blowing up the edge between the old curve, 0, and the newest
+    vertex, which is the (-1)-vertex."""
+    f = fiber_blow_up(initial_fiber(), 0)
+    while len(f.graph) < n:
+        f = fiber_blow_up(f, (0, f.history.moves[-1].vertex))
+    return f
+
+
+def test_fiber_key_on_a_2000_vertex_chain_fiber():
+    n = 2000
+    f = edge_blow_up_chain(n)
+    assert validate_fiber(f).ok
+    labels = [(1, 1 - n, 1), (1, -1, n - 1)] + [(1, -2, k) for k in range(n - 2, 0, -1)]
+    assert fiber_key(f) == tuple(labels) + ((0,),) * n
+
+
+def test_fiber_key_on_a_500_vertex_chain_of_equal_labels():
+    # every root ties, and a nested key this deep overflowed the stack when
+    # two were compared; the least key hangs a one-vertex branch first
+    n = 500
+    g = build_graph([(v, -2) for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+    f = Fiber(g, {v: 1 for v in range(n)}, MoveLog())
+    label, close = (1, -2, 1), (0,)
+    want = (label, label, close) + (label,) * (n - 2) + (close,) * (n - 2) + (close,)
+    assert fiber_key(f) == want
+
+
+def test_fiber_key_walks_about_once_per_call(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(fibration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(fibration, name, wrapper)
+
+    counted("_walk")
+    counted("fiber_key")
+    assert len(fibration.enumerate_fibers(8)) == 1942
+    assert calls["fiber_key"] >= 1942
+    assert calls["_walk"] <= 1.25 * calls["fiber_key"]
 
 
 def test_enumerate_order_is_size_then_reference_key():
@@ -120,7 +203,8 @@ def test_enumerate_order_is_size_then_reference_key():
     # V - 1 edges, yet not connected: an edge count alone accepts it
     ([(0, -2), (1, -2), (2, -2), (3, 0)], [(0, 1), (1, 2), (2, 0)]),
     ([(3, 0), (0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)]),
-], ids=["triangle", "double-edge", "triangle-plus-point", "point-plus-triangle"])
+    ([], []),
+], ids=["triangle", "double-edge", "triangle-plus-point", "point-plus-triangle", "empty"])
 def test_fiber_key_rejects_non_trees(weights, edges):
     f = Fiber(build_graph(weights, edges), {v: 1 for v, _w in weights}, MoveLog())
     with pytest.raises(NotAForest):
