@@ -6,15 +6,38 @@ of named checks with expected and computed values.  Output is plain text
 by default, versioned JSON with --format json, Graphviz with --format
 dot.  Exit status: 0 all checks pass, 1 some check or operation failed,
 2 the invocation itself was unusable.
+
+The JSON certificate (schema dualgraph.certificate/1) has a fixed byte
+layout, written by _json_text:
+
+- each item of an array or object starts on a new line indented by two
+  spaces per level of nesting, items are separated by ",", and the
+  closing bracket sits on its own line at the opening line's indent;
+- an empty array is "[]", an empty object "{}";
+- object keys are strings, sorted, each followed by ": "; a non-string
+  key is written as str(key), and where two keys give the same string
+  the later one wins;
+- strings are ASCII-escaped as json.encoder.encode_basestring_ascii
+  escapes them (a non-ASCII character as a backslash-u escape, one
+  beyond the BMP as a surrogate pair of them);
+- integers, int subclasses included, in decimal (int.__repr__);
+  true, false and null for the booleans and None;
+- a tuple is written as an array;
+- any other value (a float, a frozenset, a Fraction, a ChainType) as the
+  string str(value);
+- the document ends in a single newline.
+
+This is the layout json.dumps(..., sort_keys=True, indent=2) gives, which
+the tests hold it to.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import standardize_chain
@@ -58,6 +81,7 @@ class CommandResult:
 
 
 def _jsonable(x):
+    """x with tuples as lists, keys as str and other non-JSON values as str (--format text)."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, (list, tuple)):
@@ -65,6 +89,71 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     return str(x)
+
+
+def _json_text(x) -> str:
+    """x in the certificate layout (see the module docstring)."""
+    out: List[str] = []
+    _write_json(x, 0, out)
+    return "".join(out)
+
+
+def _write_json(x, depth: int, out: List[str]) -> None:
+    """Append the text of x, nested depth levels deep, to out in pieces.
+
+    One pass over x.  Ints, strings and booleans inside a container are
+    written in place rather than by a call each, and each object is
+    sorted once.
+    """
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        x = {str(k): v for k, v in x.items()}
+        keys = sorted(x)
+        values = [x[k] for k in keys]
+        opening, closing = "{", "}"
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        keys, values = None, x
+        opening, closing = "[", "]"
+    else:
+        if x is None:
+            text = "null"
+        elif x is True:
+            text = "true"
+        elif x is False:
+            text = "false"
+        elif isinstance(x, int):
+            text = int.__repr__(x)
+        elif isinstance(x, str):
+            text = _quote(x)
+        else:
+            text = _quote(str(x))
+        out.append(text)
+        return
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    append = out.append
+    append(opening + pad)
+    for i, v in enumerate(values):
+        if keys is not None:
+            append(_quote(keys[i]) + ": ")
+        t = type(v)
+        if t is int:
+            append(repr(v))
+        elif t is str:
+            append(_quote(v))
+        elif v is True:
+            append("true")
+        elif v is False:
+            append("false")
+        else:
+            _write_json(v, depth + 1, out)
+        append(sep)
+    out[-1] = "\n" + "  " * depth + closing  # the last separator gives way to the close
 
 
 def _move_rows(log) -> List[dict]:
@@ -433,19 +522,18 @@ def cmd_euler(args) -> CommandResult:
 
 def _render_json(args, result: CommandResult) -> str:
     skip = {"command", "format", "out"}
-    inputs = {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
     payload = {
         "schema": SCHEMA,
         "command": args.command,
-        "inputs": inputs,
-        "results": _jsonable(result.results),
-        "checks": [{"name": c.name, "expected": _jsonable(c.expected),
-                    "computed": _jsonable(c.computed), "pass": c.passed}
+        "inputs": {k: v for k, v in vars(args).items() if k not in skip},
+        "results": result.results,
+        "checks": [{"name": c.name, "expected": c.expected,
+                    "computed": c.computed, "pass": c.passed}
                    for c in result.checks],
         "moves": result.moves,
         "status": "pass" if result.passed else "fail",
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def _render_text(args, result: CommandResult) -> str:

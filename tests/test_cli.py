@@ -1,5 +1,8 @@
 import json
+import json.encoder
 import random
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -490,3 +493,142 @@ def test_main_runs_the_handler_bound_at_call_time(run, tmp_path, monkeypatch):
 def test_every_command_resolves_to_a_handler():
     for command in cli.build_parser()._subparsers._group_actions[0].choices:
         assert callable(cli._handler(command)), command
+
+
+# ------------------------------------------------- the certificate writer
+
+def reference_render_json(args, result):
+    """The certificate as the standard library's indent encoder renders it.
+
+    This is the oracle for cli._json_text: the same payload, made
+    JSON-safe by cli._jsonable and written by json.dumps.
+    """
+    skip = {"command", "format", "out"}
+    inputs = {k: cli._jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
+    payload = {
+        "schema": cli.SCHEMA,
+        "command": args.command,
+        "inputs": inputs,
+        "results": cli._jsonable(result.results),
+        "checks": [{"name": c.name, "expected": cli._jsonable(c.expected),
+                    "computed": cli._jsonable(c.computed), "pass": c.passed}
+                   for c in result.checks],
+        "moves": result.moves,
+        "status": "pass" if result.passed else "fail",
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def certificate_pair(argv):
+    """(cli's JSON certificate, the oracle's) for one invocation."""
+    args = cli.build_parser().parse_args(list(argv) + ["--format", "json"])
+    result = cli._handler(args.command)(args)
+    return cli._render_json(args, result), reference_render_json(args, result)
+
+
+def test_certificates_match_the_stdlib_encoder(tmp_path):
+    files = [write(tmp_path, text, f"{name}.dg") for name, text in
+             (("chain", CHAIN_212), ("zero", ZERO_ZERO), ("loop", LOOP), ("star", STAR))]
+    cases = [[cmd, path, *extra] for cmd, extra in FILE_COMMANDS.items() for path in files]
+    cases += [
+        ["disc", files[0], "--sub", "1,3"], ["minimalize", files[0], "--protect", "2"],
+        ["blowup", files[0], "--edge", "1,2"], ["fibers", "--max", "5", "--validate"],
+        ["check-acyclic", "--d", "9", "--de", "1"], ["check-acyclic", "--d", "6", "--de", "2"],
+        ["verify-theorem", "--range", "2", "12"],
+        ["verify-theorem", "161", "160"], ["verify-theorem", "307", "2"],
+    ]
+    cases += [["resolve", "7", "3", "--stage", s] for s in ("local", "infinity", "completion")]
+    rendered = set()
+    for argv in cases:
+        try:
+            got, want = certificate_pair(argv)
+        except (cli.UsageFailure, DualGraphError):  # e.g. a blow-down of a (-2)-vertex
+            continue
+        assert got == want, argv
+        rendered.add(argv[0])
+    assert rendered == set(cli.build_parser()._subparsers._group_actions[0].choices)
+
+
+def test_failed_certificate_matches_the_stdlib_encoder(wrong_discriminant):
+    got, want = certificate_pair(["verify-theorem", "5", "3"])
+    assert '"status": "fail"' in got
+    assert got == want
+
+
+class Level(IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+class Label(str):
+    """A str subclass whose str() differs from its characters."""
+
+    def __str__(self):
+        return "label:" + self
+
+
+CHARACTERS = ('a', 'Z', ' ', '"', '\\', '/', '\x00', '\x08', '\t', '\n', '\x1f', '\x7f',
+              '\xe9', '\u4e2d', '\u2028', '\U0001f600', '\U00010000', '\ud800')
+SCALARS = (0, -1, -17, 10**30, -(10**30), True, False, None, "", Fraction(-3, 4),
+           Fraction(5), 1.5, -0.0, float("inf"), frozenset(), frozenset({3, 5}),
+           Level.LOW, Level.HIGH, Label("tagged"))
+
+
+def random_text(rng):
+    return "".join(rng.choice(CHARACTERS) for _ in range(rng.randint(0, 6)))
+
+
+def random_scalar(rng):
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.randint(-10**6, 10**6)
+    if roll < 0.6:
+        return random_text(rng)
+    return rng.choice(SCALARS)
+
+
+def random_key(rng, kind):
+    if kind == "str":
+        return random_text(rng)
+    if kind == "int":
+        return rng.randint(-5, 5)
+    return rng.choice((rng.randint(-3, 3), str(rng.randint(-3, 3)), True, False, None,
+                       Level.HIGH, Label("k"), Fraction(1, 2), random_text(rng)))
+
+
+def random_payload(rng, depth=0):
+    if depth >= 4 or rng.random() < 0.35:
+        return random_scalar(rng)
+    items = [random_payload(rng, depth + 1) for _ in range(rng.choice((0, 1, 2, 3, 5)))]
+    kind = rng.choice(("list", "tuple", "str", "int", "mixed"))
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return {random_key(rng, kind): v for v in items}
+
+
+def test_writer_matches_the_stdlib_encoder_on_random_payloads():
+    rng = random.Random(14)
+    for _ in range(3000):
+        x = random_payload(rng)
+        assert cli._json_text(x) == json.dumps(cli._jsonable(x), sort_keys=True, indent=2), x
+
+
+def test_writer_keeps_the_last_of_colliding_keys():
+    assert cli._json_text({1: "int", "1": "str"}) == '{\n  "1": "str"\n}'
+    assert cli._json_text({"1": "str", 1: "int"}) == '{\n  "1": "int"\n}'
+
+
+def test_certificate_never_reaches_the_pure_python_encoder(run, monkeypatch):
+    argv = ["verify-theorem", "29", "27"]
+    want = certificate_pair(argv)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):  # the guard bites the indent encoder
+        json.dumps([1], indent=2)
+    code, out, _ = run(*argv, "--format", "json")
+    assert (code, out) == (0, want)
