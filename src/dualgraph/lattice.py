@@ -9,8 +9,9 @@ the plumbing-tree determinant recursion) and the inertia of Q (tree pivot
 counting after Jacobs-Trevisan), in linear ring operations on plain ints.
 The pass notices a cycle or a parallel edge on its own walk; such graphs
 take the sparse congruence pass, the same elimination on the adjacency
-itself in exact rationals, with 2x2 pivots where every diagonal is zero
-(Bunch-Parlett).  No determinant or inertia builds the dense matrix.  The
+itself in exact rationals, with one pivot kind: where every diagonal is
+zero, a row addition of determinant 1 makes one nonzero first.  No
+determinant or inertia builds the dense matrix.  The
 Smith invariant factors come from a sparse pass over the integers that
 pivots on the unit entries of Q, on every graph alike; the dense Smith
 normal form sees only the small square residue that has no unit left.
@@ -92,90 +93,6 @@ def _forest_pass(g: WeightedGraph, inertia: bool = False):
     return d, ((plus + pairs, zero, minus + pairs) if inertia else None)
 
 
-def _pivot_blocks(g: WeightedGraph):
-    """Yield (det(-B), inertia of B) for each block B of a block-diagonal
-    matrix congruent to Q, by sparse symmetric elimination.
-
-    The elimination reads the adjacency of g, never the dense matrix: row v
-    maps each neighbour to its entry of Q (the edge multiplicity, later
-    the fill), and only nonzero entries are kept.  Each step removes a
-    block of live vertices and replaces the rest by its Schur complement,
-    which by Sylvester's law of inertia carries the remaining inertia:
-
-    - a vertex with a nonzero diagonal p and the fewest neighbours is a
-      1x1 block; each pair of its neighbours i, j loses q_iv q_vj / p;
-    - when every live diagonal is zero, the vertex v with the fewest
-      neighbours and its neighbour w with the fewest form the block
-      [[0, b], [b, 0]] (Bunch-Parlett), of inertia (1, 0, 1), and i, j
-      lose (q_iv q_wj + q_iw q_vj) / b;
-    - a vertex with a zero diagonal and no neighbours left is a zero
-      eigenvalue.
-
-    On a tree the fewest-neighbours rule takes leaves first and fills
-    nothing, as the forest pass does; a cycle keeps degree two to the
-    end.  Both cost O(V log V) steps on exact rationals.
-    """
-    from fractions import Fraction  # imported here: only graphs with cycles need it
-
-    diag = {v: Fraction(g.weight(v)) for v in g.vertices}
-    row = {v: {} for v in g.vertices}
-    for a, b in g.edges:
-        row[a][b] = row[b][a] = row[a].get(b, 0) + 1
-    heaps = ([], [])  # (degree, v) of live vertices with a zero, a nonzero diagonal
-
-    def push(v):
-        heappush(heaps[diag[v] != 0], (len(row[v]), v))
-
-    def pop(nonzero):
-        heap = heaps[nonzero]
-        while heap:
-            k, v = heappop(heap)
-            if v in row and len(row[v]) == k and (diag[v] != 0) == nonzero:
-                return v
-        return None
-
-    def eliminate(block, solve):
-        # solve(c) is B^-1 c for the column c = (q_iv for v in block)
-        for v in block:
-            del diag[v]
-        cols = {}
-        for k, v in enumerate(block):
-            for u, x in row.pop(v).items():
-                if u in diag:
-                    del row[u][v]
-                    cols.setdefault(u, [0] * len(block))[k] = x
-        fill = [(u, c, solve(c)) for u, c in cols.items()]
-        for n, (i, ci, zi) in enumerate(fill):
-            diag[i] -= sum(x * z for x, z in zip(ci, zi))
-            for j, _, zj in fill[n + 1:]:
-                q = row[i].get(j, 0) - sum(x * z for x, z in zip(ci, zj))
-                if q:
-                    row[i][j] = row[j][i] = q
-                elif j in row[i]:
-                    del row[i][j], row[j][i]
-        for u in cols:
-            push(u)
-
-    for v in g.vertices:
-        push(v)
-    while row:
-        v = pop(True)
-        if v is not None:
-            p = diag[v]
-            eliminate((v,), lambda c: (c[0] / p,))
-            yield -p, ((1, 0, 0) if p > 0 else (0, 0, 1))
-            continue
-        v = pop(False)
-        if not row[v]:
-            del diag[v], row[v]
-            yield 0, (0, 1, 0)
-            continue
-        w = min(row[v], key=lambda u: len(row[u]))
-        b = Fraction(row[v][w])
-        eliminate((v, w), lambda c: (c[1] / b, c[0] / b))
-        yield -b * b, (1, 0, 1)
-
-
 def _unit_pivots(g: WeightedGraph):
     """(ones, residue): Q is equivalent over Z to I_ones (+) residue, and
     the square residue holds no entry +-1.
@@ -238,11 +155,70 @@ def _unit_pivots(g: WeightedGraph):
 
 
 def _congruence_pass(g: WeightedGraph):
-    """(det(-Q), inertia of Q) of any graph, from its pivot blocks."""
+    """(det(-Q), inertia of Q) of any graph, by sparse symmetric elimination.
+
+    The elimination reads the adjacency of g, never the dense matrix: row v
+    maps each neighbour to its entry of Q (the edge multiplicity, later
+    the fill), and only nonzero entries are kept.  Each step pivots on one
+    live vertex v with p = q_vv != 0, which gives det(-Q) the factor -p and
+    the inertia the sign of p, and replaces the rest by its Schur
+    complement q_ij -= q_iv q_vj / p; by Sylvester's law of inertia that
+    carries the remaining inertia.  One lazy heap keyed by (zero diagonal,
+    degree, vertex) picks v:
+
+    - a vertex with a nonzero diagonal and the fewest neighbours;
+    - when every live diagonal is zero, the vertex v with the fewest
+      neighbours and its neighbour w with the fewest: the congruence
+      e_v -> e_v + e_w, of determinant 1, adds row w into row v and sets
+      q_vv = 2 q_vw, since q_vv = q_ww = 0 before (the classical step for
+      symmetric forms in characteristic not 2, Lam ch. I);
+    - a vertex with a zero diagonal and no neighbours left is a zero
+      eigenvalue.
+
+    On a tree the fewest-neighbours rule takes leaves first and fills
+    nothing, as the forest pass does; on a cycle no pivot has more than
+    three neighbours.  Both cost O(V log V) steps on exact rationals.
+    """
+    from fractions import Fraction  # imported here: only graphs with cycles need it
+
+    diag = {v: Fraction(g.weight(v)) for v in g.vertices}
+    row = {v: {} for v in g.vertices}
+    for a, b in g.edges:
+        row[a][b] = row[b][a] = row[a].get(b, 0) + 1
+    heap = [(diag[v] == 0, len(row[v]), v) for v in g.vertices]
+    heapify(heap)
     d, plus, zero, minus = 1, 0, 0, 0
-    for det, (p, z, m) in _pivot_blocks(g):
-        d *= det
-        plus, zero, minus = plus + p, zero + z, minus + m
+    while heap:
+        z, k, v = heappop(heap)
+        if v not in row or len(row[v]) != k or (diag[v] == 0) != z:
+            continue  # stale: a changed vertex was pushed again
+        p, col = diag.pop(v), row.pop(v)
+        for u in col:
+            del row[u][v]
+        if z and col:  # every live diagonal is zero
+            w = min(col, key=lambda u: len(row[u]))
+            p = Fraction(2 * col[w])
+            for u, x in row[w].items():
+                col[u] = col.get(u, 0) + x
+        if not p:
+            d, zero = 0, zero + 1
+            continue
+        d *= -p
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        fill = [(u, x) for u, x in col.items() if x]
+        for n, (i, x) in enumerate(fill):
+            diag[i] -= x * x / p
+            for j, y in fill[n + 1:]:
+                q = row[i].get(j, 0) - x * y / p
+                if q:
+                    row[i][j] = row[j][i] = q
+                elif j in row[i]:
+                    del row[i][j], row[j][i]
+        for u in col:  # each lost its entry v; w's neighbours too
+            heappush(heap, (diag[u] == 0, len(row[u]), u))
     return int(d), (plus, zero, minus)
 
 
@@ -268,9 +244,10 @@ def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> 
         d(T1 + T2) = d(T1) d(T2) - d(T1 - c1) d(T2 - c2)
 
     and disjoint pieces multiply.  This is the forest pass behind
-    discriminant, without its dense fallback: only ring operations are
-    used, no division, no elimination, no recursion, so it works verbatim
-    on symbolic weights.  A cycle or a parallel edge raises NotAForest.
+    discriminant, without the congruence pass that discriminant takes on a
+    cycle: only ring operations are used, no division, no elimination, no
+    recursion, so it works verbatim on symbolic weights.  A cycle or a
+    parallel edge raises NotAForest.
     """
     tree = _forest_pass(induced_graph(g, selection))
     if tree is None:
@@ -365,7 +342,6 @@ def is_quotient_type(g: WeightedGraph, selection: Selection = None) -> QuotientT
         if g.degree(center) == 3:
             rest = induced_graph(g, [v for v in g.vertices if v != center])
             comps = classify_shape(rest).components
-            if len(comps) == 3:
-                twigs = tuple(sorted(discriminant(rest, c) for c in comps))
-                return QuotientTypeReport(True, "fork", twigs, has_m1)
+            twigs = tuple(sorted(discriminant(rest, c) for c in comps))
+            return QuotientTypeReport(True, "fork", twigs, has_m1)
     return QuotientTypeReport(False, None, None, has_m1)

@@ -23,12 +23,13 @@ from typing import Dict, List, Optional, Tuple
 from .chains import ChainType, chain_order, standardize_chain
 from .errors import (
     BadOrder,
+    NotAChain,
     NotCoprime,
     PipelineInvariantViolation,
     Transversal,
 )
 from .fibration import Fiber, fibration_model, fujita_accounting, validate_fiber
-from .graph import WeightedGraph, build_graph, classify_shape, induced_graph
+from .graph import WeightedGraph, build_graph, induced_graph
 from .homology import euler_open
 from .lattice import discriminant
 from .moves import Move, MoveLog, _Draft
@@ -460,9 +461,11 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
 def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
                 tag) -> Tuple[FiberRole, Fiber]:
     member = induced_graph(g, ids)
-    shape = classify_shape(member)
-    check(f"member_{tag}_is_chain", True, shape.is_chain)
-    vertices = chain_order(member) if shape.is_chain else tuple(sorted(ids))
+    try:
+        vertices, is_chain = chain_order(member), True
+    except NotAChain:
+        vertices, is_chain = tuple(sorted(ids)), False
+    check(f"member_{tag}_is_chain", True, is_chain)
     near = tuple(v for v in vertices if v in origin_set)
     far = tuple(v for v in vertices if v in far_set)
     free = tuple(v for v in vertices if v == axis)

@@ -304,6 +304,35 @@ def test_validate_flags_non_tree_and_bad_multiplicity():
     assert any("numerically trivial" in v for v in report2.violations)
 
 
+def hand_fiber(weights, edges, multiplicity):
+    return Fiber(build_graph(list(enumerate(weights)), edges), dict(enumerate(multiplicity)),
+                 MoveLog())
+
+
+@pytest.mark.parametrize("fiber, message", [
+    # the (-1)-vertex 0 of degree three leaves three arms
+    (hand_fiber([-1, -2, -2, -2], [(0, 1), (0, 2), (0, 3)], [2, 1, 1, 1]),
+     "complement of the (-1)-vertex has more than two components"),
+    # 1 and 2 each branch inside their side of 0
+    (hand_fiber([-1, -4, -4, -2, -2, -2, -2, -2, -2],
+                [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)],
+                [2, 1, 1, 1, 1, 1, 1, 1, 1]),
+     "neither complement component is a chain"),
+    # a fork: tip 3 hangs off 1 on one side of 0, tip 2 is the other side
+    (hand_fiber([-1, -3, -2, -2, -2], [(0, 1), (0, 2), (1, 3), (1, 4)], [2, 2, 1, 1, 2]),
+     "multiplicity-1 tips split across complement components"),
+    (hand_fiber([-1, -2], [(0, 1)], [2, 2]),
+     "expected two multiplicity-1 components, found 0"),
+    (hand_fiber([-2, -1, -2], [(0, 1), (1, 2)], [1, 1, 2]),
+     "a multiplicity-1 component is not a tip"),
+    (hand_fiber([-2], [], [1]), "discriminant is not zero"),
+])
+def test_validate_names_each_violation(fiber, message):
+    report = validate_fiber(fiber)
+    assert message in report.violations
+    assert report.second_tier_applies == (message != "discriminant is not zero")
+
+
 def test_second_tier_applies_only_to_unique_minus_one():
     f = fiber_blow_up(initial_fiber(), 0)            # two (-1)-vertices
     assert not validate_fiber(f).second_tier_applies

@@ -6,6 +6,10 @@ imports change compilation rather than bind a name, so both are exempt.
 
 The dense kernels of intmat.py other than the Smith form are test
 oracles only: no other package module imports or reads them.
+
+There is not a single float in the package: no float literal, no name
+float, no math function beyond gcd, isqrt and prod, and no true division
+outside lattice._congruence_pass, whose divisors are all Fractions.
 """
 
 import ast
@@ -70,3 +74,45 @@ def test_scan_flags_a_dense_oracle():
                          ids=lambda p: p.name)
 def test_dense_kernels_stay_test_oracles(path):
     assert dense_oracle_uses(path.read_text()) == []
+
+
+EXACT_MATH = {"gcd", "isqrt", "prod"}
+
+
+def float_sources(source, exact_division=()):
+    """(line, what) for each way the source could compute a float; true
+    division inside the functions named in exact_division is allowed."""
+    tree = ast.parse(source)
+    allowed = {id(node) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name in exact_division
+               for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import math") for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names
+                      if a.name not in EXACT_MATH]
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+              and id(node) not in allowed):
+            found.append((node.lineno, "/"))
+    return sorted(found)
+
+
+def test_scan_flags_each_float_source():
+    src = ("import math\nfrom math import gcd, sqrt\nx = 0.5\ny = float(3)\n"
+           "def f(a, b):\n    return a / b\n"
+           "def g(a, b):\n    a /= b\n    return a / b, a // b\n")
+    assert float_sources(src) == [(1, "import math"), (2, "math.sqrt"), (3, "float literal"),
+                                  (4, "float"), (6, "/"), (8, "/"), (9, "/")]
+    assert float_sources(src, exact_division=("g",))[-1] == (6, "/")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_not_a_single_float(path):
+    exact = ("_congruence_pass",) if path.name == "lattice.py" else ()
+    assert float_sources(path.read_text(), exact) == []

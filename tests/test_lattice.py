@@ -10,7 +10,6 @@ from dualgraph.graph import build_graph, classify_shape, intersection_matrix
 from dualgraph.intmat import det_bareiss, smith_normal_form
 from dualgraph.lattice import (
     _congruence_pass,
-    _pivot_blocks,
     _unit_pivots,
     EMPTY,
     INDEFINITE,
@@ -563,21 +562,24 @@ def assert_matches_dense_oracles(g):
 
 def test_congruence_pass_matches_dense_oracles_on_random_multigraphs():
     # the pass runs on every graph, forests too; the public functions take
-    # it on the graphs with a cycle or a parallel edge
+    # it on the graphs with a cycle or a parallel edge.  Each branch of the
+    # pass is forced by the input: on an all-zero diagonal with an edge the
+    # first step is a row addition, and a zero eigenvalue comes only from a
+    # zero diagonal with no neighbours left.
     rng = random.Random(1971)
-    pairs = remainders = cyclic = disconnected = parallel = indefinite = 0
+    row_additions = nullities = cyclic = disconnected = parallel = indefinite = 0
     for _ in range(3000):
         g = random_multigraph(rng, rng.randint(0, 10))
         assert_matches_dense_oracles(g)
-        blocks = [inertia for _, inertia in _pivot_blocks(g)]
-        pairs += (1, 0, 1) in blocks
-        remainders += (0, 1, 0) in blocks
+        plus, zero, _ = signature(g)
+        row_additions += bool(g.edges) and not any(g.weight(v) for v in g.vertices)
+        nullities += zero > 0
         shape = classify_shape(g)
         cyclic += not shape.is_forest
         disconnected += len(shape.components) > 1
         parallel += len(set(g.edges)) < len(g.edges)
-        indefinite += signature(g)[0] > 0
-    assert pairs > 100 and remainders > 100
+        indefinite += plus > 0
+    assert row_additions > 100 and nullities > 100
     assert min(cyclic, disconnected, parallel, indefinite) > 500
 
 
@@ -664,6 +666,30 @@ def test_2000_vertex_cycle_against_closed_forms():
     assert signature(g) == cycle_inertia([-3] * 2000) == (0, 0, 2000)
     assert definiteness(g) == NEGATIVE_DEFINITE
     assert not is_quotient_type(g).ok
+
+
+def zero_cycle_inertia(n):
+    """Inertia of the n-cycle's adjacency, whose eigenvalues are 2 cos(2 pi k / n)."""
+    plus = sum(4 * k < n or 4 * k > 3 * n for k in range(n))
+    zero = sum(4 * k in (n, 3 * n) for k in range(n))
+    return plus, zero, n - plus - zero
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 500, 1000, 2000])
+def test_all_zero_cycles_against_closed_forms(n):
+    # every diagonal is zero, so the pass starts with a row addition
+    g = cycle([0] * n)
+    assert signature(g) == zero_cycle_inertia(n)
+    assert discriminant(g) == cycle_discriminant([0] * n)
+    if n <= 12:
+        assert_matches_dense_oracles(g)
+
+
+def test_zero_stars_with_a_leaf_edge_match_the_dense_oracles():
+    for n_leaves in range(2, 13):
+        g = star(0, [0] * n_leaves)
+        assert_matches_dense_oracles(build_graph([(v, 0) for v in g.vertices],
+                                                 list(g.edges) + [(1, 2)]))
 
 
 # ------------------------------------------------ unit pivots before the Smith form

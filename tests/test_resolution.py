@@ -353,3 +353,18 @@ class TestFailedChecks:
         with pytest.raises(PipelineInvariantViolation) as err:
             build_completion(CuspPair(5, 2))
         assert "boundary_discriminant: expected -1, computed 0" in str(err.value)
+
+
+def test_fiber_role_orders_chain_and_other_members():
+    # a chain member is listed in path order, any other member sorted, and
+    # the member check records which it was
+    chain = build_graph([(5, -2), (1, -1), (7, -2)], [(5, 1), (1, 7)])
+    fork = build_graph([(0, -1), (1, -2), (2, -2), (3, -2)], [(0, 1), (0, 2), (0, 3)])
+    for g, ids, want, is_chain in ((chain, [7, 1, 5], (5, 1, 7), True),
+                                   (fork, [3, 1, 0, 2], (0, 1, 2, 3), False)):
+        seen = []
+        role, fiber = resolution._fiber_role(
+            g, ids, 1, {5, 2}, {7, 3}, dict.fromkeys(ids, 1),
+            lambda *check: seen.append(check), "one")
+        assert seen[0] == ("member_one_is_chain", True, is_chain)
+        assert role.vertices == want and fiber.graph == g
