@@ -77,15 +77,8 @@ def _types(g: WeightedGraph, order) -> List[int]:
 
 
 def _is_terminal(t: List[int]) -> bool:
-    if len(t) == 1:
-        return t[0] >= 0
-    if all(x >= 2 for x in t):
-        return True
-    if t[0] == 0 and t[1] == 0 and all(x >= 2 for x in t[2:]):
-        return True
-    if t[-1] == 0 and t[-2] == 0 and all(x >= 2 for x in t[:-2]):
-        return True
-    return False
+    # a standard form, or snc-minimal and negative definite
+    return ChainType(tuple(t)).is_standard or min(t) >= 2
 
 
 def _ramp_single_negative(d: _Draft, v: int) -> None:

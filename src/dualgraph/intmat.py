@@ -2,8 +2,9 @@
 
 Everything here works over plain Python ints (arbitrary precision) and never
 touches floats: determinants via fraction-free elimination, characteristic
-polynomials via a division-free recurrence, Smith normal form via gcd
-reduction, and inertia of symmetric matrices via exact root counting.
+polynomials via a division-free recurrence, Smith normal form by least-entry
+diagonalization and a gcd/lcm sweep, and inertia of symmetric matrices via
+exact root counting.
 
 The package itself calls only smith_normal_form, and only on the small
 residue that lattice.py's unit pivots leave, which holds no entry +-1.
@@ -16,6 +17,7 @@ behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
 
 from __future__ import annotations
 
+from math import gcd
 from typing import List, Sequence, Tuple
 
 Matrix = Sequence[Sequence[int]]
@@ -117,6 +119,14 @@ def smith_normal_form(rows: Matrix) -> List[int]:
     Returns the full diagonal, nonnegative, with trailing zeros kept, so the
     length is min(#rows, #cols).  The product of the nonzero entries equals
     |det| for a nonsingular square matrix.
+
+    Two stages.  Each round moves the least nonzero entry of the trailing
+    block to (t, t) and reduces its column by row operations and its row by
+    column operations, taking floor quotients, so every step is unimodular
+    and leaves remainders smaller than the pivot; a round that leaves one
+    repeats on the new least entry.  The resulting diagonal is then made a
+    divisibility chain by replacing each pair (a, b) with (gcd, lcm), since
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over Z.
     """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
@@ -126,56 +136,37 @@ def smith_normal_form(rows: Matrix) -> List[int]:
             raise ValueError("ragged matrix")
     diag: List[int] = []
     t = 0
-    while t < m and t < n:
+    while t < min(m, n):
         piv = _min_entry(a, t, m, n)
         if piv is None:
-            break
-        while True:
-            i, j = piv
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-            if j != t:
-                for r in a:
-                    r[t], r[j] = r[j], r[t]
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    for jj in range(t, n):
-                        a[i][jj] -= q * a[t][jj]
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    for ii in range(t, m):
-                        a[ii][j] -= q * a[ii][t]
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                piv = _min_cross(a, t, m, n)
-                continue
-            p = a[t][t]
-            fold = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p != 0:
-                        fold = i
-                        break
-                if fold is not None:
-                    break
-            if fold is None:
-                break
-            # Entry not divisible by the pivot: pull that row up and rerun.
-            for jj in range(t, n):
-                a[t][jj] += a[fold][jj]
-            piv = _min_cross(a, t, m, n)
-        diag.append(abs(a[t][t]))
-        t += 1
-    while len(diag) < min(m, n):
-        diag.append(0)
-    return diag
+            break  # the trailing block is zero
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+        p = a[t][t]
+        clear = True
+        for i in range(t + 1, m):
+            q = a[i][t] // p
+            if q:
+                for jj in range(t, n):
+                    a[i][jj] -= q * a[t][jj]
+            clear = clear and not a[i][t]
+        for j in range(t + 1, n):
+            q = a[t][j] // p
+            if q:
+                for ii in range(t, m):
+                    a[ii][j] -= q * a[ii][t]
+            clear = clear and not a[t][j]
+        if clear:
+            diag.append(abs(p))
+            t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (min(m, n) - len(diag))
 
 
 def _min_entry(a, t, m, n):
@@ -186,18 +177,4 @@ def _min_entry(a, t, m, n):
             v = abs(a[i][j])
             if v and (best is None or v < best):
                 best, piv = v, (i, j)
-    return piv
-
-
-def _min_cross(a, t, m, n):
-    best = None
-    piv = None
-    for i in range(t, m):
-        v = abs(a[i][t])
-        if v and (best is None or v < best):
-            best, piv = v, (i, t)
-    for j in range(t, n):
-        v = abs(a[t][j])
-        if v and (best is None or v < best):
-            best, piv = v, (t, j)
     return piv

@@ -9,12 +9,14 @@ the plumbing-tree determinant recursion) and the inertia of Q (tree pivot
 counting after Jacobs-Trevisan), in linear ring operations on plain ints.
 The pass notices a cycle or a parallel edge on its own walk; such graphs
 take the sparse congruence pass, the same elimination on the adjacency
-itself in exact rationals, with one pivot kind: where every diagonal is
-zero, a row addition of determinant 1 makes one nonzero first.  No
+itself in exact rationals: 1x1 pivots, a zero leaf paired with its
+neighbour as in the forest pass, and, where every diagonal is zero and no
+leaf is left, a row addition of determinant 1 that makes one nonzero.  No
 determinant or inertia builds the dense matrix.  The
 Smith invariant factors come from a sparse pass over the integers that
 pivots on the unit entries of Q, on every graph alike; the dense Smith
-normal form sees only the small square residue that has no unit left.
+normal form sees only the non-empty rows and columns that it leaves, which
+hold no unit.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def _forest_pass(g: WeightedGraph, inertia: bool = False):
 
 
 def _unit_pivots(g: WeightedGraph):
-    """(ones, residue): Q is equivalent over Z to I_ones (+) residue, and
-    the square residue holds no entry +-1.
+    """(ones, residue): Q is equivalent over Z to I_ones (+) residue (+) 0,
+    where the residue keeps only the rows and columns that are not empty
+    and holds no entry +-1.
 
     Sparse elimination on the adjacency in plain ints, indexed by vertex
     position: row[i] maps each column to its nonzero entry of Q (the
@@ -150,8 +153,8 @@ def _unit_pivots(g: WeightedGraph):
             heappush(heap, (len(ri), i))
         row[r] = col[c] = None
         ones += 1
-    cols = [j for j in range(n) if col[j] is not None]
-    return ones, [[r.get(j, 0) for j in cols] for r in row if r is not None]
+    cols = [j for j, c in enumerate(col) if c]
+    return ones, [[r.get(j, 0) for j in cols] for r in row if r]
 
 
 def _congruence_pass(g: WeightedGraph):
@@ -163,10 +166,14 @@ def _congruence_pass(g: WeightedGraph):
     live vertex v with p = q_vv != 0, which gives det(-Q) the factor -p and
     the inertia the sign of p, and replaces the rest by its Schur
     complement q_ij -= q_iv q_vj / p; by Sylvester's law of inertia that
-    carries the remaining inertia.  One lazy heap keyed by (zero diagonal,
-    degree, vertex) picks v:
+    carries the remaining inertia.  One lazy heap keyed by (zero diagonal
+    and not a leaf, degree, vertex) picks v:
 
-    - a vertex with a nonzero diagonal and the fewest neighbours;
+    - a vertex with a nonzero diagonal, or a zero leaf, with the fewest
+      neighbours.  A zero leaf v on h with q_vh = a spans the block
+      [[0, a], [a, q_hh]] of inertia (1, 0, 1), which gives det(-Q) the
+      factor -a^2; the h-h entry of its inverse is 0, so deleting v and h
+      fills nothing (the zero-child rule of the forest pass);
     - when every live diagonal is zero, the vertex v with the fewest
       neighbours and its neighbour w with the fewest: the congruence
       e_v -> e_v + e_w, of determinant 1, adds row w into row v and sets
@@ -185,40 +192,50 @@ def _congruence_pass(g: WeightedGraph):
     row = {v: {} for v in g.vertices}
     for a, b in g.edges:
         row[a][b] = row[b][a] = row[a].get(b, 0) + 1
-    heap = [(diag[v] == 0, len(row[v]), v) for v in g.vertices]
+    def key(u):
+        return diag[u] == 0 and len(row[u]) != 1, len(row[u]), u
+
+    heap = [key(v) for v in g.vertices]
     heapify(heap)
     d, plus, zero, minus = 1, 0, 0, 0
     while heap:
         z, k, v = heappop(heap)
-        if v not in row or len(row[v]) != k or (diag[v] == 0) != z:
+        if v not in row or key(v) != (z, k, v):
             continue  # stale: a changed vertex was pushed again
         p, col = diag.pop(v), row.pop(v)
         for u in col:
             del row[u][v]
-        if z and col:  # every live diagonal is zero
-            w = min(col, key=lambda u: len(row[u]))
-            p = Fraction(2 * col[w])
-            for u, x in row[w].items():
-                col[u] = col.get(u, 0) + x
-        if not p:
+        if not p and k == 1:  # a zero leaf on h: [[0, a], [a, x]] fills nothing
+            (h, a), = col.items()
+            del diag[h]
+            col = row.pop(h)
+            for u in col:
+                del row[u][h]
+            d, plus, minus = -a * a * d, plus + 1, minus + 1
+        elif not p and not col:
             d, zero = 0, zero + 1
-            continue
-        d *= -p
-        if p > 0:
-            plus += 1
         else:
-            minus += 1
-        fill = [(u, x) for u, x in col.items() if x]
-        for n, (i, x) in enumerate(fill):
-            diag[i] -= x * x / p
-            for j, y in fill[n + 1:]:
-                q = row[i].get(j, 0) - x * y / p
-                if q:
-                    row[i][j] = row[j][i] = q
-                elif j in row[i]:
-                    del row[i][j], row[j][i]
-        for u in col:  # each lost its entry v; w's neighbours too
-            heappush(heap, (diag[u] == 0, len(row[u]), u))
+            if not p:  # every live diagonal is zero
+                w = min(col, key=lambda u: len(row[u]))
+                p = Fraction(2 * col[w])
+                for u, x in row[w].items():
+                    col[u] = col.get(u, 0) + x
+            d *= -p
+            if p > 0:
+                plus += 1
+            else:
+                minus += 1
+            fill = [(u, x) for u, x in col.items() if x]
+            for n, (i, x) in enumerate(fill):
+                diag[i] -= x * x / p
+                for j, y in fill[n + 1:]:
+                    q = row[i].get(j, 0) - x * y / p
+                    if q:
+                        row[i][j] = row[j][i] = q
+                    elif j in row[i]:
+                        del row[i][j], row[j][i]
+        for u in col:  # each lost an entry; h's or w's neighbours too
+            heappush(heap, key(u))
     return int(d), (plus, zero, minus)
 
 
@@ -300,7 +317,8 @@ def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeIn
     The discriminant and the inertia come from the forest pass, or on a
     cycle from the sparse congruence pass.  The invariant factors are a 1
     for each unit pivot, then the dense Smith normal form of the unit-free
-    residue; invariant factors are unique, so this is the Smith form of Q.
+    residue, then a 0 for each empty row the unit pivots left; invariant
+    factors are unique, so this is the Smith form of Q.
     When the discriminant is nonzero, the product of the invariant factors
     equals its absolute value (the order of the cokernel of Q).
     """
@@ -308,6 +326,7 @@ def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeIn
     d, inertia = _discriminant_and_inertia(g)
     ones, residue = _unit_pivots(g)
     factors = (1,) * ones + tuple(smith_normal_form(residue))
+    factors += (0,) * (len(g) - len(factors))
     return LatticeInvariants(d, factors, _definiteness_of(inertia),
                              prod(factors) if d else None)
 
@@ -317,10 +336,13 @@ class QuotientTypeReport:
     """Contractibility-to-a-quotient-singularity test data.
 
     ok is true iff the selection is negative definite and shaped as a chain
-    or a fork (a tree with exactly one branch vertex, of degree 3).  For a
-    fork, twig_discriminants carries the sorted discriminant triple of the
-    three arms.  has_minus_one flags weight -1 vertices; a minimal
-    configuration of this kind must not contain any.
+    or a fork (a tree with exactly one branch vertex, of degree 3) whose
+    twig discriminants d1, d2, d3 satisfy 1/d1 + 1/d2 + 1/d3 > 1 (Brieskorn,
+    Invent. Math. 4, 1968): the platonic triples (2, 2, k), (2, 3, 3),
+    (2, 3, 4) and (2, 3, 5).  For a negative definite fork, kind and
+    twig_discriminants, the sorted discriminant triple of the three arms,
+    are reported whether or not it passes.  has_minus_one flags weight -1
+    vertices; a minimal configuration of this kind must not contain any.
     """
 
     ok: bool
@@ -342,6 +364,7 @@ def is_quotient_type(g: WeightedGraph, selection: Selection = None) -> QuotientT
         if g.degree(center) == 3:
             rest = induced_graph(g, [v for v in g.vertices if v != center])
             comps = classify_shape(rest).components
-            twigs = tuple(sorted(discriminant(rest, c) for c in comps))
-            return QuotientTypeReport(True, "fork", twigs, has_m1)
+            twigs = d1, d2, d3 = tuple(sorted(discriminant(rest, c) for c in comps))
+            ok = d1 * d2 + d1 * d3 + d2 * d3 > d1 * d2 * d3
+            return QuotientTypeReport(ok, "fork", twigs, has_m1)
     return QuotientTypeReport(False, None, None, has_m1)

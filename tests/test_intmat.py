@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from dualgraph.graph import build_graph
 from dualgraph.intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form
+from dualgraph.lattice import smith_invariants
 
 
 def symmetric_signature(rows):
@@ -176,6 +178,15 @@ def test_smith_known():
     assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
 
 
+def test_smith_orders_a_diagonal_that_is_no_divisibility_chain():
+    # the diagonal stage leaves these as they are; only the gcd/lcm sweep
+    # makes the chain, with the zeros kept last
+    assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
+    assert smith_normal_form([[0, 0, 0], [0, 3, 0], [0, 0, 2]]) == [1, 6, 0]
+    isolated = build_graph([(v, -2) for v in range(300)], [])
+    assert smith_invariants(isolated).invariant_factors == (2,) * 300
+
+
 def test_smith_divisibility_and_det():
     rng = random.Random(31)
     for n in range(1, 6):
@@ -207,15 +218,16 @@ def test_determinantal_oracle_known():
     assert determinantal_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
     assert determinantal_factors([[2, 0, 0], [0, 3, 0]]) == [1, 6]
     assert determinantal_factors([[4], [6]]) == [2]
+    assert determinantal_factors([[4, 0], [0, 6]]) == [2, 12]
 
 
 def test_smith_matches_determinantal_divisors():
-    # square and rectangular, at most 5 rows; a per-matrix share of zeros
+    # square and rectangular, at most 6 rows; a per-matrix share of zeros
     # makes singular matrices and trailing zero factors common
     rng = random.Random(1987)
     singular = 0
     for _ in range(600):
-        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
         zeros = rng.random()
         rows = [[0 if rng.random() < zeros else rng.randint(-6, 6) for _ in range(n)]
                 for _ in range(m)]

@@ -1,6 +1,7 @@
 import random
 import sys
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -285,6 +286,38 @@ def test_quotient_type_degree_four_center_is_not_fork():
     assert not is_quotient_type(g).ok
 
 
+def test_quotient_type_fork_needs_platonic_twigs():
+    # D_n, E_6, E_7, E_8 with weight -2 everywhere: an arm of k vertices
+    # has discriminant k + 1
+    for arm_lengths in [(1, 1, k) for k in range(1, 20)] + [(1, 2, 2), (1, 2, 3), (1, 2, 4)]:
+        r = is_quotient_type(fork(-2, [[-2] * k for k in arm_lengths]))
+        assert r.ok and r.kind == "fork"
+        assert r.twig_discriminants == tuple(sorted(k + 1 for k in arm_lengths))
+    for center, arms, twigs in ((-2, [[-2], [-3], [-7]], (2, 3, 7)),
+                                (-3, [[-3], [-3], [-3]], (3, 3, 3))):
+        g = fork(center, arms)
+        assert definiteness(g) == NEGATIVE_DEFINITE
+        r = is_quotient_type(g)
+        assert not r.ok and r.kind == "fork" and r.twig_discriminants == twigs
+
+
+def test_quotient_type_forks_match_the_fraction_inequality():
+    arm_choices = [[a] for a in range(-6, -1)] + [[a, b] for a in (-3, -2) for b in (-3, -2)]
+    seen = {True: 0, False: 0}
+    for center in range(-4, 0):
+        for arms in combinations_with_replacement(arm_choices, 3):
+            g = fork(center, arms)
+            r = is_quotient_type(g)
+            if definiteness(g) != NEGATIVE_DEFINITE:
+                assert not r.ok and r.kind is None
+                continue
+            twigs = tuple(sorted(continuant(arm) for arm in arms))
+            assert r.kind == "fork" and r.twig_discriminants == twigs
+            assert r.ok == (sum(Fraction(1, d) for d in twigs) > 1)
+            seen[r.ok] += 1
+    assert min(seen.values()) > 50
+
+
 # ------------------------------------------------- forest pass against dense oracles
 
 def random_forest(rng, size, weights=(-3, 2)):
@@ -448,7 +481,7 @@ def test_2000_vertex_chain_and_fork_on_every_path():
     assert signature(g) == jacobi_inertia(minors) == (0, 0, 2000)
     assert definiteness(g) == NEGATIVE_DEFINITE
     r = is_quotient_type(g)
-    assert r.ok and r.kind == "fork"
+    assert not r.ok and r.kind == "fork"
     assert r.twig_discriminants == tuple(sorted(continuant(arm) for arm in arms))
 
 
@@ -563,24 +596,38 @@ def assert_matches_dense_oracles(g):
 def test_congruence_pass_matches_dense_oracles_on_random_multigraphs():
     # the pass runs on every graph, forests too; the public functions take
     # it on the graphs with a cycle or a parallel edge.  Each branch of the
-    # pass is forced by the input: on an all-zero diagonal with an edge the
-    # first step is a row addition, and a zero eigenvalue comes only from a
-    # zero diagonal with no neighbours left.
+    # pass is forced by the input: on an all-zero diagonal the first step
+    # that is not a zero eigenvalue pairs a zero leaf, if there is one, and
+    # a row addition follows once pairing leaves an edge but no leaf; a
+    # zero eigenvalue comes only from a zero diagonal with no neighbours left.
     rng = random.Random(1971)
-    row_additions = nullities = cyclic = disconnected = parallel = indefinite = 0
+    zero_leaves = row_additions = nullities = 0
+    cyclic = disconnected = parallel = indefinite = 0
     for _ in range(3000):
         g = random_multigraph(rng, rng.randint(0, 10))
         assert_matches_dense_oracles(g)
         plus, zero, _ = signature(g)
-        row_additions += bool(g.edges) and not any(g.weight(v) for v in g.vertices)
+        if not any(g.weight(v) for v in g.vertices):
+            zero_leaves += any(len(set(g.neighbors(v))) == 1 for v in g.vertices)
+            row_additions += leaf_pairing_leaves_an_edge(g)
         nullities += zero > 0
         shape = classify_shape(g)
         cyclic += not shape.is_forest
         disconnected += len(shape.components) > 1
         parallel += len(set(g.edges)) < len(g.edges)
         indefinite += plus > 0
-    assert row_additions > 100 and nullities > 100
+    assert zero_leaves > 100 and row_additions > 100 and nullities > 100
     assert min(cyclic, disconnected, parallel, indefinite) > 500
+
+
+def leaf_pairing_leaves_an_edge(g):
+    """Delete a leaf with its neighbour while there is one; is an edge left?"""
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    while (leaf := next((v for v, ns in nbrs.items() if len(ns) == 1), None)) is not None:
+        (h,) = nbrs.pop(leaf)
+        for u in nbrs.pop(h) - {leaf}:
+            nbrs[u].discard(h)
+    return any(nbrs.values())
 
 
 def lattice_kernels_graphs(seed):
@@ -677,7 +724,8 @@ def zero_cycle_inertia(n):
 
 @pytest.mark.parametrize("n", [*range(2, 13), 500, 1000, 2000])
 def test_all_zero_cycles_against_closed_forms(n):
-    # every diagonal is zero, so the pass starts with a row addition
+    # every diagonal is zero and, for n >= 3, no vertex is a leaf, so the
+    # pass starts with a row addition; n = 2 is a zero leaf pair
     g = cycle([0] * n)
     assert signature(g) == zero_cycle_inertia(n)
     assert discriminant(g) == cycle_discriminant([0] * n)
@@ -690,6 +738,29 @@ def test_zero_stars_with_a_leaf_edge_match_the_dense_oracles():
         g = star(0, [0] * n_leaves)
         assert_matches_dense_oracles(build_graph([(v, 0) for v in g.vertices],
                                                  list(g.edges) + [(1, 2)]))
+
+
+def hub_on_triangle(w, n_leaves):
+    """A hub of weight w with n_leaves zero leaves, in a triangle with two
+    vertices of weight -2."""
+    leaves = range(3, n_leaves + 3)
+    return build_graph([(0, w), (1, -2), (2, -2)] + [(v, 0) for v in leaves],
+                       [(0, 1), (0, 2), (1, 2)] + [(0, v) for v in leaves])
+
+
+@pytest.mark.parametrize("n_leaves", [*range(1, 9), 2000])
+def test_zero_leaves_on_a_hub_against_closed_forms(n_leaves):
+    # one zero leaf pairs with the hub, a block of inertia (1, 0, 1) and
+    # det(-Q) -1, and the rest is the -2 edge and n_leaves - 1 isolated zeros
+    for w in range(-3, 3):
+        g = hub_on_triangle(w, n_leaves)
+        assert signature(g) == (1, n_leaves - 1, 3)
+        assert discriminant(g) == (-3 if n_leaves == 1 else 0)
+        assert smith_invariants(g).invariant_factors == (1, 1, 1, 3) + (0,) * (n_leaves - 1)
+        if n_leaves <= 8:
+            assert_matches_dense_oracles(g)
+            want = smith_normal_form(intersection_matrix(g))
+            assert smith_invariants(g).invariant_factors == tuple(want)
 
 
 # ------------------------------------------------ unit pivots before the Smith form
@@ -712,10 +783,12 @@ def test_unit_pivots_leave_no_unit_in_the_residue():
     for _ in range(1000):
         g = random_multigraph(rng, rng.randint(0, 10))
         ones, residue = _unit_pivots(g)
-        assert ones + len(residue) == len(g)
-        assert all(len(row) == len(residue) and 1 not in map(abs, row) for row in residue)
+        # the residue keeps only its non-empty rows and columns
+        assert all(any(row) and 1 not in map(abs, row) for row in residue)
+        assert all(any(column) for column in zip(*residue))
+        factors = [1] * ones + smith_normal_form(residue)
         want = smith_normal_form(intersection_matrix(g))
-        assert [1] * ones + smith_normal_form(residue) == want
+        assert factors + [0] * (len(g) - len(factors)) == want
 
 
 def test_smith_invariants_of_2000_vertex_chain_and_cycle(smith_inputs):
