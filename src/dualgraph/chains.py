@@ -56,7 +56,7 @@ def chain_order(g: WeightedGraph, selection: Selection = None) -> Tuple[int, ...
     if not shape.is_chain:
         raise NotAChain("selection is not a connected cycle-free chain")
     # tips come in canonical order; the walk from the earlier one is the path
-    return tuple(_walk(g, shape.tips[:1])[0])
+    return tuple(_walk(g._index(), shape.tips[:1])[0])
 
 
 def chain_type(g: WeightedGraph, selection: Selection = None) -> ChainType:
@@ -70,10 +70,6 @@ class StandardizeResult:
     log: MoveLog
     graph: WeightedGraph
     is_standard: bool
-
-
-def _types(g: WeightedGraph, order) -> List[int]:
-    return [-g.weight(v) for v in order]
 
 
 def _is_terminal(t: List[int]) -> bool:
@@ -101,8 +97,9 @@ def _run_ets(d: _Draft, zero: int, side, count: int) -> None:
 def standardize_chain(g: WeightedGraph, selection: Selection = None) -> StandardizeResult:
     """Rewrite a chain into its normal form, returning type, log and graph.
 
-    The moves operate on a standalone copy of the selected chain (ids and
-    weights preserved); the log replays against that copy.  Chains whose
+    The moves patch one draft of the selected chain (ids and weights
+    kept), each round reads its path and types off it, and it is frozen
+    once, at the end; the log replays against the chain.  Chains whose
     intersection form has two or more non-negative eigenvalues admit no
     normal form and raise NotStandardizable.
     """
@@ -127,10 +124,9 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             raise ChainRewriteInvariantViolation(
                 "chain rewriting exceeded its move budget; "
                 "this indicates a bug in the case analysis")
-        # one graph per round: chain_order reads a frozen graph
-        g = d.freeze()
-        order = list(chain_order(g))
-        t = _types(g, order)
+        # chain_order's path, from the first tip in canonical order, off the draft
+        order = _walk(d.adj, [next(v for v in d.order if len(d.adj[v]) <= 1)])[0]
+        t = [-d.weights[v] for v in order]
         if _is_terminal(t):
             break
         k = len(t)
@@ -182,6 +178,6 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
     return StandardizeResult(
         chain_type=final_type,
         log=MoveLog(tuple(d.log)),
-        graph=g,
+        graph=d.freeze(),
         is_standard=final_type.is_standard,
     )

@@ -81,7 +81,7 @@ def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int, int]],
     increasing order, then _CLOSE.  Raises NotAForest when the walk from
     root misses a vertex.
     """
-    order, parent = _walk(g, (root,))
+    order, parent = _walk(g._index(), (root,))
     if len(order) != len(g):
         raise NotAForest("fiber graphs are trees")
     kids: Dict[int, List[tuple]] = {v: [] for v in order}

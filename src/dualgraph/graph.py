@@ -21,8 +21,9 @@ A vertex selection (a twig, a fiber member, a far chain) becomes its
 induced graph once, on entry to each function that takes one, so every
 kernel reads a WeightedGraph; selecting everything gives the graph itself.
 
-Shape questions read one breadth-first walk, _walk, with no recursion:
-classify_shape, the forest pass, chain_order and fiber_key all call it.
+Shape questions read one breadth-first walk, _walk, with no recursion.
+classify_shape, the forest pass, chain_order and fiber_key walk a
+graph's index; the chain rewriting walks its draft's adjacency.
 """
 
 from __future__ import annotations
@@ -287,19 +288,20 @@ class ShapeReport:
     branching: Tuple[int, ...]
 
 
-def _walk(g: WeightedGraph, roots: Optional[Iterable[int]] = None):
+def _walk(adj: Mapping[int, Iterable[int]], roots: Optional[Iterable[int]] = None):
     """(order, parent): each component walked breadth first from its first root.
 
-    roots defaults to the canonical order, which reaches every component;
-    components holding no root are not walked.  parent maps each walked
-    vertex to the neighbour it was reached from, a root to None, and the
-    reverse of order lists every vertex after all of its descendants.
+    adj maps vertices to neighbours (a graph's _index(), a draft's adj);
+    roots defaults to its keys, a graph's canonical order, which reaches
+    every component; components holding no root are not walked.  parent
+    maps each walked vertex to the neighbour it was reached from, a root
+    to None, and the reverse of order lists every vertex after all of its
+    descendants.
     """
-    neighbors = g.neighbors
     parent: Dict[int, Optional[int]] = {}
     order: List[int] = []
     i = 0
-    for root in g.vertices if roots is None else roots:
+    for root in adj if roots is None else roots:
         if root in parent:
             continue
         parent[root] = None
@@ -307,7 +309,7 @@ def _walk(g: WeightedGraph, roots: Optional[Iterable[int]] = None):
         while i < len(order):
             v = order[i]
             i += 1
-            for u in neighbors(v):
+            for u in adj[v]:
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
@@ -323,7 +325,7 @@ def classify_shape(g: WeightedGraph, selection: Selection = None) -> ShapeReport
     """
     g = induced_graph(g, selection)
     verts = g.vertices
-    order, parent = _walk(g)
+    order, parent = _walk(g._index())
     label: Dict[int, int] = {}
     for v in order:
         label[v] = v if parent[v] is None else label[parent[v]]

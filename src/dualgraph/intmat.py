@@ -2,14 +2,14 @@
 
 Everything here works over plain Python ints (arbitrary precision) and never
 touches floats: determinants via fraction-free elimination, characteristic
-polynomials via a division-free recurrence, Smith normal form by least-entry
-diagonalization and a gcd/lcm sweep, and inertia of symmetric matrices via
-exact root counting.
+polynomials via a division-free recurrence, and Smith normal form by
+least-entry diagonalization and a gcd/lcm sweep.
 
 The package itself calls only smith_normal_form, and only on the small
 residue that lattice.py's unit pivots leave, which holds no entry +-1.
 Determinants and inertia come from the sparse passes in lattice.py, and
-the dense kernels here are their independent oracles in the tests.
+the dense kernels here are their independent oracles in the tests, which
+read an inertia off charpoly themselves.
 
 Matrices are lists of equal-length lists.  The empty matrix [] is legal and
 behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
@@ -18,7 +18,7 @@ behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -94,23 +94,6 @@ def charpoly(rows: Matrix) -> List[int]:
             new[j] = acc
         coeffs = new
     return coeffs
-
-
-def charpoly_inertia(c: Sequence[int]) -> Tuple[int, int, int]:
-    """Inertia of a symmetric matrix read off its characteristic polynomial.
-
-    Exact: the eigenvalue-zero count is the multiplicity of the root 0 of the
-    characteristic polynomial, and the positive count is the number of
-    coefficient sign changes, which is sharp for real-rooted polynomials.
-    """
-    n = len(c) - 1
-    zero = 0
-    while zero < n and c[n - zero] == 0:
-        zero += 1
-    reduced = c[: n - zero + 1]
-    signs = [1 if x > 0 else -1 for x in reduced if x != 0]
-    plus = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-    return plus, zero, (n - zero) - plus
 
 
 def smith_normal_form(rows: Matrix) -> List[int]:

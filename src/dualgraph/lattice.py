@@ -59,7 +59,7 @@ def _forest_pass(g: WeightedGraph, inertia: bool = False):
     False no sign is tested, so the weights may lie in any commutative
     ring.
     """
-    order, parent = _walk(g)
+    order, parent = _walk(g._index())
     roots = sum(p is None for p in parent.values())
     if len(g.edges) != len(order) - roots:
         return None

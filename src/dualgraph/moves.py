@@ -19,9 +19,10 @@ draft's log.  _Draft.glue appends a fresh vertex wired to existing ones,
 the one assembly step outside the calculus, and logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
-immutable graph once, at the end (a chain rewriting once per round), and
-reads its move log from the draft; a single move is a draft, one patch
-and one freeze.
+immutable graph once, at the end, and reads its move log from the draft;
+a single move is a draft, one patch and one freeze.  A run that must read
+the shape between moves walks the draft's adj with graph._walk, as the
+chain rewriting does each round, rather than freezing it.
 
 Composite operations: snc_minimalize (repeated contraction of unprotected
 non-branching (-1)-vertices) and elementary_transformation (blow up on a

@@ -10,9 +10,15 @@ oracles only: no other package module imports or reads them.
 There is not a single float in the package: no float literal, no name
 float, no math function beyond gcd, isqrt and prod, and no true division
 outside lattice._congruence_pass, whose divisors are all Fractions.
+
+Importing the CLI loads neither fractions nor sympy: the congruence pass
+imports Fraction locally, on its first call.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +42,7 @@ def unused_imports(source):
     return unused
 
 
-DENSE_ORACLES = {"det_bareiss", "charpoly", "charpoly_inertia"}
+DENSE_ORACLES = {"det_bareiss", "charpoly"}
 
 
 def dense_oracle_uses(source):
@@ -116,3 +122,14 @@ def test_scan_flags_each_float_source():
 def test_not_a_single_float(path):
     exact = ("_congruence_pass",) if path.name == "lattice.py" else ()
     assert float_sources(path.read_text(), exact) == []
+
+
+def test_the_cli_imports_neither_fractions_nor_sympy():
+    # the congruence pass imports Fraction on its first call, so starting
+    # the CLI compiles and loads neither module
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, dualgraph.cli\n"
+             "print(sorted({'fractions', 'sympy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

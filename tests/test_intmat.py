@@ -4,8 +4,25 @@ from itertools import combinations
 from math import gcd
 
 from dualgraph.graph import build_graph
-from dualgraph.intmat import charpoly, charpoly_inertia, det_bareiss, smith_normal_form
+from dualgraph.intmat import charpoly, det_bareiss, smith_normal_form
 from dualgraph.lattice import smith_invariants
+
+
+def charpoly_inertia(c):
+    """Inertia of a symmetric matrix read off its characteristic polynomial.
+
+    Exact: the eigenvalue-zero count is the multiplicity of the root 0 of the
+    characteristic polynomial, and the positive count is the number of
+    coefficient sign changes, which is sharp for real-rooted polynomials.
+    """
+    n = len(c) - 1
+    zero = 0
+    while zero < n and c[n - zero] == 0:
+        zero += 1
+    reduced = c[: n - zero + 1]
+    signs = [1 if x > 0 else -1 for x in reduced if x != 0]
+    plus = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    return plus, zero, (n - zero) - plus
 
 
 def symmetric_signature(rows):

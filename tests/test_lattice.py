@@ -763,6 +763,37 @@ def test_zero_leaves_on_a_hub_against_closed_forms(n_leaves):
             assert smith_invariants(g).invariant_factors == tuple(want)
 
 
+@pytest.fixture
+def fraction_divisions(monkeypatch):
+    """Count the Fraction divisions a call makes, reverse ones included."""
+    count = [0]
+
+    def counted(op):
+        def divide(a, b):
+            count[0] += 1
+            return op(a, b)
+        return divide
+
+    for name in ("__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+
+    def measure(fn):
+        count[0] = 0
+        fn()
+        return count[0]
+
+    return measure
+
+
+@pytest.mark.parametrize("g", [hub_on_triangle(-1, 200), cycle([-2] * 200), cycle([0] * 200)],
+                         ids=["zero-leaf-hub", "minus-two-cycle", "zero-cycle"])
+def test_congruence_pass_divides_linearly_often(fraction_divisions, g):
+    # a hub pivoted before its zero leaves fills an L x L block, about L^2
+    # divisions; pairing each zero leaf first keeps the pass within a few
+    # divisions per vertex and edge
+    assert fraction_divisions(lambda: signature(g)) <= 4 * (len(g) + len(g.edges))
+
+
 # ------------------------------------------------ unit pivots before the Smith form
 
 def test_smith_invariants_match_determinantal_divisors():
