@@ -297,10 +297,12 @@ def cmd_fibers(args) -> CommandResult:
         results["violations"] = violations
         checks.append(CheckResult("no_violations", 0, violations))
         summary.append(f"violations: {violations}")
-    blocks = [
-        (f"fiber_{i}", GraphDocument(f.graph), dict(f.multiplicity))
-        for i, f in enumerate(fibers)
-    ]
+    blocks = None
+    if args.format == "dot":
+        blocks = [
+            (f"fiber_{i}", GraphDocument(f.graph), dict(f.multiplicity))
+            for i, f in enumerate(fibers)
+        ]
     return CommandResult(results=results, checks=checks, summary=summary,
                          dot_blocks=blocks)
 

@@ -10,10 +10,13 @@ uniquely once the graph is known.
 
 enumerate_fibers walks this inductive definition breadth-first and keeps one
 representative per isomorphism class of (weight, multiplicity)-labeled tree.
+Each child is a blow-up patched onto a move-engine draft of its parent and
+keyed on the draft's adjacency; only a child with a new key is frozen into a
+graph, so the census builds one graph per class, not one per blow-up.
 validate_fiber checks the structural facts every fiber must satisfy, plus a
-second tier for fibers with a unique (-1)-vertex.  fujita_accounting checks
-the counting identity h + nu + rho = Sigma + #boundary + 2 on an assembled
-fibration model.
+second tier for fibers with a unique (-1)-vertex, all read from the graph's
+one adjacency index.  fujita_accounting checks the counting identity
+h + nu + rho = Sigma + #boundary + 2 on an assembled fibration model.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
-from .graph import WeightedGraph, _walk, build_graph, classify_shape
+from .graph import WeightedGraph, _walk, build_graph
 from .lattice import discriminant
-from .moves import MoveLog, blow_up
+from .moves import Move, MoveLog, _Draft
 
 
 @dataclass(frozen=True)
@@ -49,24 +52,35 @@ def initial_fiber() -> Fiber:
 Position = Union[int, Tuple[int, int]]
 
 
+def _blow_up_onto(d: _Draft, mult: Dict[int, int], position: Position) -> Move:
+    """Blow up draft d at position and give the new vertex its multiplicity in mult.
+
+    A free point's new vertex inherits its carrier's multiplicity; an
+    intersection point's adds its two curves'.
+    """
+    anchors = position if isinstance(position, tuple) else (position,)
+    move = d.blow_up(anchors)
+    mult[move.vertex] = sum(mult[a] for a in anchors)
+    return move
+
+
 def fiber_blow_up(f: Fiber, position: Position) -> Fiber:
     """Blow up the fiber at a free point of a vertex or at an edge."""
-    anchors = position if isinstance(position, tuple) else (position,)
-    g, move = blow_up(f.graph, anchors)
+    d = _Draft(f.graph)
     mult = dict(f.multiplicity)
-    mult[move.vertex] = sum(f.multiplicity[a] for a in anchors)
-    return Fiber(g, mult, f.history + MoveLog((move,)))
+    move = _blow_up_onto(d, mult, position)
+    return Fiber(d.freeze(), mult, f.history + MoveLog((move,)))
 
 
 def is_numerically_trivial(f: Fiber) -> bool:
     """Q m = 0: the full fiber meets every component in zero points.
 
     (Q m)_v = w_v m_v + the sum of m_u over the edges at v, read off the
-    adjacency in time linear in the graph.
+    adjacency index in time linear in the graph.
     """
     g, m = f.graph, f.multiplicity
-    return all(g.weight(v) * m[v] + sum(m[u] for u in g.neighbors(v)) == 0
-               for v in g.vertices)
+    return all(g.weight(v) * m[v] + sum(m[u] for u in ns) == 0
+               for v, ns in g._index().items())
 
 
 # The close token of a flat key sorts below every label token (1, w, m), so a
@@ -74,15 +88,17 @@ def is_numerically_trivial(f: Fiber) -> bool:
 _CLOSE = (0,)
 
 
-def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int, int]], root: int):
+def _encode_rooted(adj: Mapping[int, Sequence[int]],
+                   labels: Mapping[int, Tuple[int, int, int]], root: int):
     """Flat key of the tree hung from root, built leaves first.
 
-    A subtree's key is its root's label token, then its children's keys in
-    increasing order, then _CLOSE.  Raises NotAForest when the walk from
-    root misses a vertex.
+    adj maps each vertex to its neighbours (a graph's index or a draft's
+    adj).  A subtree's key is its root's label token, then its children's
+    keys in increasing order, then _CLOSE.  Raises NotAForest when the
+    walk from root misses a vertex.
     """
-    order, parent = _walk(g._index(), (root,))
-    if len(order) != len(g):
+    order, parent = _walk(adj, (root,))
+    if len(order) != len(adj):
         raise NotAForest("fiber graphs are trees")
     kids: Dict[int, List[tuple]] = {v: [] for v in order}
     for v in reversed(order):
@@ -92,6 +108,17 @@ def _encode_rooted(g: WeightedGraph, labels: Mapping[int, Tuple[int, int, int]],
         if parent[v] is not None:
             kids[parent[v]].append(key)
     return key
+
+
+def _tree_key(adj: Mapping[int, Sequence[int]], weight: Mapping[int, int],
+              mult: Mapping[int, int]) -> tuple:
+    """fiber_key of the tree with neighbour mapping adj, weights and multiplicities."""
+    # the empty graph fails here too, before min sees no labels
+    if sum(map(len, adj.values())) != 2 * (len(adj) - 1):
+        raise NotAForest("fiber graphs are trees")
+    labels = {v: (1, weight[v], mult[v]) for v in adj}
+    least = min(labels.values())
+    return min(_encode_rooted(adj, labels, r) for r in adj if labels[r] == least)
 
 
 def fiber_key(f: Fiber) -> tuple:
@@ -107,19 +134,17 @@ def fiber_key(f: Fiber) -> tuple:
     and the first rooting's walk reaches all V vertices.
     """
     g = f.graph
-    # the empty graph fails here too, before min sees no labels
-    if len(g.edges) != len(g) - 1:
-        raise NotAForest("fiber graphs are trees")
-    labels = {v: (1, g.weight(v), f.multiplicity[v]) for v in g.vertices}
-    least = min(labels.values())
-    return min(_encode_rooted(g, labels, r) for r in g.vertices if labels[r] == least)
+    return _tree_key(g._index(), g._weight, f.multiplicity)
 
 
 def enumerate_fibers(max_vertices: int) -> List[Fiber]:
     """All fiber classes with at most max_vertices components.
 
-    Breadth-first closure of the smooth fiber under fiber_blow_up, one
+    Breadth-first closure of the smooth fiber under blow-ups, one
     representative per isomorphism class, in (size, canonical form) order.
+    Each child is the parent's blow-up on a move-engine draft (the step
+    fiber_blow_up takes), keyed on the draft's adjacency; only a child
+    with a new key is frozen into a Fiber.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
@@ -129,14 +154,18 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
     while frontier:
         nxt: List[Fiber] = []
         for f in frontier:
-            if len(f.graph) >= max_vertices:
+            g = f.graph
+            if len(g) >= max_vertices:
                 continue
-            positions: List[Position] = list(f.graph.vertices)
-            positions.extend(sorted(set(f.graph.edges)))
+            positions: List[Position] = list(g.vertices)
+            positions.extend(sorted(set(g.edges)))
             for pos in positions:
-                child = fiber_blow_up(f, pos)
-                key = fiber_key(child)
+                d = _Draft(g)
+                mult = dict(f.multiplicity)
+                move = _blow_up_onto(d, mult, pos)
+                key = _tree_key(d.adj, d.weights, mult)
                 if key not in classes:
+                    child = Fiber(d.freeze(), mult, f.history + MoveLog((move,)))
                     classes[key] = child
                     nxt.append(child)
         frontier = nxt
@@ -163,43 +192,54 @@ def validate_fiber(f: Fiber) -> FiberReport:
     two components, one of them a chain if two; the fiber has exactly two
     multiplicity-1 components and they are tips, in the same component of
     the complement whenever the fiber itself is not a chain.
+
+    Every check reads the graph's one adjacency index.  A graph is a tree
+    when it has V - 1 edges and a walk from its first vertex reaches all V;
+    in a tree, the complement of a vertex has one component per neighbour,
+    read off one walk hung from that vertex.
     """
-    g = f.graph
+    g, m = f.graph, f.multiplicity
+    adj = g._index()
     bad: List[str] = []
-    shape = classify_shape(g)
-    if not shape.is_tree:
+    is_tree = (len(g.edges) == len(g) - 1
+               and len(_walk(adj, g.vertices[:1])[0]) == len(g))
+    if not is_tree:
         bad.append("fiber graph is not a tree")
-    for v in g.vertices:
-        if g.weight(v) == -1 and g.degree(v) >= 3:
+    minus_ones = [v for v in g.vertices if g.weight(v) == -1]
+    for v in minus_ones:
+        if len(adj[v]) >= 3:
             bad.append(f"(-1)-vertex {v} branches")
-    if shape.is_tree and discriminant(g) != 0:
+    if is_tree and discriminant(g) != 0:
         bad.append("discriminant is not zero")
     if not is_numerically_trivial(f):
         bad.append("multiplicity vector is not numerically trivial")
 
-    minus_ones = [v for v in g.vertices if g.weight(v) == -1]
-    second = shape.is_tree and len(minus_ones) == 1
+    second = is_tree and len(minus_ones) == 1
     if second:
         center = minus_ones[0]
-        rest = [v for v in g.vertices if v != center]
-        comps = classify_shape(g, rest).components
-        if len(comps) > 2:
+        # home[v]: the neighbour of center whose side of the tree holds v
+        order, parent = _walk(adj, (center,))
+        home: Dict[int, int] = {}
+        for v in order[1:]:
+            home[v] = v if parent[v] == center else home[parent[v]]
+        sides = adj[center]
+        if len(sides) > 2:
             bad.append("complement of the (-1)-vertex has more than two components")
-        if len(comps) == 2 and not any(classify_shape(g, c).is_chain for c in comps):
-            bad.append("neither complement component is a chain")
-        ones = [v for v in g.vertices if f.multiplicity[v] == 1]
+        if len(sides) == 2:
+            # a side is a chain when none of its vertices meets three others
+            # in it; the side's root also meets the center
+            wide = {home[v] for v in home if len(adj[v]) - (parent[v] == center) > 2}
+            if wide.issuperset(sides):
+                bad.append("neither complement component is a chain")
+        ones = [v for v in g.vertices if m[v] == 1]
         if len(ones) != 2:
             bad.append(f"expected two multiplicity-1 components, found {len(ones)}")
-        if any(g.degree(v) > 1 for v in ones):
+        if any(len(adj[v]) > 1 for v in ones):
             bad.append("a multiplicity-1 component is not a tip")
-        if not shape.is_chain and len(ones) == 2 and len(comps) >= 1:
-            homes = []
-            for v in ones:
-                for i, c in enumerate(comps):
-                    if v in c:
-                        homes.append(i)
-            if len(homes) == 2 and homes[0] != homes[1]:
-                bad.append("multiplicity-1 tips split across complement components")
+        is_chain = all(len(ns) <= 2 for ns in adj.values())
+        homes = [home[v] for v in ones if v in home]
+        if not is_chain and len(ones) == len(homes) == 2 and homes[0] != homes[1]:
+            bad.append("multiplicity-1 tips split across complement components")
     return FiberReport(tuple(bad), second)
 
 

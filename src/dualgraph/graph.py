@@ -22,8 +22,9 @@ induced graph once, on entry to each function that takes one, so every
 kernel reads a WeightedGraph; selecting everything gives the graph itself.
 
 Shape questions read one breadth-first walk, _walk, with no recursion.
-classify_shape, the forest pass, chain_order and fiber_key walk a
-graph's index; the chain rewriting walks its draft's adjacency.
+classify_shape, the forest pass, chain_order, fiber_key and validate_fiber
+walk a graph's index; the chain rewriting and the fiber census walk a
+draft's adjacency.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -183,11 +184,62 @@ def test_fiber_key_walks_about_once_per_call(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(fibration, name, wrapper)
 
+    # _tree_key is the keying step that fiber_key and the census share
     counted("_walk")
-    counted("fiber_key")
+    counted("_tree_key")
     assert len(fibration.enumerate_fibers(8)) == 1942
-    assert calls["fiber_key"] >= 1942
-    assert calls["_walk"] <= 1.25 * calls["fiber_key"]
+    assert calls["_tree_key"] >= 1942
+    assert calls["_walk"] <= 1.25 * calls["_tree_key"]
+
+
+def reference_enumerate(max_vertices):
+    """enumerate_fibers by the loop it replaced: fiber_blow_up and fiber_key
+    for every child, each child a frozen Fiber.  Oracle only."""
+    start = initial_fiber()
+    classes = {fiber_key(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            if len(f.graph) >= max_vertices:
+                continue
+            positions = list(f.graph.vertices) + sorted(set(f.graph.edges))
+            for pos in positions:
+                child = fiber_blow_up(f, pos)
+                key = fiber_key(child)
+                if key not in classes:
+                    classes[key] = child
+                    nxt.append(child)
+        frontier = nxt
+    ordered = sorted(classes.items(), key=lambda kf: (len(kf[1].graph), kf[0]))
+    return [f for _key, f in ordered]
+
+
+def representative(f):
+    g = f.graph
+    return (g.vertices, [g.weight(v) for v in g.vertices], g.edges, g.next_id,
+            list(f.multiplicity.items()), f.history.moves)
+
+
+@pytest.mark.parametrize("max_vertices", range(1, 9))
+def test_census_matches_the_blow_up_and_key_reference(max_vertices):
+    got = [representative(f) for f in enumerate_fibers(max_vertices)]
+    assert got == [representative(f) for f in reference_enumerate(max_vertices)]
+
+
+def test_census_builds_one_graph_per_class(monkeypatch):
+    # children are keyed on drafts and only a new class is frozen; the
+    # smooth fiber is built outright
+    built = Counter()
+    init = fibration.WeightedGraph.__init__
+
+    def counted_init(self, *args):
+        built["graphs"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(fibration.WeightedGraph, "__init__", counted_init)
+    assert len(enumerate_fibers(8)) == 1942
+    assert built["graphs"] == 1942
 
 
 def test_enumerate_order_is_size_then_reference_key():
@@ -331,6 +383,141 @@ def test_validate_names_each_violation(fiber, message):
     report = validate_fiber(fiber)
     assert message in report.violations
     assert report.second_tier_applies == (message != "discriminant is not zero")
+
+
+def reference_validate(f):
+    """validate_fiber by the induced-graph checks it replaced: classify_shape
+    on the fiber, on the complement of its (-1)-vertex and on each
+    complement component.  Oracle only."""
+    g = f.graph
+    bad = []
+    shape = classify_shape(g)
+    if not shape.is_tree:
+        bad.append("fiber graph is not a tree")
+    for v in g.vertices:
+        if g.weight(v) == -1 and g.degree(v) >= 3:
+            bad.append(f"(-1)-vertex {v} branches")
+    if shape.is_tree and discriminant(g) != 0:
+        bad.append("discriminant is not zero")
+    if not dense_q_times_m_is_zero(f):
+        bad.append("multiplicity vector is not numerically trivial")
+    minus_ones = [v for v in g.vertices if g.weight(v) == -1]
+    second = shape.is_tree and len(minus_ones) == 1
+    if second:
+        center = minus_ones[0]
+        comps = classify_shape(g, [v for v in g.vertices if v != center]).components
+        if len(comps) > 2:
+            bad.append("complement of the (-1)-vertex has more than two components")
+        if len(comps) == 2 and not any(classify_shape(g, c).is_chain for c in comps):
+            bad.append("neither complement component is a chain")
+        ones = [v for v in g.vertices if f.multiplicity[v] == 1]
+        if len(ones) != 2:
+            bad.append(f"expected two multiplicity-1 components, found {len(ones)}")
+        if any(g.degree(v) > 1 for v in ones):
+            bad.append("a multiplicity-1 component is not a tip")
+        if not shape.is_chain and len(ones) == 2 and len(comps) >= 1:
+            homes = [i for v in ones for i, c in enumerate(comps) if v in c]
+            if len(homes) == 2 and homes[0] != homes[1]:
+                bad.append("multiplicity-1 tips split across complement components")
+    return tuple(bad), second
+
+
+def perturbed(rng, f):
+    """f on shuffled fresh ids, with up to three edits: a weight or a
+    multiplicity moved by one (a weight often to -1), an edge added (a
+    parallel one, a cycle or a bridge to a new isolated vertex) or removed."""
+    g = f.graph
+    ids = rng.sample(range(40), len(g) + 1)
+    rename = dict(zip(g.vertices, ids))
+    order = [rename[v] for v in g.vertices]
+    rng.shuffle(order)
+    weight = {rename[v]: g.weight(v) for v in g.vertices}
+    mult = {rename[v]: f.multiplicity[v] for v in g.vertices}
+    edges = [(rename[a], rename[b]) for a, b in g.edges]
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(order)
+        edit = rng.randrange(6)
+        if edit == 0:
+            weight[v] = -1 if rng.random() < 0.5 else weight[v] + rng.choice((-1, 1))
+        elif edit == 1:
+            mult[v] = max(1, mult[v] + rng.choice((-1, 1)))
+        elif edit == 2 and len(order) > 1:
+            edges.append(tuple(rng.sample(order, 2)))
+        elif edit == 3 and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif edit == 4 and ids[-1] not in weight:
+            order.append(ids[-1])
+            weight[ids[-1]], mult[ids[-1]] = rng.randint(-3, 0), rng.randint(1, 2)
+        elif edit == 5 and edges:
+            edges.append(rng.choice(edges))
+    return Fiber(build_graph([(v, weight[v]) for v in order], edges),
+                 {v: mult[v] for v in order}, MoveLog())
+
+
+def random_multigraph_fiber(rng):
+    """0-8 vertices on scattered ids, random edges with repeats, weights
+    crowded at -1 and -2, multiplicities 1-3."""
+    n = rng.randint(0, 8)
+    ids = rng.sample(range(30), n)
+    edges = []
+    if n > 1:
+        edges = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, n + 2))]
+    g = build_graph([(v, rng.choice((-1, -1, -2, -2, -3, 0, 1))) for v in ids], edges)
+    return Fiber(g, {v: rng.randint(1, 3) for v in ids}, MoveLog())
+
+
+def random_minus_one_tree(rng):
+    """A random tree of 1-8 vertices with one or two (-1)-vertices and
+    multiplicities mostly 1 or 2, so the second tier runs often."""
+    n = rng.randint(1, 8)
+    return random_labelled_tree(rng, n, [(-1, 2), (-2, 1), (-2, 2), (-3, 1), (-2, 1)])
+
+
+def random_two_sided_fiber(rng):
+    """A unique (-1)-vertex joining two random trees of 1-4 vertices, half
+    of the 4-vertex ones stars, sometimes with a third side of one vertex.
+    Both sides can branch only from 9 vertices on."""
+    ids = rng.sample(range(30), 10)
+    center = ids.pop()
+    verts, edges = [center], []
+    for size in (rng.randint(1, 4), rng.randint(1, 4), rng.choice((0, 0, 0, 1))):
+        side, ids = ids[:size], ids[size:]
+        if size == 4 and rng.random() < 0.5:
+            hub = rng.choice(side)
+            edges += [(hub, v) for v in side if v != hub]
+        else:
+            edges += [(side[i], side[rng.randrange(i)]) for i in range(1, size)]
+        if side:
+            edges.append((center, side[0]))
+        verts += side
+    weight = {v: rng.choice((-2, -2, -3)) for v in verts}
+    weight[center] = -1
+    g = build_graph([(v, weight[v]) for v in verts], edges)
+    return Fiber(g, {v: rng.randint(1, 2) for v in verts}, MoveLog())
+
+
+def test_validation_matches_the_induced_graph_reference():
+    fibers = enumerate_fibers(9)
+    assert len(fibers) == 9645
+    for f in fibers:
+        report = validate_fiber(f)
+        assert (report.violations, report.second_tier_applies) == reference_validate(f)
+    rng = random.Random(18)
+    small = [f for f in fibers if len(f.graph) <= 7]
+    seen = Counter()
+    makers = [lambda: perturbed(rng, rng.choice(small)),
+              lambda: random_multigraph_fiber(rng),
+              lambda: random_minus_one_tree(rng),
+              lambda: random_two_sided_fiber(rng)]
+    for i in range(28000):
+        f = makers[i % 4]()
+        report = validate_fiber(f)
+        want = reference_validate(f)
+        assert (report.violations, report.second_tier_applies) == want, f.graph
+        seen.update(re.sub(r"\d+", "N", message) for message in want[0])
+        seen["second tier"] += want[1]
+    # every violation and the second tier occur often among the random inputs
+    assert len(seen) == 10 and min(seen.values()) >= 50, seen
 
 
 def test_second_tier_applies_only_to_unique_minus_one():
