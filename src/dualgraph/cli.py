@@ -7,24 +7,22 @@ by default, versioned JSON with --format json, Graphviz with --format
 dot.  Exit status: 0 all checks pass, 1 some check or operation failed,
 2 the invocation itself was unusable.
 
-The JSON certificate (schema dualgraph.certificate/1) has a fixed byte
-layout, written by _json_text:
+The JSON certificate (schema dualgraph.certificate/2) holds only None,
+bool, int, str, lists, tuples and dicts with str keys; any other value or
+key raises TypeError, so no value is written through str().  It has a
+fixed byte layout, written by _json_text:
 
 - each item of an array or object starts on a new line indented by two
   spaces per level of nesting, items are separated by ",", and the
   closing bracket sits on its own line at the opening line's indent;
 - an empty array is "[]", an empty object "{}";
-- object keys are strings, sorted, each followed by ": "; a non-string
-  key is written as str(key), and where two keys give the same string
-  the later one wins;
+- object keys are sorted, each followed by ": ";
 - strings are ASCII-escaped as json.encoder.encode_basestring_ascii
   escapes them (a non-ASCII character as a backslash-u escape, one
   beyond the BMP as a surrogate pair of them);
 - integers, int subclasses included, in decimal (int.__repr__);
   true, false and null for the booleans and None;
 - a tuple is written as an array;
-- any other value (a float, a frozenset, a Fraction, a ChainType) as the
-  string str(value);
 - the document ends in a single newline.
 
 This is the layout json.dumps(..., sort_keys=True, indent=2) gives, which
@@ -57,7 +55,7 @@ from .resolution import (
     theorem_pipeline,
 )
 
-SCHEMA = "dualgraph.certificate/1"
+SCHEMA = "dualgraph.certificate/2"
 
 
 class UsageFailure(Exception):
@@ -81,14 +79,14 @@ class CommandResult:
 
 
 def _jsonable(x):
-    """x with tuples as lists, keys as str and other non-JSON values as str (--format text)."""
+    """x with tuples as lists (--format text); a value that is not JSON raises TypeError."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, (list, tuple)):
         return [_jsonable(t) for t in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return str(x)
+    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        return {k: _jsonable(v) for k, v in x.items()}
+    raise TypeError(f"not a certificate value: {x!r}")
 
 
 def _json_text(x) -> str:
@@ -103,13 +101,12 @@ def _write_json(x, depth: int, out: List[str]) -> None:
 
     One pass over x.  Ints, strings and booleans inside a container are
     written in place rather than by a call each, and each object is
-    sorted once.
+    sorted once.  A key that is not a str raises TypeError in sorted or _quote.
     """
     if isinstance(x, dict):
         if not x:
             out.append("{}")
             return
-        x = {str(k): v for k, v in x.items()}
         keys = sorted(x)
         values = [x[k] for k in keys]
         opening, closing = "{", "}"
@@ -131,7 +128,7 @@ def _write_json(x, depth: int, out: List[str]) -> None:
         elif isinstance(x, str):
             text = _quote(x)
         else:
-            text = _quote(str(x))
+            raise TypeError(f"not a certificate value: {x!r}")
         out.append(text)
         return
     pad = "\n" + "  " * (depth + 1)
@@ -361,11 +358,6 @@ def _resolve_infinity(pair: CuspPair) -> CommandResult:
     )
 
 
-#: the completion model's checks that `resolve --stage completion` prints
-_COMPLETION_CHECKS = ("boundary_discriminant", "far_part_floor", "sides_coprime",
-                     "euler_vs_bridge_contacts")
-
-
 def _resolve_completion(pair: CuspPair) -> CommandResult:
     c = build_completion(pair)
     g = c.graph
@@ -385,7 +377,7 @@ def _resolve_completion(pair: CuspPair) -> CommandResult:
                  "d_line_part": c.d_line,
                  "d_cusp_part": discriminant(g, c.cusp_part),
                  "graph": _graph_payload(out)},
-        checks=[chk for chk in c.checks if chk.name in _COMPLETION_CHECKS],
+        checks=c.checks,
         moves={"resolution": _move_rows(c.history.resolution),
                "minimalization": _move_rows(c.history.minimalization)},
         document=out,
@@ -596,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "text", "dot"), default="text",
                         help="output rendering (default: text)")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized commands (recorded in certificates)")
 
     p = argparse.ArgumentParser(
         prog="dualgraph",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .chains import ChainType, chain_order, standardize_chain
+from .chains import chain_order, standardize_chain
 from .errors import (
     BadOrder,
     NotAChain,
@@ -447,7 +447,7 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
               (fiber_two.vertices, g.weight(AXIS_X)))
         survivors = [v for v in g.vertices if v in far_set]
         reduced = standardize_chain(g, survivors)
-        check("far_boundary_reduces_to_plane_form", ChainType((0, 0)), reduced.chain_type)
+        check("far_boundary_reduces_to_plane_form", [0, 0], list(reduced.chain_type.entries))
 
     check("history_rebuilds", True, history.rebuild() == g)
 
@@ -475,9 +475,8 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
     role = FiberRole(vertices, near, axis, far, mult)
     if axis in vertices:
         i = vertices.index(axis)
-        sides = {frozenset(vertices[:i]), frozenset(vertices[i + 1:])}
-        check(f"member_{tag}_sides_are_near_far",
-              {frozenset(near), frozenset(far)}, sides)
+        sides = sorted([sorted(vertices[:i]), sorted(vertices[i + 1:])])
+        check(f"member_{tag}_sides_are_near_far", sorted([sorted(near), sorted(far)]), sides)
     fiber = Fiber(member, mult, MoveLog())
     check(f"member_{tag}_fiber_report", (), validate_fiber(fiber).violations)
     return role, fiber

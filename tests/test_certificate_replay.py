@@ -8,7 +8,9 @@ applies the `moves.resolution` rows at their positions, glues the curve
 (weight n^2 - nm - n(n - m) = 0) to the two sections, applies the
 `moves.minimalization` rows, and must arrive at the emitted graph.  d_v1
 and d_v2 are then the continuants of the negated weights along each
-fiber's near part.
+fiber's near part.  Each sides check must hold the fiber's near and far
+parts, and the two sides of its free vertex, as sorted lists of sorted
+lists.
 """
 
 import io
@@ -59,7 +61,9 @@ def continuant(entries):
 
 
 def replay_certificate(cert):
-    """Check the emitted graph, d_v1 and d_v2 against a replay of the move rows."""
+    """Check the emitted graph, d_v1, d_v2 and the sides checks against a replay of the move rows."""
+    assert cert["schema"] == "dualgraph.certificate/2"
+    assert "seed" not in cert["inputs"]
     order, weight, edges = [0, 1, 2], {0: 1, 1: 1, 2: 1}, [(0, 1), (0, 2), (1, 2)]
     for row in cert["moves"]["resolution"]:
         apply_row(order, weight, edges, row)
@@ -78,6 +82,15 @@ def replay_certificate(cert):
     for d, fiber in (("d_v1", "fiber_one"), ("d_v2", "fiber_two")):
         assert continuant(-weight[v] for v in results[fiber]["near_part"]) == results[d]
 
+    computed = {c["name"]: c["computed"] for c in cert["checks"]}
+    for tag in ("one", "two"):
+        fiber = results[f"fiber_{tag}"]
+        vertices = fiber["vertices"]
+        i = vertices.index(fiber["free_vertex"])
+        sides = computed[f"member_{tag}_sides_are_near_far"]
+        assert sides == sorted([sorted(fiber["near_part"]), sorted(fiber["far_part"])])
+        assert sides == sorted([sorted(vertices[:i]), sorted(vertices[i + 1:])])
+
 
 def verify_theorem(n, m):
     out = io.StringIO()
@@ -92,6 +105,15 @@ def test_replay_rejects_a_shifted_blow_down():
     row = next(r for r in cert["moves"]["minimalization"] if r["kind"] == "blow_down")
     row["position"] += 1
     with pytest.raises(AssertionError, match="is not at position"):
+        replay_certificate(cert)
+
+
+def test_replay_rejects_sides_that_are_not_the_near_and_far_parts():
+    cert = verify_theorem(5, 2)
+    check = next(c for c in cert["checks"] if c["name"] == "member_one_sides_are_near_far")
+    near, far = cert["results"]["fiber_one"]["near_part"], cert["results"]["fiber_one"]["far_part"]
+    check["computed"] = sorted([sorted(near[1:]), sorted(far + near[:1])])
+    with pytest.raises(AssertionError):
         replay_certificate(cert)
 
 
