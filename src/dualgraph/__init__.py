@@ -78,11 +78,8 @@ from .moves import (
     apply_move,
     blow_down,
     blow_up,
-    blow_up_edge,
-    blow_up_free,
     elementary_transformation,
     snc_minimalize,
-    spawn,
 )
 from .resolution import (
     BuildHistory,

@@ -78,11 +78,11 @@ def _is_terminal(t: List[int]) -> bool:
 
 
 def _ramp_single_negative(d: _Draft, v: int) -> None:
-    # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end
-    d.blow_up((v,))
+    # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end; v's one
+    # neighbour is always the last blow-up
+    last = d.blow_up((v,)).vertex
     while -d.weight(v) < 0:
-        last = [u for u in d.neighbors(v) if d.weight(u) == -1][0]
-        d.blow_up((last, v))
+        last = d.blow_up((last, v)).vertex
     d.elementary_transformation(v, "free")
 
 
@@ -142,37 +142,26 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             bad = sorted(k - 1 - i for i in bad)
         p = bad[0]
         if len(bad) == 2:
-            # a 0,0 pair at a tip is terminal, so p == 0 never meets it
-            if t[p] == 0 and t[p + 1] <= -1:
-                _run_ets(d, order[p], order[p + 1], -t[p + 1])
-            elif t[p] <= -1 and t[p + 1] == 0:
-                _run_ets(d, order[p + 1], order[p], -t[p])
-            elif t[p] == 0 and t[p + 1] == 0:
-                _run_ets(d, order[p], order[p + 1], 2)
-            else:
+            # (0, neg) and (neg, 0) are mirror images, and 0,0 takes two
+            # transformations; a 0,0 pair at a tip is terminal, so p == 0
+            # never meets it
+            z, o = (p, p + 1) if t[p] == 0 else (p + 1, p)
+            if t[z] != 0:
                 raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
-        elif p == 0:
-            if t[0] == 0:
-                # free transformations push the tip's neighbor to 0
-                _run_ets(d, order[0], "free", t[1])
-            else:
-                # ladder of edge blow-ups raises the negative tip to 0,
-                # leaving a single transient 1 to absorb by one free
-                # transformation
-                left, right = order[0], order[1]
-                for _ in range(-t[0]):
-                    right = d.blow_up((left, right)).vertex
-                d.elementary_transformation(left, "free")
+            _run_ets(d, order[z], order[o], -t[o] or 2)
+        elif t[p] == 0 and p == 0:
+            # free transformations push the tip's neighbor to 0
+            _run_ets(d, order[0], "free", t[1])
         elif t[p] == 0:
             # walk the zero toward the left tip
             _run_ets(d, order[p], order[p + 1], t[p - 1] - 1)
         else:
-            # raise the interior negative to 0 with a ladder on its right
-            # edge, then absorb the transient 1
+            # a ladder of edge blow-ups on the right edge raises the negative
+            # to 0, leaving a single transient 1 to absorb by one transformation
             v, right = order[p], order[p + 1]
             for _ in range(-t[p]):
                 right = d.blow_up((v, right)).vertex
-            d.elementary_transformation(v, right)
+            d.elementary_transformation(v, "free" if p == 0 else right)
 
     final_type = ChainType(tuple(t))
     return StandardizeResult(

@@ -2,7 +2,8 @@
 
 One statement per line: ``v <id> <weight>`` declares a vertex, ``e <id>
 <id>`` an intersection, ``role <name> <id>...`` tags a named selection.
-``#`` starts a comment, blank lines are skipped.  Vertices keep file
+``#`` starts a comment, blank lines are skipped; a comment line
+``# dualgraph <version>`` must name FORMAT_VERSION.  Vertices keep file
 order, so a document pins down one graph exactly; the printer emits a
 canonical layout (header, vertices, sorted edges, sorted roles) that the
 parser maps back to the same document.
@@ -33,7 +34,6 @@ _HEADER = re.compile(r"^#\s*dualgraph\s+(\S+)\s*$")
 class GraphDocument:
     graph: WeightedGraph
     roles: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    version: str = FORMAT_VERSION
 
 
 def _int(token: str, line_number: int, what: str) -> int:
@@ -45,15 +45,15 @@ def _int(token: str, line_number: int, what: str) -> int:
 
 def parse_document(text: str) -> GraphDocument:
     """Parse the text format; errors carry the offending line number."""
-    version = FORMAT_VERSION
     spec: List[Tuple[int, int]] = []
     seen: Dict[int, int] = {}
     edge_lines: List[Tuple[int, int, int]] = []
     role_lines: List[Tuple[int, str, Tuple[int, ...]]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         head = _HEADER.match(raw.strip())
-        if head:
-            version = head.group(1)
+        if head and head.group(1) != FORMAT_VERSION:
+            raise GraphSyntaxError(
+                ln, f"format version {head.group(1)!r} is not {FORMAT_VERSION!r}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -99,7 +99,7 @@ def parse_document(text: str) -> GraphDocument:
                 raise UnknownVertex(f"line {ln}: role member {vid} is not a declared vertex")
         roles[name] = ids
     g = build_graph(spec, [(a, b) for _, a, b in edge_lines])
-    return GraphDocument(g, roles, version)
+    return GraphDocument(g, roles)
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -109,7 +109,7 @@ def parse_graph(text: str) -> WeightedGraph:
 def format_document(doc: GraphDocument) -> str:
     """Canonical text: header, vertices in graph order, sorted edges and roles."""
     g = doc.graph
-    lines = [f"# dualgraph {doc.version}"]
+    lines = [f"# dualgraph {FORMAT_VERSION}"]
     for v in g.vertices:
         lines.append(f"v {v} {g.weight(v)}")
     for a, b in sorted(g.edges):

@@ -3,13 +3,16 @@
 Two primitive moves.  blow_up(g, anchors) blows up a point on the curves
 listed in anchors and inserts a fresh (-1)-vertex meeting each of them
 once; each anchor's weight drops by 1, and with two anchors their edge is
-replaced.  The anchors decide the move: none is a fresh point on no
-tracked curve (spawn), one a free point of that curve (blow_up_free), two
-their intersection point (blow_up_edge).  blow_down contracts a
-non-branching (-1)-vertex and is the exact inverse.  Every applied move
-yields a Move record carrying a complete structural patch, so a MoveLog
-can be replayed forward or inverted exactly, restoring vertex ids and
-canonical order bit for bit.
+replaced.  The anchors decide the move's kind (Move.kind): none is
+"spawn", a fresh point on no tracked curve, one "blow_up_free", a free
+point of that curve, two "blow_up_edge", their intersection point.
+blow_down is the exact inverse, and _Draft.blow_down is the one statement
+of the contraction rule that every contraction goes through: the vertex
+has weight -1 and meets the rest in at most two points, transversally, on
+curves that do not already meet (Castelnuovo's criterion for snc models).
+Every applied move yields a Move record carrying a complete structural
+patch, so a MoveLog can be replayed forward or inverted exactly, restoring
+vertex ids and canonical order bit for bit.
 
 Every move is applied by one function, _Draft.apply, which patches a
 mutable copy of the graph (the order list, the weights and each vertex's
@@ -27,8 +30,8 @@ walks the draft's adj with graph._walk, as the chain rewriting does each
 round, rather than freezing it.
 
 Composite operations: snc_minimalize (repeated contraction of unprotected
-non-branching (-1)-vertices) and elementary_transformation (blow up on a
-0-vertex, then blow the old vertex down).
+(-1)-vertices that blow_down accepts) and elementary_transformation (blow
+up on a 0-vertex, then blow the old vertex down).
 """
 
 from __future__ import annotations
@@ -112,8 +115,7 @@ class _Draft:
     order is the canonical vertex order, weights maps ids to weights,
     adj lists each vertex's neighbours, one entry per edge, in no
     particular order, and log lists the moves applied, oldest first.
-    weight, has_edge and neighbors answer as WeightedGraph's do;
-    neighbors sorts into canonical order.
+    weight and has_edge answer as WeightedGraph's do.
     """
 
     __slots__ = ("order", "weights", "adj", "next_id", "log")
@@ -146,12 +148,6 @@ class _Draft:
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.adj.get(a, ())
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        """Adjacent ids, one entry per incident edge, in canonical order."""
-        self.require_vertex(v)
-        ns = self.adj[v]
-        return tuple(ns) if len(ns) < 2 else tuple(sorted(ns, key=self.order.index))
 
     # ----------------------------------------------------------- writes
 
@@ -233,16 +229,18 @@ class _Draft:
         return m
 
     def blow_down(self, v: int) -> Move:
+        """Contract v by the contraction rule; the anchors are its neighbours in canonical order."""
         w = self.weight(v)
         if w != -1:
             raise NotMinusOne(f"vertex {v} has weight {w}, need -1")
-        if len(self.adj[v]) >= 3:
-            raise TooBranched(f"vertex {v} meets {len(self.adj[v])} intersection points")
-        nbs = self.neighbors(v)
+        nbs = tuple(self.adj[v])
+        if len(nbs) >= 3:
+            raise TooBranched(f"vertex {v} meets {len(nbs)} intersection points")
         if len(nbs) == 2:
+            nbs = tuple(sorted(nbs, key=self.order.index))
             if nbs[0] == nbs[1]:
                 raise NotSnc(f"vertex {v} meets {nbs[0]} twice")
-            if self.has_edge(nbs[0], nbs[1]):
+            if self.has_edge(*nbs):
                 raise NotSnc(f"neighbors {nbs[0]} and {nbs[1]} already meet")
         m = Move(BLOW_DOWN, v, self.order.index(v), nbs)
         self.apply(m)
@@ -251,8 +249,8 @@ class _Draft:
     def contract_all(self, protected=frozenset(), keep: int = 0) -> None:
         """Blow down contractible vertices, smallest id first, while more than keep remain.
 
-        Candidates wait in a min-heap of ids and are checked when popped;
-        one found not contractible is dropped.  Only a blow-down's former
+        Candidates wait in a min-heap of ids and are tried when popped;
+        one that blow_down rejects is dropped.  Only a blow-down's former
         neighbours can become contractible, so they are the only ids it
         pushes back: elsewhere it changes no weight and no neighbour list,
         and the one edge it adds can only spoil a vertex whose two
@@ -261,19 +259,14 @@ class _Draft:
         heap = sorted(self.order)
         while heap and len(self.order) > keep:
             v = heappop(heap)
-            if v in self.weights and self.contractible(v, protected):
-                for a in self.blow_down(v).anchors:
-                    heappush(heap, a)
-
-    def contractible(self, v: int, protected) -> bool:
-        if v in protected or self.weights[v] != -1:
-            return False
-        nbs = self.adj[v]
-        if len(nbs) >= 3:
-            return False
-        if len(nbs) == 2 and (nbs[0] == nbs[1] or self.has_edge(*nbs)):
-            return False
-        return True
+            if self.weights.get(v) != -1 or v in protected:
+                continue
+            try:
+                m = self.blow_down(v)
+            except (TooBranched, NotSnc):
+                continue
+            for a in m.anchors:
+                heappush(heap, a)
 
     def elementary_transformation(self, zero_vertex: int, side) -> Tuple[Move, Move]:
         w = self.weight(zero_vertex)
@@ -319,31 +312,11 @@ def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGrap
     return d.freeze(), m
 
 
-def blow_up_free(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
-    """Insert a fresh (-1)-vertex meeting v once; v's weight drops by 1."""
-    return blow_up(g, (v,))
-
-
-def blow_up_edge(g: WeightedGraph, a: int, b: int) -> Tuple[WeightedGraph, Move]:
-    """Replace one a-b intersection by a fresh (-1)-vertex meeting both."""
-    return blow_up(g, (a, b))
-
-
 def blow_down(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
-    """Contract a non-branching (-1)-vertex.
-
-    The vertex must have weight -1 and at most two incident intersection
-    points; with two, its neighbors must be distinct and not already meet
-    (contracting would otherwise leave a non-transversal double point).
-    """
+    """Contract a (-1)-vertex by the contraction rule (see the module docstring)."""
     d = _Draft(g)
     m = d.blow_down(v)
     return d.freeze(), m
-
-
-def spawn(g: WeightedGraph) -> Tuple[WeightedGraph, Move]:
-    """Add an isolated fresh (-1)-vertex (blow-up at an untracked point)."""
-    return blow_up(g)
 
 
 def snc_minimalize(

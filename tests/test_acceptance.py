@@ -31,7 +31,7 @@ from dualgraph.lattice import (
     signature,
     smith_invariants,
 )
-from dualgraph.moves import MoveLog, blow_down, blow_up_edge, blow_up_free, snc_minimalize
+from dualgraph.moves import MoveLog, blow_down, blow_up, snc_minimalize
 from dualgraph.resolution import CuspPair, build_completion, coprime_pairs, theorem_pipeline
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -225,10 +225,10 @@ def test_criterion_5_fiber_enumeration():
 def _random_move(rng, g):
     kind = rng.choice(["free", "edge", "down"])
     if kind == "free" and len(g):
-        return blow_up_free(g, rng.choice(list(g.vertices)))
+        return blow_up(g, (rng.choice(list(g.vertices)),))
     if kind == "edge" and g.edges:
         a, b = rng.choice(list(g.edges))
-        return blow_up_edge(g, a, b)
+        return blow_up(g, (a, b))
     candidates = [v for v in g.vertices if g.weight(v) == -1]
     rng.shuffle(candidates)
     for v in candidates:
@@ -275,12 +275,12 @@ def test_criterion_7_standard_forms():
         for _ in range(rng.randint(0, 12)):
             if rng.random() < 0.5 and g.edges:
                 a, b = rng.choice(list(g.edges))
-                g, _ = blow_up_edge(g, a, b)
+                g, _ = blow_up(g, (a, b))
             else:
                 tips = [v for v in g.vertices
                         if sum(g.edge_multiplicity(v, u)
                                for u in g.vertices if u != v) <= 1]
-                g, _ = blow_up_free(g, rng.choice(tips))
+                g, _ = blow_up(g, (rng.choice(tips),))
         assert discriminant(g) == -1
         assert standardize_chain(g).chain_type.entries == (0, 0)
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from heapq import heappop, heappush
 
 import pytest
 
@@ -8,15 +10,17 @@ from dualgraph.errors import (
     NotAChain,
     NotStandardizable,
 )
-from dualgraph.graph import build_graph
+from dualgraph.graph import _walk, build_graph
 from dualgraph.lattice import discriminant, signature
 from dualgraph import chains
 from dualgraph.chains import (
     ChainType,
+    StandardizeResult,
     chain_order,
     chain_type,
     standardize_chain,
 )
+from dualgraph.moves import MoveLog, _Draft
 
 from test_graph import chain
 
@@ -227,7 +231,7 @@ def test_standardize_log_replay_and_inverse():
 def test_standardize_random_blowups_of_zero_vertex_return_to_it():
     # chain-shaped blow-up histories over the 0-vertex stay in the kernel
     # class, so standardization must undo them exactly
-    from dualgraph.moves import blow_up_edge, blow_up_free
+    from dualgraph.moves import blow_up
 
     rng = random.Random(88)
     for _ in range(60):
@@ -236,9 +240,9 @@ def test_standardize_random_blowups_of_zero_vertex_return_to_it():
             tips = [v for v in g.vertices if g.degree(v) <= 1]
             if g.edges and rng.random() < 0.5:
                 a, b = rng.choice(g.edges)
-                g, _mv = blow_up_edge(g, a, b)
+                g, _mv = blow_up(g, (a, b))
             else:
-                g, _mv = blow_up_free(g, rng.choice(tips))
+                g, _mv = blow_up(g, (rng.choice(tips),))
         assert signature(g)[:2] == (0, 1)
         r = standardize_chain(g)
         assert r.chain_type == ChainType((0,))
@@ -300,3 +304,135 @@ def test_exhausted_move_budget_is_a_typed_error(monkeypatch):
         standardize_chain(chain([0, 0]))
     assert len(rounds) == 451
     assert issubclass(ChainRewriteInvariantViolation, DualGraphError)
+
+
+# ------------------------------------------------------ reference rewriting
+
+
+def _reference_contract_all(d, keep):
+    """Contraction that tests the snc rule as a bool before each blow-down."""
+    heap = sorted(d.order)
+    while heap and len(d.order) > keep:
+        v = heappop(heap)
+        if d.weights.get(v) != -1:
+            continue
+        nbs = d.adj[v]
+        if len(nbs) >= 3 or (len(nbs) == 2 and (nbs[0] == nbs[1] or d.has_edge(*nbs))):
+            continue
+        for a in d.blow_down(v).anchors:
+            heappush(heap, a)
+
+
+def _reference_run_ets(d, zero, side, count):
+    for _ in range(count):
+        zero = d.elementary_transformation(zero, side)[0].vertex
+
+
+def reference_standardize_chain(g):
+    """standardize_chain's rewriting with one branch per chain pattern.
+
+    The oracle for the folded case analysis: the (0, neg), (neg, 0) and
+    (0, 0) pairs, the tip ladder and the interior ladder each have their
+    own branch, and the single-vertex ramp looks the last blow-up up among
+    the vertex's neighbours on every step.
+    """
+    chain_order(g)
+    plus, zero_eigs, minus = signature(g)
+    if plus + zero_eigs >= 2:
+        raise NotStandardizable(
+            f"intersection form has inertia ({plus},{zero_eigs},{minus}); "
+            "no chain normal form is reachable"
+        )
+    total_weight = sum(abs(g.weight(v)) for v in g.vertices)
+    budget = 50 * (len(g) + total_weight + 4) ** 2
+    d = _Draft(g)
+    while True:
+        _reference_contract_all(d, keep=1)
+        if len(d.log) > budget:
+            raise ChainRewriteInvariantViolation(
+                "chain rewriting exceeded its move budget; "
+                "this indicates a bug in the case analysis")
+        order = _walk(d.adj, [next(v for v in d.order if len(d.adj[v]) <= 1)])[0]
+        t = [-d.weights[v] for v in order]
+        if ChainType(tuple(t)).is_standard or min(t) >= 2:
+            break
+        k = len(t)
+        if k == 1:
+            v = order[0]
+            d.blow_up((v,))
+            while -d.weight(v) < 0:
+                nbs = sorted(d.adj[v], key=d.order.index)
+                last = [u for u in nbs if d.weight(u) == -1][0]
+                d.blow_up((last, v))
+            d.elementary_transformation(v, "free")
+            continue
+        bad = [i for i, x in enumerate(t) if x <= 0]
+        if len(bad) > 2 or (len(bad) == 2 and bad[1] != bad[0] + 1):
+            raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
+        if min(bad) > (k - 1) - max(bad):
+            order.reverse()
+            t.reverse()
+            bad = sorted(k - 1 - i for i in bad)
+        p = bad[0]
+        if len(bad) == 2:
+            if t[p] == 0 and t[p + 1] <= -1:
+                _reference_run_ets(d, order[p], order[p + 1], -t[p + 1])
+            elif t[p] <= -1 and t[p + 1] == 0:
+                _reference_run_ets(d, order[p + 1], order[p], -t[p])
+            elif t[p] == 0 and t[p + 1] == 0:
+                _reference_run_ets(d, order[p], order[p + 1], 2)
+            else:
+                raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
+        elif p == 0:
+            if t[0] == 0:
+                _reference_run_ets(d, order[0], "free", t[1])
+            else:
+                left, right = order[0], order[1]
+                for _ in range(-t[0]):
+                    right = d.blow_up((left, right)).vertex
+                d.elementary_transformation(left, "free")
+        elif t[p] == 0:
+            _reference_run_ets(d, order[p], order[p + 1], t[p - 1] - 1)
+        else:
+            v, right = order[p], order[p + 1]
+            for _ in range(-t[p]):
+                right = d.blow_up((v, right)).vertex
+            d.elementary_transformation(v, right)
+    final_type = ChainType(tuple(t))
+    return StandardizeResult(final_type, MoveLog(tuple(d.log)), d.freeze(),
+                             final_type.is_standard)
+
+
+def _outcome(standardize, g):
+    try:
+        r = standardize(g)
+    except DualGraphError as e:
+        return type(e), str(e)
+    return type(r), r.chain_type, r.log, r.graph, r.graph.next_id, r.is_standard
+
+
+def _agree_with_the_reference(weight_lists):
+    kinds = set()
+    for ws in weight_lists:
+        g = chain(list(ws))
+        got = _outcome(standardize_chain, g)
+        assert got == _outcome(reference_standardize_chain, g), ws
+        kinds.add(got[0])
+    return kinds
+
+
+def test_standardize_matches_the_reference_on_every_short_chain():
+    weight_lists = [ws for k in range(1, 5)
+                    for ws in itertools.product(range(-4, 5), repeat=k)]
+    assert len(weight_lists) == 7380
+    assert _agree_with_the_reference(weight_lists) == {StandardizeResult, NotStandardizable}
+
+
+def test_standardize_matches_the_reference_on_random_chains():
+    rng = random.Random(20261019)
+    weight_lists = []
+    for _ in range(3000):
+        ws = [rng.randint(-5, 3) for _ in range(rng.randint(1, 9))]
+        ws[rng.randrange(len(ws))] = rng.randint(-60, 60)
+        weight_lists.append(ws)
+    assert _agree_with_the_reference(weight_lists) == {StandardizeResult, NotStandardizable}

@@ -89,6 +89,12 @@ class TestDisc:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 0
 
+    def test_foreign_format_header_is_usage_error(self, run, tmp_path):
+        path = write(tmp_path, CHAIN_212 + "# dualgraph banana\n")
+        code, out, err = run("disc", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 6: format version 'banana' is not '1'\n"
+
     def test_bad_syntax_is_usage_error(self, run, tmp_path):
         code, _, err = run("disc", write(tmp_path, "v 1\n"))
         assert code == 2
@@ -309,6 +315,21 @@ class TestFailedCertificate:
         (check,) = payload["checks"]
         assert (check["name"], check["computed"], check["pass"]) == (
             "pairs_verified", 0, False)
+
+    def test_completion_keeps_the_whole_certificate(self, run, wrong_discriminant):
+        code, out, err = run("resolve", "7", "3", "--stage", "completion", "--format", "json")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["status"] == "fail"
+        assert payload["results"]["d_boundary_chain"] == 0
+        assert payload["results"]["graph"]["vertices"]
+        failed = {c["name"]: c for c in payload["checks"] if not c["pass"]}
+        assert (failed["boundary_discriminant"]["expected"],
+                failed["boundary_discriminant"]["computed"]) == (-1, 0)
+        code, out, err = run("resolve", "7", "3", "--stage", "completion")
+        assert (code, err) == (1, "")
+        assert "[FAIL] boundary_discriminant: expected -1, computed 0" in out
+        assert "status: fail" in out
 
     def test_range_row_carries_the_error(self, run, monkeypatch):
         def broken(pair):

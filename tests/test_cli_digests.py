@@ -1,0 +1,144 @@
+"""Byte digests of the CLI, one per subcommand family.
+
+Each family runs a fixed list of invocations in the order given here and
+hashes every one's (argv, exit code, stdout, stderr) into one sha256.
+tests/fixtures/cli_digests.json pins the digests, so any change to a
+certificate, text or dot byte of these invocations shows up as a changed
+digest.  The invocations run in a temporary directory, on files with fixed
+relative names, since file commands echo the path in inputs.file.
+
+Regenerate the fixture, only for a deliberate change of output, with
+
+    PYTHONPATH=src python tests/test_cli_digests.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import random
+import sys
+import tempfile
+from math import gcd
+from pathlib import Path
+
+from dualgraph.cli import main
+
+from test_cli import CHAIN_212, LOOP, STAR, ZERO_ZERO
+
+FIXTURE = Path(__file__).parent / "fixtures" / "cli_digests.json"
+FORMATS = ("json", "text", "dot")
+TEST_GRAPHS = {"chain": CHAIN_212, "zero": ZERO_ZERO, "loop": LOOP, "star": STAR}
+
+
+def _pairs(hi):
+    return [(n, m) for n in range(2, hi + 1) for m in range(1, n) if gcd(n, m) == 1]
+
+
+def _random_multigraph(rng):
+    """Text of a graph on 1-7 vertices with shuffled ids, weights -3..1 and parallel edges."""
+    ids = rng.sample(range(1, 12), rng.randint(1, 7))
+    lines = [f"v {v} {rng.randint(-3, 1)}" for v in ids]
+    if len(ids) > 1:
+        for _ in range(rng.randint(0, 2 * len(ids))):
+            a, b = rng.sample(ids, 2)
+            lines.append(f"e {a} {b}")
+    return "\n".join(lines) + "\n", ids
+
+
+def families():
+    """{family: (files to write, argv lists)}, every argv without --format."""
+    out = {}
+
+    out["resolve"] = ({}, [
+        ["resolve", str(n), str(m), "--stage", stage]
+        for n, m in _pairs(16) for stage in ("local", "infinity", "completion")
+    ])
+
+    out["verify-theorem"] = ({}, [
+        ["verify-theorem", str(n), str(m)] for n, m in _pairs(16)
+    ] + [["verify-theorem", "--range", "2", "16"]])
+
+    files, cases = {}, []
+    for k in (1, 2, 3):
+        for ws in itertools.product(range(-3, 4), repeat=k):
+            name = "chain_" + "_".join(str(w) for w in ws) + ".dg"
+            text = "".join(f"v {i} {w}\n" for i, w in enumerate(ws, start=1))
+            text += "".join(f"e {i} {i + 1}\n" for i in range(1, k))
+            files[name] = text
+            cases.append(["standardize", name])
+    out["standardize"] = (files, cases)
+
+    rng = random.Random(20)
+    files, cases = {}, []
+    for i in range(200):
+        text, ids = _random_multigraph(rng)
+        name = f"g{i:03d}.dg"
+        files[name] = text
+        protect = ",".join(str(v) for v in ids if rng.random() < 0.3)
+        cases.append(["minimalize", name])
+        cases.append(["minimalize", name, "--protect", protect])
+        cases.append(["blowup", name, "--vertex", str(rng.choice(ids))])
+        a, b = rng.choice(ids), rng.choice(ids)
+        cases.append(["blowup", name, "--edge", f"{a},{b}"])
+        cases += [["blowdown", name, "--vertex", str(v)] for v in ids]
+    out["minimalize-blowup-blowdown"] = (files, cases)
+
+    out["fibers"] = ({}, [["fibers", "--max", "6", "--validate"]])
+
+    files = {f"{name}.dg": text for name, text in TEST_GRAPHS.items()}
+    cases = []
+    for name in files:
+        cases += [["disc", name], ["disc", name, "--sub", "1,2"],
+                  ["homology", name], ["euler", name, "--rho", "1"],
+                  ["euler", name, "--rho", "2"]]
+    cases += [["check-acyclic", "--d", str(d), "--de", str(de)]
+              for d in (-9, 1, 4, 6, 9, 12) for de in (1, 2, 3)]
+    out["disc-homology-euler-check-acyclic"] = (files, cases)
+    return out
+
+
+def _invoke(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def digests():
+    """{family: {"invocations": count, "sha256": hex}} over every argv in all three formats."""
+    result = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for family, (files, cases) in families().items():
+                for name, text in files.items():
+                    Path(name).write_text(text)
+                h = hashlib.sha256()
+                count = 0
+                for argv in cases:
+                    for fmt in FORMATS:
+                        full = argv + ["--format", fmt]
+                        code, out, err = _invoke(full)
+                        h.update((json.dumps([full, code, out, err]) + "\n").encode())
+                        count += 1
+                result[family] = {"invocations": count, "sha256": h.hexdigest()}
+        finally:
+            os.chdir(cwd)
+    return result
+
+
+def test_cli_bytes_match_the_digests():
+    assert digests() == json.loads(FIXTURE.read_text())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli_digests.py --write")
+    FIXTURE.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n")

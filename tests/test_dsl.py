@@ -34,9 +34,20 @@ class TestParse:
         doc = parse_document(
             "# dualgraph 1\n\n# a remark\nv 4 -2  # trailing note\n\nv 9 3\n"
         )
-        assert doc.version == "1"
         assert doc.graph.vertices == (4, 9)
         assert doc.graph.weight(9) == 3
+        assert format_document(doc).startswith("# dualgraph 1\n")
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("# dualgraph 2\nv 1 0\n", 1),
+        ("v 1 0\n#dualgraph 1.0\n", 2),
+        ("# dualgraph 1\nv 1 0\n\n  # dualgraph banana\n", 4),
+    ])
+    def test_header_naming_another_version_is_rejected(self, text, lineno):
+        with pytest.raises(GraphSyntaxError) as err:
+            parse_document(text)
+        assert err.value.line_number == lineno
+        assert "format version" in str(err.value)
 
     def test_file_order_is_vertex_order(self):
         g = parse_graph("v 7 0\nv 2 -1\nv 5 -2")

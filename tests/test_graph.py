@@ -18,7 +18,7 @@ from dualgraph.graph import (
     intersection_matrix,
     subdivisor,
 )
-from dualgraph.moves import MoveLog, apply_move, blow_down, blow_up_edge, blow_up_free, spawn
+from dualgraph.moves import MoveLog, apply_move, blow_down, blow_up
 
 
 def chain(weights, start=1):
@@ -141,7 +141,7 @@ def test_classify_relabel_invariance():
 
 def test_induced_graph_keeps_ids_order_weights_and_fresh_counter():
     g = build_graph([(7, -2), (3, 0), (9, -1), (4, -3)], [(7, 3), (3, 9), (3, 9), (9, 4)])
-    g, _ = blow_up_free(g, 4)  # adds vertex 10, so next_id is 11
+    g, _ = blow_up(g, (4,))  # adds vertex 10, so next_id is 11
     h = induced_graph(g, [9, 3, 7])
     assert h.vertices == (7, 3, 9)
     assert [h.weight(v) for v in h.vertices] == [-2, 0, -1]
@@ -248,16 +248,16 @@ def _random_multigraph(rng):
 def _random_step(rng, g):
     kind = rng.choice(["free", "edge", "down", "spawn"])
     if kind == "free":
-        return blow_up_free(g, rng.choice(g.vertices))
+        return blow_up(g, (rng.choice(g.vertices),))
     if kind == "edge" and g.edges:
-        return blow_up_edge(g, *rng.choice(g.edges))
+        return blow_up(g, rng.choice(g.edges))
     if kind == "down":
         for v in rng.sample(g.vertices, len(g)):
             try:
                 return blow_down(g, v)
             except DualGraphError:
                 continue
-    return spawn(g)
+    return blow_up(g)
 
 
 def test_graph_reads_agree_with_edge_scans():

@@ -216,11 +216,11 @@ def test_draft_reads_match_the_frozen_graph():
         d = _Draft(g)
         for v in g.vertices:
             assert d.weight(v) == g.weight(v)
-            assert d.neighbors(v) == g.neighbors(v)
+            assert sorted(d.adj[v]) == sorted(g.neighbors(v))
             for u in g.vertices:
                 assert d.has_edge(v, u) == g.has_edge(v, u)
     with pytest.raises(UnknownVertex):
-        _Draft(chain([-1])).neighbors(7)
+        _Draft(chain([-1])).weight(7)
 
 
 def test_glue_matches_the_rebuild_reference():

@@ -347,12 +347,25 @@ class TestFailedChecks:
         assert failed.name == "counting_identity"
         assert failed.computed == "ModelInconsistent: sections disagree"
 
+    def test_accounting_bug_is_not_a_failed_check(self, monkeypatch):
+        # only the model's own ModelInconsistent is read as a failed check;
+        # any other exception is a bug and propagates
+        def broken(model):
+            raise KeyError("no such fiber")
+        monkeypatch.setattr(resolution, "fujita_accounting", broken)
+        with pytest.raises(KeyError, match="no such fiber"):
+            theorem_pipeline(CuspPair(5, 3))
+
     def test_completion_names_the_failed_check(self, monkeypatch):
         real = resolution.discriminant
         monkeypatch.setattr(resolution, "discriminant", lambda g, sel=None: real(g, sel) + 1)
-        with pytest.raises(PipelineInvariantViolation) as err:
-            build_completion(CuspPair(5, 2))
-        assert "boundary_discriminant: expected -1, computed 0" in str(err.value)
+        model = build_completion(CuspPair(5, 2))
+        assert not model.passed
+        failed = {c.name: c for c in model.checks if not c.passed}
+        assert (failed["boundary_discriminant"].expected,
+                failed["boundary_discriminant"].computed) == (-1, 0)
+        assert "history_rebuilds" not in failed
+        assert model.d_chain == 0
 
 
 def test_fiber_role_orders_chain_and_other_members():
