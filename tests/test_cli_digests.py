@@ -97,6 +97,29 @@ def families():
     cases += [["check-acyclic", "--d", str(d), "--de", str(de)]
               for d in (-9, 1, 4, 6, 9, 12) for de in (1, 2, 3)]
     out["disc-homology-euler-check-acyclic"] = (files, cases)
+
+    # pairs that are the invocation's fault (or fine, as (4, 1)), a command
+    # dot cannot render, an unwritable --out, and a file whose role members
+    # get contracted or blown down
+    bad_pairs = [(6, 2), (2, 3), (3, 3), (2, 0), (0, 0), (-3, 2), (1, 1), (4, 1)]
+    cases = []
+    for n, m in bad_pairs:
+        cases += [["resolve", str(n), str(m), "--stage", stage]
+                  for stage in ("local", "infinity", "completion")]
+        cases.append(["verify-theorem", str(n), str(m)])
+    cases.append(["check-acyclic", "--d", "4", "--de", "1"])
+    cases.append(["verify-theorem", "3", "2", "--out", "absent/cert.txt"])
+    files = {"roles.dg": "v 1 -1\nv 2 -2\nv 3 -1\nv 4 -3\nv 5 -1\n"
+                         "e 1 2\ne 2 3\ne 3 4\n"
+                         "role gone 1 5\nrole mixed 2 3\nrole kept 4\n",
+             "chain.dg": CHAIN_212 + "role tips 1 3\nrole middle 2\n"}
+    cases += [["minimalize", "roles.dg"], ["minimalize", "roles.dg", "--protect", "3"],
+              ["blowdown", "roles.dg", "--vertex", "5"],
+              ["blowdown", "chain.dg", "--vertex", "2"],
+              ["blowup", "roles.dg", "--vertex", "4"],
+              ["blowup", "roles.dg", "--edge", "2,3"],
+              ["disc", "roles.dg"], ["standardize", "chain.dg"]]
+    out["invocation-errors-and-roles"] = (files, cases)
     return out
 
 
