@@ -5,7 +5,9 @@ emits a certificate: the echoed inputs, the computed results, and a list
 of named checks with expected and computed values.  Output is plain text
 by default, versioned JSON with --format json, Graphviz with --format
 dot.  Exit status: 0 all checks pass, 1 some check or operation failed,
-2 the invocation itself was unusable.
+2 the invocation itself was unusable: bad flags or input, or an exponent
+pair that is not coprime, has n <= m, or is (1, 1) for a stage that
+needs a tangency.
 
 The JSON certificate (schema dualgraph.certificate/2) holds only None,
 bool, int, str, lists, tuples and dicts with str keys; any other value or
@@ -186,19 +188,7 @@ def _load(path: str) -> GraphDocument:
 
 def _surviving_roles(doc: GraphDocument, g) -> Dict[str, Tuple[int, ...]]:
     alive = set(g.vertices)
-    out = {}
-    for name, ids in doc.roles.items():
-        kept = tuple(v for v in ids if v in alive)
-        if kept:
-            out[name] = kept
-    return out
-
-
-def _pair(n: int, m: int) -> CuspPair:
-    try:
-        return CuspPair(n, m)
-    except (NotCoprime, BadOrder, TypeError) as e:
-        raise UsageFailure(str(e))
+    return {name: tuple(v for v in ids if v in alive) for name, ids in doc.roles.items()}
 
 
 # ---------------------------------------------------------------- commands
@@ -255,7 +245,7 @@ def cmd_blowup(args) -> CommandResult:
         anchors = args.edge
         where = f"on edge {anchors[0]}-{anchors[1]}"
     g, mv = blow_up(doc.graph, anchors)
-    out = GraphDocument(g, dict(doc.roles))
+    out = GraphDocument(g, doc.roles)
     return CommandResult(
         results={"created": mv.vertex, "graph": _graph_payload(out)},
         moves={"main": _move_rows([mv])},
@@ -305,23 +295,17 @@ def cmd_fibers(args) -> CommandResult:
 
 
 def cmd_resolve(args) -> CommandResult:
-    pair = _pair(args.n, args.m)
-    try:
-        if args.stage == "local":
-            return _resolve_local(pair)
-        if args.stage == "infinity":
-            return _resolve_infinity(pair)
-        return _resolve_completion(pair)
-    except Transversal as e:
-        raise UsageFailure(str(e))
+    pair = CuspPair(args.n, args.m)
+    if args.stage == "local":
+        return _resolve_local(pair)
+    if args.stage == "infinity":
+        return _resolve_infinity(pair)
+    return _resolve_completion(pair)
 
 
 def _resolve_local(pair: CuspPair) -> CommandResult:
     loc = resolve_cusp_local(pair)
-    roles = {"curve": (loc.curve,)}
-    if loc.cusp_part:
-        roles["cusp_part"] = loc.cusp_part
-    out = GraphDocument(loc.graph, roles)
+    out = GraphDocument(loc.graph, {"curve": (loc.curve,), "cusp_part": loc.cusp_part})
     d = discriminant(loc.graph, loc.cusp_part)
     return CommandResult(
         results={"n": pair.n, "m": pair.m, "stage": "local",
@@ -338,10 +322,8 @@ def _resolve_local(pair: CuspPair) -> CommandResult:
 def _resolve_infinity(pair: CuspPair) -> CommandResult:
     inf = resolve_at_infinity(pair)
     g = inf.graph
-    roles = {"line": (inf.line,), "bridge": (inf.bridge,), "far_part": inf.far_part}
-    if inf.line_part:
-        roles["line_part"] = inf.line_part
-    out = GraphDocument(g, roles)
+    out = GraphDocument(g, {"line": (inf.line,), "bridge": (inf.bridge,),
+                            "far_part": inf.far_part, "line_part": inf.line_part})
     d_all = discriminant(g)
     d_far = discriminant(g, inf.far_part)
     return CommandResult(
@@ -361,14 +343,10 @@ def _resolve_infinity(pair: CuspPair) -> CommandResult:
 def _resolve_completion(pair: CuspPair) -> CommandResult:
     c = build_completion(pair)
     g = c.graph
-    roles = {"curve": (c.curve,), "bridge": (c.bridge,), "far_part": c.far_part}
-    if c.cusp_part:
-        roles["cusp_part"] = c.cusp_part
-    if c.line_part:
-        roles["line_part"] = c.line_part
-    if c.line is not None:
-        roles["line"] = (c.line,)
-    out = GraphDocument(g, roles)
+    out = GraphDocument(g, {"curve": (c.curve,), "bridge": (c.bridge,),
+                            "far_part": c.far_part, "cusp_part": c.cusp_part,
+                            "line_part": c.line_part,
+                            "line": () if c.line is None else (c.line,)})
     return CommandResult(
         results={"n": pair.n, "m": pair.m, "stage": "completion",
                  "rho": c.rho, "euler_open_part": c.euler_open_part,
@@ -393,10 +371,7 @@ def cmd_verify_theorem(args) -> CommandResult:
         return _verify_range(args.range[0], args.range[1])
     if len(args.pair) != 2:
         raise UsageFailure("expected two integers N M, or --range A B")
-    try:
-        return _verify_single(_pair(args.pair[0], args.pair[1]))
-    except Transversal as e:
-        raise UsageFailure(str(e))
+    return _verify_single(CuspPair(args.pair[0], args.pair[1]))
 
 
 def _fiber_payload(fr) -> dict:
@@ -413,13 +388,9 @@ def _verify_single(pair: CuspPair) -> CommandResult:
     cert = theorem_pipeline(pair)
     mult = dict(cert.fiber_one.multiplicity)
     mult.update(cert.fiber_two.multiplicity)
-    roles = {
-        "curve": (cert.curve,),
-        "sections": tuple(cert.sections),
-        "fiber_one": tuple(cert.fiber_one.vertices),
-        "fiber_two": tuple(cert.fiber_two.vertices),
-    }
-    out = GraphDocument(cert.graph, roles)
+    out = GraphDocument(cert.graph, {"curve": (cert.curve,), "sections": cert.sections,
+                                     "fiber_one": cert.fiber_one.vertices,
+                                     "fiber_two": cert.fiber_two.vertices})
     return CommandResult(
         results={"n": pair.n, "m": pair.m,
                  "d_v1": cert.d_near_one, "d_v2": cert.d_near_two,
@@ -673,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # looked up on every call, so a rebound cmd_* name is the one that runs
         result = _handler(args.command)(args)
         rendered = render(args, result)
-    except UsageFailure as e:
+    except (UsageFailure, BadOrder, NotCoprime, Transversal) as e:  # the invocation's fault
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DualGraphError as e:

@@ -32,8 +32,14 @@ _HEADER = re.compile(r"^#\s*dualgraph\s+(\S+)\s*$")
 
 @dataclass(frozen=True)
 class GraphDocument:
+    """A graph and its named roles, each a tuple of ids; a role with no members is dropped."""
+
     graph: WeightedGraph
     roles: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        kept = {name: tuple(ids) for name, ids in self.roles.items() if ids}
+        object.__setattr__(self, "roles", kept)
 
 
 def _int(token: str, line_number: int, what: str) -> int:
@@ -115,15 +121,13 @@ def format_document(doc: GraphDocument) -> str:
     for a, b in sorted(g.edges):
         lines.append(f"e {a} {b}")
     for name in sorted(doc.roles):
-        if not doc.roles[name]:
-            continue  # a role line needs at least one member to parse back
         ids = " ".join(str(v) for v in doc.roles[name])
         lines.append(f"role {name} {ids}")
     return "\n".join(lines) + "\n"
 
 
 def format_graph(g: WeightedGraph, roles: Optional[Dict[str, Tuple[int, ...]]] = None) -> str:
-    return format_document(GraphDocument(g, dict(roles or {})))
+    return format_document(GraphDocument(g, roles or {}))
 
 
 def dot_graph(

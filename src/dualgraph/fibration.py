@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
 from .graph import WeightedGraph, _walk, build_graph
-from .lattice import discriminant
+from .lattice import _forest_pass
 from .moves import Move, MoveLog, _Draft
 
 
@@ -193,23 +193,24 @@ def validate_fiber(f: Fiber) -> FiberReport:
     multiplicity-1 components and they are tips, in the same component of
     the complement whenever the fiber itself is not a chain.
 
-    Every check reads the graph's one adjacency index.  A graph is a tree
-    when it has V - 1 edges and a walk from its first vertex reaches all V;
-    in a tree, the complement of a vertex has one component per neighbour,
-    read off one walk hung from that vertex.
+    Every check reads the graph's one adjacency index.  One forest pass
+    (lattice._forest_pass) gives both the tree test and the discriminant:
+    a graph is a tree when it is a forest with V - 1 edges.  In a tree,
+    the complement of a vertex has one component per neighbour, read off
+    one walk hung from that vertex.
     """
     g, m = f.graph, f.multiplicity
     adj = g._index()
     bad: List[str] = []
-    is_tree = (len(g.edges) == len(g) - 1
-               and len(_walk(adj, g.vertices[:1])[0]) == len(g))
+    forest = _forest_pass(g)
+    is_tree = forest is not None and len(g.edges) == len(g) - 1
     if not is_tree:
         bad.append("fiber graph is not a tree")
     minus_ones = [v for v in g.vertices if g.weight(v) == -1]
     for v in minus_ones:
         if len(adj[v]) >= 3:
             bad.append(f"(-1)-vertex {v} branches")
-    if is_tree and discriminant(g) != 0:
+    if is_tree and forest[0] != 0:
         bad.append("discriminant is not zero")
     if not is_numerically_trivial(f):
         bad.append("multiplicity vector is not numerically trivial")

@@ -29,7 +29,7 @@ from .errors import (
     PipelineInvariantViolation,
     Transversal,
 )
-from .fibration import Fiber, fibration_model, fujita_accounting, validate_fiber
+from .fibration import Fiber, _blow_up_onto, fibration_model, fujita_accounting, validate_fiber
 from .graph import WeightedGraph, _walk, build_graph, induced_graph
 from .homology import euler_open
 from .lattice import discriminant
@@ -91,7 +91,7 @@ def _euclid(d: _Draft, a: int, b: int,
     appended to d.log, and the sum of the germ's squared multiplicities
     b*b at the centres, which is a*b: the steps cut an a x b rectangle
     into squares.  When omega is given, a new curve's vanishing order is
-    the sum of its anchors' orders.
+    the sum of its anchors' orders (fibration._blow_up_onto).
     """
     if a < b or b < 1 or gcd(a, b) != 1:
         raise ValueError(f"contact pair must be coprime with a >= b >= 1, got ({a}, {b})")
@@ -100,9 +100,7 @@ def _euclid(d: _Draft, a: int, b: int,
     squares = 0
     while True:
         anchors = tuple(c for c in (ca, cb) if c is not None)
-        mv = d.blow_up(anchors)
-        if omega is not None:
-            omega[mv.vertex] = sum(omega[c] for c in anchors)
+        mv = d.blow_up(anchors) if omega is None else _blow_up_onto(d, omega, anchors)
         squares += b * b
         if (a, b) == (1, 1):
             return tuple(d.log[start:]), squares

@@ -1,9 +1,11 @@
+import ast
 import json
 import json.encoder
 import random
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -532,6 +534,17 @@ def test_main_runs_the_handler_bound_at_call_time(run, tmp_path, monkeypatch):
 def test_every_command_resolves_to_a_handler():
     for command in cli.build_parser()._subparsers._group_actions[0].choices:
         assert callable(cli._handler(command)), command
+
+
+def test_only_main_decides_which_pairs_are_usage_errors():
+    """No function of the CLI but main names the errors of a bad exponent pair."""
+    pair_errors = {"BadOrder", "NotCoprime", "Transversal"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    naming = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if getattr(node, "id", None) in pair_errors  # a bare name
+              or getattr(node, "attr", None) in pair_errors}  # errors.X
+    assert naming == {"main"}
 
 
 # ------------------------------------------------- the certificate writer

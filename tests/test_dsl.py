@@ -1,5 +1,6 @@
 import pytest
 
+from dualgraph.cli import _graph_payload
 from dualgraph.dsl import (
     GraphDocument,
     dot_graph,
@@ -104,6 +105,13 @@ class TestFormat:
         assert text == again
         assert "e 1 2" in text
         assert text.index("role a") < text.index("role b")
+
+    def test_a_role_with_no_members_is_dropped_from_every_rendering(self):
+        g = build_graph([(1, -2), (2, -1)], [(1, 2)])
+        doc = GraphDocument(g, {"a": (), "b": [1]})
+        assert doc.roles == {"b": (1,)}
+        json_roles = {k: tuple(v) for k, v in _graph_payload(doc)["roles"].items()}
+        assert json_roles == parse_document(format_document(doc)).roles == doc.roles
 
     def test_format_graph_shortcut(self):
         g = build_graph([(0, -1)])
