@@ -9,11 +9,14 @@ the plumbing-tree determinant recursion) and the inertia of Q (tree pivot
 counting after Jacobs-Trevisan), in linear ring operations on plain ints.
 The pass notices a cycle or a parallel edge on its own walk; such graphs
 take the sparse congruence pass, the same elimination on the adjacency
-itself in exact rationals: 1x1 pivots, a zero leaf paired with its
-neighbour as in the forest pass, and, where every diagonal is zero and no
-leaf is left, a row addition of determinant 1 that makes one nonzero.  No
-determinant or inertia builds the dense matrix.  The
-Smith invariant factors come from a sparse pass over the integers that
+itself: 1x1 pivots, a zero leaf paired with its neighbour as in the forest
+pass, and, where every diagonal is zero and no leaf is left, a row addition
+of determinant 1 that makes one nonzero.  It too runs on plain ints, by
+Bareiss's fraction-free elimination: it stores the Schur complement times
+the determinant of the block eliminated so far, whose entries are integer
+minors of Q by Sylvester's identity, so each division it makes is exact,
+and an entry waits to be rescaled until it is read.  No determinant or
+inertia builds the dense matrix.  The Smith invariant factors come from a sparse pass over the integers that
 pivots on the unit entries of Q, on every graph alike; the dense Smith
 normal form sees only the non-empty rows and columns that it leaves, which
 hold no unit.
@@ -161,39 +164,52 @@ def _congruence_pass(g: WeightedGraph):
     """(det(-Q), inertia of Q) of any graph, by sparse symmetric elimination.
 
     The elimination reads the adjacency of g, never the dense matrix: row v
-    maps each neighbour to its entry of Q (the edge multiplicity, later
-    the fill), and only nonzero entries are kept.  Each step pivots on one
-    live vertex v with p = q_vv != 0, which gives det(-Q) the factor -p and
-    the inertia the sign of p, and replaces the rest by its Schur
-    complement q_ij -= q_iv q_vj / p; by Sylvester's law of inertia that
-    carries the remaining inertia.  One lazy heap keyed by (zero diagonal
-    and not a leaf, degree, vertex) picks v:
+    maps each neighbour to its entry (the edge multiplicity, later the
+    fill), and only nonzero entries are kept.  Each step pivots on one live
+    vertex v whose Schur complement entry s = S_vv is nonzero, which gives
+    the inertia the sign of s, and replaces the rest by its Schur complement
+    S_ij - S_iv S_vj / s; by Sylvester's law of inertia that carries the
+    remaining inertia.  One lazy heap keyed by (zero diagonal and not a
+    leaf, degree, vertex) picks v:
 
     - a vertex with a nonzero diagonal, or a zero leaf, with the fewest
-      neighbours.  A zero leaf v on h with q_vh = a spans the block
-      [[0, a], [a, q_hh]] of inertia (1, 0, 1), which gives det(-Q) the
-      factor -a^2; the h-h entry of its inverse is 0, so deleting v and h
-      fills nothing (the zero-child rule of the forest pass);
+      neighbours.  A zero leaf v on h with S_vh = a spans the block
+      [[0, a], [a, S_hh]] of inertia (1, 0, 1) and determinant -a^2; the
+      h-h entry of its inverse is 0, so deleting v and h fills nothing (the
+      zero-child rule of the forest pass);
     - when every live diagonal is zero, the vertex v with the fewest
       neighbours and its neighbour w with the fewest: the congruence
       e_v -> e_v + e_w, of determinant 1, adds row w into row v and sets
-      q_vv = 2 q_vw, since q_vv = q_ww = 0 before (the classical step for
+      S_vv = 2 S_vw, since S_vv = S_ww = 0 before (the classical step for
       symmetric forms in characteristic not 2, Lam ch. I);
     - a vertex with a zero diagonal and no neighbours left is a zero
       eigenvalue.
 
+    The pass runs on plain ints (Bareiss, Math. Comp. 22, 1968).  Let D be
+    the determinant of the block eliminated so far, 1 at the start.  By
+    Sylvester's determinant identity D S_ij is the minor of Q (after the
+    row additions, which are integral) that borders that block with row i
+    and column j, so M = D S is an integer matrix.  A pivot P = M_vv makes
+    the block's determinant P, and _bareiss_step writes the new entries
+    among v's neighbours as (P M_ij - M_iv M_vj) / D, integer minors again,
+    so every division is exact.  A zero-leaf block makes it
+    D (-a^2) = -M_vh^2 / D.  An entry that no step touches keeps its S, so
+    it is not rewritten: each entry is stored with the D it was written at,
+    its stamp, and read as m D / stamp, an exact division for the same
+    reason.  The sign of s is that of P D, and at the end D is det Q, so
+    det(-Q) is (-1)^V D, or 0 once a zero eigenvalue is seen.
+
     On a tree the fewest-neighbours rule takes leaves first and fills
     nothing, as the forest pass does; on a cycle no pivot has more than
-    three neighbours.  Both cost O(V log V) steps on exact rationals.
+    three neighbours.  Both cost O(V log V) steps.
     """
-    from fractions import Fraction  # imported here: only graphs with cycles need it
-
-    diag = {v: Fraction(g.weight(v)) for v in g.vertices}
+    diag = {v: (g.weight(v), 1) for v in g.vertices}
     row = {v: {} for v in g.vertices}
     for a, b in g.edges:
-        row[a][b] = row[b][a] = row[a].get(b, 0) + 1
+        row[a][b] = row[b][a] = (row[a].get(b, (0, 1))[0] + 1, 1)
+
     def key(u):
-        return diag[u] == 0 and len(row[u]) != 1, len(row[u]), u
+        return diag[u][0] == 0 and len(row[u]) != 1, len(row[u]), u
 
     heap = [key(v) for v in g.vertices]
     heapify(heap)
@@ -202,7 +218,7 @@ def _congruence_pass(g: WeightedGraph):
         z, k, v = heappop(heap)
         if v not in row or key(v) != (z, k, v):
             continue  # stale: a changed vertex was pushed again
-        p, col = diag.pop(v), row.pop(v)
+        (p, s), col = diag.pop(v), row.pop(v)
         for u in col:
             del row[u][v]
         if not p and k == 1:  # a zero leaf on h: [[0, a], [a, x]] fills nothing
@@ -211,32 +227,54 @@ def _congruence_pass(g: WeightedGraph):
             col = row.pop(h)
             for u in col:
                 del row[u][h]
-            d, plus, minus = -a * a * d, plus + 1, minus + 1
+            d, plus, minus = -_at(a, d) ** 2 // d, plus + 1, minus + 1
         elif not p and not col:
-            d, zero = 0, zero + 1
+            zero += 1
         else:
-            if not p:  # every live diagonal is zero
+            col = {u: _at(x, d) for u, x in col.items()}
+            if p:
+                p = _at((p, s), d)
+            else:  # every live diagonal is zero
                 w = min(col, key=lambda u: len(row[u]))
-                p = Fraction(2 * col[w])
+                p = 2 * col[w]
                 for u, x in row[w].items():
-                    col[u] = col.get(u, 0) + x
-            d *= -p
-            if p > 0:
+                    col[u] = col.get(u, 0) + _at(x, d)
+            if (p > 0) == (d > 0):
                 plus += 1
             else:
                 minus += 1
-            fill = [(u, x) for u, x in col.items() if x]
-            for n, (i, x) in enumerate(fill):
-                diag[i] -= x * x / p
-                for j, y in fill[n + 1:]:
-                    q = row[i].get(j, 0) - x * y / p
-                    if q:
-                        row[i][j] = row[j][i] = q
-                    elif j in row[i]:
-                        del row[i][j], row[j][i]
+            _bareiss_step(diag, row, [(u, x) for u, x in col.items() if x], p, d)
+            d = p
         for u in col:  # each lost an entry; h's or w's neighbours too
             heappush(heap, key(u))
-    return int(d), (plus, zero, minus)
+    return (0 if zero else (-1) ** len(g) * d), (plus, zero, minus)
+
+
+def _at(entry, d):
+    """A stored (m, stamp) entry of M, read at the block determinant d."""
+    m, s = entry
+    return m if s == d else m * d // s
+
+
+def _bareiss_step(diag, row, fill, p, d):
+    """Eliminate one pivot P = p from the entries among its neighbours.
+
+    fill lists each neighbour i of the pivot with its nonzero M_iv, read at
+    the block determinant d.  Every pair i <= j of them gets
+    M_ij <- (p M_ij - M_iv M_vj) / d, stamped p, the new block determinant;
+    an entry that becomes 0 is dropped.
+    """
+    for n, (i, x) in enumerate(fill):
+        m, s = diag[i]
+        diag[i] = ((p * (m if s == d else m * d // s) - x * x) // d, p)
+        ri = row[i]
+        for j, y in fill[n + 1:]:
+            m, s = ri.get(j, (0, d))
+            q = (p * (m if s == d else m * d // s) - x * y) // d
+            if q:
+                ri[j] = row[j][i] = (q, p)
+            elif j in ri:
+                del ri[j], row[j][i]
 
 
 def discriminant(g: WeightedGraph, selection: Selection = None) -> int:

@@ -17,9 +17,10 @@ vertex ids and canonical order bit for bit.
 Every move is applied by one function, _Draft.apply, which patches a
 mutable copy of the graph (the order list, the weights and each vertex's
 neighbour list) in time proportional to the vertex's degree, plus a
-C-level list insert or remove for the order, and records the move in the
-draft's log.  _Draft.glue appends a fresh vertex wired to existing ones,
-the one assembly step outside the calculus, and logs nothing.  A run of
+C-level list insert or delete at the move's position in the order, and
+records the move in the draft's log.  _Draft.glue appends a fresh vertex
+wired to existing ones, the one assembly step outside the calculus, and
+logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
 immutable graph once, at the end, and reads its move log from the draft;
@@ -155,7 +156,8 @@ class _Draft:
         """Mechanically apply a Move patch (no snc precondition re-checks).
 
         A blow-down undoes exactly the patch of the blow-up with the same
-        anchors, so the kind must match the anchor count (see blow_up).
+        anchors, so the kind must match the anchor count (see blow_up), and
+        its position must hold its vertex, where the inverse reinserts it.
         Every check runs before the first write, so a rejected move leaves
         the draft, and its log, as it was; an accepted one is appended to
         the log.
@@ -172,7 +174,9 @@ class _Draft:
                 raise ValueError(f"move anchors {m.anchors} do not match the graph")
             if corner is not None and corner[0] == corner[1]:
                 raise ValueError(f"vertex {v} meets {corner[0]} twice")
-            self.order.remove(v)
+            if not 0 <= m.position < len(self.order) or self.order[m.position] != v:
+                raise ValueError(f"vertex {v} is not at position {m.position}")
+            del self.order[m.position]
             del weights[v]
             for a in adj.pop(v):
                 adj[a].remove(v)

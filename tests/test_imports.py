@@ -8,13 +8,13 @@ The dense kernels of intmat.py other than the Smith form are test
 oracles only: no other package module imports or reads them.
 
 There is not a single float in the package: no float literal, no name
-float, no math function beyond gcd, isqrt and prod, and no true division
-outside lattice._congruence_pass, whose divisors are all Fractions.
+float, no math function beyond gcd, isqrt and prod, and no true division.
+No module imports fractions either: every kernel runs on plain ints, the
+congruence pass included.
 
-Importing the CLI loads neither fractions nor sympy: the congruence pass
-imports Fraction locally, on its first call.
+Neither importing the CLI nor computing the signature of a graph with a
+cycle loads fractions or sympy.
 """
-
 import ast
 import os
 import subprocess
@@ -85,15 +85,10 @@ def test_dense_kernels_stay_test_oracles(path):
 EXACT_MATH = {"gcd", "isqrt", "prod"}
 
 
-def float_sources(source, exact_division=()):
-    """(line, what) for each way the source could compute a float; true
-    division inside the functions named in exact_division is allowed."""
-    tree = ast.parse(source)
-    allowed = {id(node) for f in ast.walk(tree)
-               if isinstance(f, ast.FunctionDef) and f.name in exact_division
-               for node in ast.walk(f)}
+def float_sources(source):
+    """(line, what) for each way the source could compute a float."""
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append((node.lineno, "float literal"))
         elif isinstance(node, ast.Name) and node.id == "float":
@@ -103,8 +98,7 @@ def float_sources(source, exact_division=()):
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             found += [(node.lineno, f"math.{a.name}") for a in node.names
                       if a.name not in EXACT_MATH]
-        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-              and id(node) not in allowed):
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append((node.lineno, "/"))
     return sorted(found)
 
@@ -115,20 +109,38 @@ def test_scan_flags_each_float_source():
            "def g(a, b):\n    a /= b\n    return a / b, a // b\n")
     assert float_sources(src) == [(1, "import math"), (2, "math.sqrt"), (3, "float literal"),
                                   (4, "float"), (6, "/"), (8, "/"), (9, "/")]
-    assert float_sources(src, exact_division=("g",))[-1] == (6, "/")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_not_a_single_float(path):
-    exact = ("_congruence_pass",) if path.name == "lattice.py" else ()
-    assert float_sources(path.read_text(), exact) == []
+    assert float_sources(path.read_text()) == []
+
+
+def fractions_imports(source):
+    """Line numbers of the imports of fractions, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "fractions")
+
+
+def test_scan_flags_a_fractions_import():
+    src = ("import fractions\nfrom fractions import Fraction\n"
+           "def f():\n    import os, fractions as q\n    return q\n")
+    assert fractions_imports(src) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_fractions(path):
+    assert fractions_imports(path.read_text()) == []
 
 
 def test_the_cli_imports_neither_fractions_nor_sympy():
-    # the congruence pass imports Fraction on its first call, so starting
-    # the CLI compiles and loads neither module
+    # a 5-cycle takes the congruence pass, which runs on plain ints
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, dualgraph.cli\n"
+             "from dualgraph import build_graph, signature\n"
+             "g = build_graph([(i, -2) for i in range(5)], [(i, (i + 1) % 5) for i in range(5)])\n"
+             "assert signature(g) == (0, 1, 4)\n"
              "print(sorted({'fractions', 'sympy'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout

@@ -43,6 +43,8 @@ def rebuild_apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
             raise ValueError(f"move anchors {m.anchors} do not match the graph")
         if corner is not None and corner[0] == corner[1]:
             raise ValueError(f"vertex {m.vertex} meets {corner[0]} twice")
+        if not 0 <= m.position < len(g) or g.vertices[m.position] != m.vertex:
+            raise ValueError(f"vertex {m.vertex} is not at position {m.position}")
         order = [v for v in g.vertices if v != m.vertex]
         edges = [e for e in g.edges if m.vertex not in e]
         if corner is not None:
@@ -135,7 +137,8 @@ def random_move(rng, g, log):
         v = rng.choice(verts)
         anchors = list(g.neighbors(v))
         rng.shuffle(anchors)
-        return Move(BLOW_DOWN, v, rng.randint(0, len(g)), tuple(anchors))
+        pos = g.position(v) if rng.random() < 0.5 else rng.randint(0, len(g))
+        return Move(BLOW_DOWN, v, pos, tuple(anchors))
     if roll < 0.6 and log:
         return log[-1].inverted()
     if roll < 0.7 and log:
@@ -173,7 +176,7 @@ def test_draft_matches_rebuild_reference_on_random_move_sequences():
     rng = random.Random(20261018)
     kinds, rejected = set(), 0
     for _ in range(400):
-        g = random_multigraph(rng, rng.randint(0, 8))
+        g = start = random_multigraph(rng, rng.randint(0, 8))
         draft = _Draft(g)
         log = []
         for _ in range(25):
@@ -195,18 +198,25 @@ def test_draft_matches_rebuild_reference_on_random_move_sequences():
             g = want[1]
             log.append(m)
             assert draft.log == log
-        # a blow-down logged with a stale position reinserts elsewhere, or
-        # nowhere, when inverted: both engines must agree on that too
-        replayed = outcome(lambda: state(MoveLog(tuple(log)).inverted().replay(g)))
-        assert replayed == outcome(lambda: state(rebuild_inverse(g, log)))
+        # every accepted blow-down held its position, so the inverted log
+        # puts each vertex back where it was: order, weights and edges
+        assert MoveLog(tuple(log)).inverted().replay(g) == start
     assert kinds == {"spawn", "blow_up_free", "blow_up_edge", "blow_down"}
     assert rejected > 1000
 
 
-def rebuild_inverse(g, log):
-    for m in reversed(log):
-        g = rebuild_apply_move(g, m.inverted())
-    return g
+def test_a_blow_down_must_hold_its_position():
+    # the inverse of a blow-down reinserts its vertex at its position, so a
+    # position that does not hold the vertex would restore another order
+    g = chain([-2, -1, -2])
+    for pos in (0, 2, 3, -2):
+        m = Move(BLOW_DOWN, 2, pos, (1, 3))
+        with pytest.raises(ValueError, match=f"vertex 2 is not at position {pos}"):
+            apply_move(g, m)
+        with pytest.raises(ValueError, match=f"vertex 2 is not at position {pos}"):
+            rebuild_apply_move(g, m)
+    m = Move(BLOW_DOWN, 2, 1, (1, 3))
+    assert apply_move(apply_move(g, m), m.inverted()).vertices == (1, 2, 3)
 
 
 def test_draft_reads_match_the_frozen_graph():
