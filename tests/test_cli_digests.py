@@ -120,6 +120,19 @@ def families():
               ["blowup", "roles.dg", "--edge", "2,3"],
               ["disc", "roles.dg"], ["standardize", "chain.dg"]]
     out["invocation-errors-and-roles"] = (files, cases)
+
+    # id lists as a selection reads them: reordered, repeated, empty, the
+    # whole vertex set, unknown alone and unknown among known ids
+    graphs = dict(TEST_GRAPHS, multi="v 1 -2\nv 2 -3\nv 4 -1\ne 1 2\ne 1 2\ne 2 4\n")
+    files, cases = {}, []
+    for name, text in graphs.items():
+        files[f"{name}.dg"] = text
+        ids = [line.split()[1] for line in text.splitlines() if line.startswith("v ")]
+        for sub in (ids[::-1], ids[:2] + ids[:1], [], ids, ["9"], ids[:1] + ["9", "-4"] + ids[1:]):
+            cases.append(["disc", f"{name}.dg", "--sub", ",".join(sub)])
+    cases += [["minimalize", "chain.dg", "--protect", "2,9"],
+              ["minimalize", "multi.dg", "--protect", "9"]]
+    out["selections"] = (files, cases)
     return out
 
 
