@@ -52,7 +52,6 @@ from .graph import (
     classify_shape,
     induced_graph,
     intersection_matrix,
-    subdivisor,
 )
 from .homology import (
     AcyclicityCheck,

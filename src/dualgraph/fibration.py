@@ -35,7 +35,9 @@ from .moves import Move, MoveLog, _Draft
 class Fiber:
     """A fiber dual graph with multiplicities and its blow-up history.
 
-    history replays against the single 0-vertex produced by initial_fiber().
+    history replays against initial_fiber()'s 0-vertex for a fiber grown
+    by fiber_blow_up or enumerate_fibers; it is empty for a fiber built
+    from a graph directly, as the resolution pipeline builds its members.
     """
 
     graph: WeightedGraph
@@ -52,23 +54,21 @@ def initial_fiber() -> Fiber:
 Position = Union[int, Tuple[int, int]]
 
 
-def _blow_up_onto(d: _Draft, mult: Dict[int, int], position: Position) -> Move:
-    """Blow up draft d at position and give the new vertex its multiplicity in mult.
+def _add_multiplicity(mult: Dict[int, int], move: Move) -> None:
+    """Give the vertex a blow-up created its multiplicity in mult.
 
     A free point's new vertex inherits its carrier's multiplicity; an
     intersection point's adds its two curves'.
     """
-    anchors = position if isinstance(position, tuple) else (position,)
-    move = d.blow_up(anchors)
-    mult[move.vertex] = sum(mult[a] for a in anchors)
-    return move
+    mult[move.vertex] = sum(mult[a] for a in move.anchors)
 
 
 def fiber_blow_up(f: Fiber, position: Position) -> Fiber:
     """Blow up the fiber at a free point of a vertex or at an edge."""
     d = _Draft(f.graph)
     mult = dict(f.multiplicity)
-    move = _blow_up_onto(d, mult, position)
+    move = d.blow_up(position if isinstance(position, tuple) else (position,))
+    _add_multiplicity(mult, move)
     return Fiber(d.freeze(), mult, f.history + MoveLog((move,)))
 
 
@@ -157,12 +157,11 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
             g = f.graph
             if len(g) >= max_vertices:
                 continue
-            positions: List[Position] = list(g.vertices)
-            positions.extend(sorted(set(g.edges)))
-            for pos in positions:
+            for anchors in [(v,) for v in g.vertices] + sorted(set(g.edges)):
                 d = _Draft(g)
                 mult = dict(f.multiplicity)
-                move = _blow_up_onto(d, mult, pos)
+                move = d.blow_up(anchors)
+                _add_multiplicity(mult, move)
                 key = _tree_key(d.adj, d.weights, mult)
                 if key not in classes:
                     child = Fiber(d.freeze(), mult, f.history + MoveLog((move,)))

@@ -17,9 +17,9 @@ A run of moves does not make a graph per step: the move engine patches one
 mutable draft (moves._Draft) and freezes it into a graph only where a
 caller reads one, so graphs are built once per run, not once per move.
 
-A vertex selection (a twig, a fiber member, a far chain) becomes its
-induced graph once, on entry to each function that takes one, so every
-kernel reads a WeightedGraph; selecting everything gives the graph itself.
+A vertex selection (a twig, a fiber member, a far chain) is an iterable of
+ids, or None for all; induced_graph alone reads one, on entry to each function
+that takes one, so every kernel reads a WeightedGraph.
 
 Shape questions read one breadth-first walk, _walk, with no recursion.
 classify_shape, the forest pass, chain_order, fiber_key and validate_fiber
@@ -29,9 +29,8 @@ draft's adjacency.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import DuplicateId, SelfLoop, UnknownEndpoint, UnknownVertex
 
@@ -111,9 +110,7 @@ class WeightedGraph:
             raise UnknownVertex(f"no vertex {v!r}")
 
     def edge_multiplicity(self, a: int, b: int) -> int:
-        e = _norm_edge(a, b)
-        lo = bisect_left(self._edges, e)
-        return bisect_right(self._edges, e, lo) - lo
+        return self._index().get(a, ()).count(b)
 
     def has_edge(self, a: int, b: int) -> bool:
         return self.edge_multiplicity(a, b) > 0
@@ -189,10 +186,10 @@ def build_graph(
 
 
 class SubDivisor:
-    """A validated vertex selection of a parent graph.
+    """A validated vertex selection of a graph: its ids and the edges among them.
 
-    It exists only to build the selection's induced graph: every kernel
-    reads a WeightedGraph, and induced_graph turns a selection into one.
+    induced_graph validates every selection by building one and reads its
+    edges from induced_edges.
     """
 
     __slots__ = ("_parent", "_selected")
@@ -206,16 +203,8 @@ class SubDivisor:
         self._selected = sel
 
     @property
-    def parent(self) -> WeightedGraph:
-        return self._parent
-
-    @property
     def selected(self) -> frozenset:
         return self._selected
-
-    def order(self) -> Tuple[int, ...]:
-        """The selected ids in the parent's canonical order."""
-        return tuple(sorted(self._selected, key=self._parent._positions().__getitem__))
 
     def induced_edges(self) -> Tuple[Edge, ...]:
         """Edges with both ends selected, sorted like the parent's edges."""
@@ -231,33 +220,22 @@ class SubDivisor:
         return tuple(u for u in self._parent.neighbors(v) if u in sel)
 
 
-Selection = Union[SubDivisor, Iterable[int], None]
-
-
-def subdivisor(g: WeightedGraph, selection: Selection = None) -> SubDivisor:
-    """Coerce a selection (None = everything) to a SubDivisor of g."""
-    if selection is None:
-        return SubDivisor(g, g.vertices)
-    if isinstance(selection, SubDivisor):
-        if selection.parent is not g and selection.parent != g:
-            raise UnknownVertex("selection belongs to a different graph")
-        return selection
-    return SubDivisor(g, selection)
+Selection = Optional[Iterable[int]]
 
 
 def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGraph:
     """The selection as a graph of its own; g itself when it selects everything.
 
-    Every function that takes a selection reads it through this graph.
+    The one reader of a selection, whose order and repeats do not matter.
     Vertex ids, their canonical order, weights and the fresh-id counter are
     kept, so moves on the result never reuse an id of g.
     """
     if selection is None:
         return g
-    s = subdivisor(g, selection)
+    s = SubDivisor(g, selection)
     if len(s.selected) == len(g):
         return g
-    verts = s.order()
+    verts = sorted(s.selected, key=g._positions().__getitem__)
     return WeightedGraph(verts, {v: g._weight[v] for v in verts}, s.induced_edges(), g.next_id)
 
 

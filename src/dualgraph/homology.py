@@ -81,6 +81,12 @@ class DivisibilityReport:
     contradiction: bool
 
 
+def _quotient_divisibility_fails(d_line: int, d_far: int, d_joint: int) -> bool:
+    """The contradiction: coprime sides, |d_far| >= 2 and a d_joint not dividing d_line."""
+    coprime = gcd(abs(d_line), abs(d_far)) == 1
+    return coprime and abs(d_far) >= 2 and (d_joint == 0 or d_line % d_joint != 0)
+
+
 def divisibility_check(model) -> DivisibilityReport:
     """Check the contraction arithmetic on a smooth-curve completion.
 
@@ -104,10 +110,8 @@ def divisibility_check(model) -> DivisibilityReport:
     else:
         divides = d_line % d_joint == 0
     coprime = gcd(abs(d_line), abs(d_far)) == 1
-    contradiction = coprime and abs(d_far) >= 2 and not divides
-    return DivisibilityReport(
-        d_line, d_far, d_curve, d_joint, product_ok, divides, coprime, contradiction
-    )
+    return DivisibilityReport(d_line, d_far, d_curve, d_joint, product_ok, divides, coprime,
+                              _quotient_divisibility_fails(d_line, d_far, d_joint))
 
 
 POSITIVE_BRANCH = "positive"
@@ -169,6 +173,6 @@ def smooth_case_obstruction(model) -> ObstructionReport:
     else:
         branch = NEGATIVE_BRANCH
         d_joint = d_far * discriminant(g, (model.curve,))
-        if not empty and coprime and abs(d_far) >= 2 and (d_joint == 0 or d_line % d_joint):
+        if not empty and _quotient_divisibility_fails(d_line, d_far, d_joint):
             hits.append(QUOTIENT_DIVISIBILITY)
     return ObstructionReport(branch, e2, d_line, d_far, empty, coprime, tuple(hits))

@@ -280,14 +280,10 @@ def _bareiss_step(diag, row, fill, p, d):
 def discriminant(g: WeightedGraph, selection: Selection = None) -> int:
     """det(-Q) of the selection, exactly; 1 for the empty selection.
 
-    Forests take the leaves-first pass; a cycle or a parallel edge takes
-    the sparse congruence pass.
+    Read off _discriminant_and_inertia, as signature is: the forest pass,
+    or on a cycle or a parallel edge the sparse congruence pass.
     """
-    g = induced_graph(g, selection)
-    tree = _forest_pass(g)
-    if tree is not None:
-        return tree[0]
-    return _congruence_pass(g)[0]
+    return _discriminant_and_inertia(induced_graph(g, selection))[0]
 
 
 def discriminant_by_splitting(g: WeightedGraph, selection: Selection = None) -> int:

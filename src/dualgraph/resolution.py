@@ -29,7 +29,8 @@ from .errors import (
     PipelineInvariantViolation,
     Transversal,
 )
-from .fibration import Fiber, _blow_up_onto, fibration_model, fujita_accounting, validate_fiber
+from .fibration import (Fiber, _add_multiplicity, fibration_model, fujita_accounting,
+                        validate_fiber)
 from .graph import WeightedGraph, _walk, build_graph, induced_graph
 from .homology import euler_open
 from .lattice import discriminant
@@ -75,7 +76,6 @@ def coprime_pairs(lo: int, hi: int) -> List[CuspPair]:
 
 def _euclid(d: _Draft, a: int, b: int,
             carriers: Tuple[Optional[int], Optional[int]] = (None, None),
-            omega: Optional[Dict[int, int]] = None,
             ) -> Tuple[Tuple[Move, ...], int]:
     """Subtractive Euclid on a coprime pair a >= b >= 1, one blow-up per step.
 
@@ -90,8 +90,9 @@ def _euclid(d: _Draft, a: int, b: int,
     The blow-ups patch the caller's draft d.  Returns the moves this run
     appended to d.log, and the sum of the germ's squared multiplicities
     b*b at the centres, which is a*b: the steps cut an a x b rectangle
-    into squares.  When omega is given, a new curve's vanishing order is
-    the sum of its anchors' orders (fibration._blow_up_onto).
+    into squares.  A new curve's anchors are in its move, so a caller
+    that tracks vanishing orders reads them off the moves afterwards
+    (fibration._add_multiplicity).
     """
     if a < b or b < 1 or gcd(a, b) != 1:
         raise ValueError(f"contact pair must be coprime with a >= b >= 1, got ({a}, {b})")
@@ -100,7 +101,7 @@ def _euclid(d: _Draft, a: int, b: int,
     squares = 0
     while True:
         anchors = tuple(c for c in (ca, cb) if c is not None)
-        mv = d.blow_up(anchors) if omega is None else _blow_up_onto(d, omega, anchors)
+        mv = d.blow_up(anchors)
         squares += b * b
         if (a, b) == (1, 1):
             return tuple(d.log[start:]), squares
@@ -396,10 +397,12 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     n, m = pair.n, pair.m
     seed = build_graph([(AXIS_X, 1), (AXIS_Y, 1), (FAR_LINE, 1)],
                        [(AXIS_X, AXIS_Y), (AXIS_X, FAR_LINE), (AXIS_Y, FAR_LINE)])
-    omega = {AXIS_X: -m, AXIS_Y: n, FAR_LINE: m - n}
     d = _Draft(seed)
-    origin_moves, origin_squares = _euclid(d, n, m, (AXIS_X, AXIS_Y), omega)
-    inf_moves, inf_squares = _euclid(d, n, n - m, (FAR_LINE, AXIS_Y), omega)
+    origin_moves, origin_squares = _euclid(d, n, m, (AXIS_X, AXIS_Y))
+    inf_moves, inf_squares = _euclid(d, n, n - m, (FAR_LINE, AXIS_Y))
+    omega = {AXIS_X: -m, AXIS_Y: n, FAR_LINE: m - n}  # the pencil's vanishing orders
+    for mv in d.log:
+        _add_multiplicity(omega, mv)
     sections = (origin_moves[-1].vertex, inf_moves[-1].vertex)
 
     g, curve, history = _glue_and_minimalize(

@@ -174,6 +174,27 @@ class TestSmoothCaseObstruction:
             smooth_case_obstruction(build_completion(CuspPair(5, 2)))
 
 
+def test_one_quotient_divisibility_rule_matches_both_old_forms():
+    """The shared predicate equals the two inline forms it replaced, on a box.
+
+    divisibility_check stated it through "divides" (d_joint = 0 divides
+    only d_line = 0), smooth_case_obstruction with "d_joint = 0 or a
+    remainder"; they agree since coprime sides with |d_far| >= 2 force
+    d_line != 0.
+    """
+    box = range(-30, 31)
+    for d_line in box:
+        for d_far in box:
+            coprime = gcd(abs(d_line), abs(d_far)) == 1
+            for d_joint in box:
+                divides = d_line == 0 if d_joint == 0 else d_line % d_joint == 0
+                via_divides = coprime and abs(d_far) >= 2 and not divides
+                via_remainder = bool(coprime and abs(d_far) >= 2
+                                     and (d_joint == 0 or d_line % d_joint))
+                got = homology._quotient_divisibility_fails(d_line, d_far, d_joint)
+                assert got == via_divides == via_remainder, (d_line, d_far, d_joint)
+
+
 def test_reports_read_the_model_discriminants(monkeypatch):
     """Both reports take d_line and d_far from the model, for every n <= 40.
 

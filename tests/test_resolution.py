@@ -12,6 +12,7 @@ from dualgraph.errors import (
     PipelineInvariantViolation,
     Transversal,
 )
+from dualgraph.fibration import _add_multiplicity
 from dualgraph.graph import build_graph
 from dualgraph.lattice import definiteness, discriminant
 from dualgraph.moves import _Draft
@@ -302,10 +303,13 @@ class TestEuclid:
 
     def test_carriers_anchor_the_first_step_and_sum_omega(self):
         d = _Draft(build_graph([(0, 1), (1, 1)], [(0, 1)]))
+        moves, squares = resolution._euclid(d, 2, 1, (0, 1))
         omega = {0: 2, 1: 3}
-        moves, squares = resolution._euclid(d, 2, 1, (0, 1), omega)
+        for mv in moves:
+            _add_multiplicity(omega, mv)
         assert moves[0].anchors == (0, 1)
         assert omega[moves[0].vertex] == 5
+        assert moves[1].anchors == (0, moves[0].vertex) and omega[moves[1].vertex] == 7
         assert squares == 2
         assert d.freeze().has_edge(moves[-1].vertex, moves[0].vertex)
 
