@@ -133,6 +133,33 @@ def families():
     cases += [["minimalize", "chain.dg", "--protect", "2,9"],
               ["minimalize", "multi.dg", "--protect", "9"]]
     out["selections"] = (files, cases)
+
+    # the text format's rejections, with their line numbers, and the files
+    # it accepts: edges before their vertices, its own header, a leading
+    # byte-order mark, CRLF line ends, comments and blank lines
+    files = {
+        "v_arity.dg": "v 1 0\nv 2\n",
+        "e_arity.dg": "v 1 0\nv 2 0\ne 1\n",
+        "bad_id.dg": "v x 0\n",
+        "bad_weight.dg": "v 1 -2\nv 2 w\n",
+        "bad_endpoint.dg": "v 1 0\nv 2 0\ne 1 y\n",
+        "unknown_statement.dg": "v 1 0\nq 1 2\n",
+        "duplicate.dg": "v 1 0\nv 2 -1\nv 1 -2\n",
+        "self_loop.dg": "v 1 -1\ne 1 1\n",
+        "undeclared_end.dg": "v 1 0\nv 2 0\ne 1 2\ne 2 3\n",
+        "edge_first.dg": "e 1 2\ne 2 3\nv 1 -2\nv 2 -1\nv 3 -2\n",
+        "empty_role.dg": CHAIN_212 + "role tips\n",
+        "bad_role_name.dg": CHAIN_212 + "role 9tips 1 3\n",
+        "role_twice.dg": CHAIN_212 + "role tips 1 3\nrole tips 2\n",
+        "role_undeclared.dg": CHAIN_212 + "role tips 1 4\n",
+        "header_2.dg": "# dualgraph 2\n" + CHAIN_212,
+        "header_1.dg": "# dualgraph 1\n" + CHAIN_212,
+        "bom.dg": "\ufeff" + CHAIN_212,
+        "crlf.dg": CHAIN_212.replace("\n", "\r\n"),
+        "comments.dg": "# a chain\n\nv 1 -2  # tip\n\n\nv 2 -1\nv 3 -2\n# edges\ne 1 2\n\ne 2 3\n",
+    }
+    cases = [[cmd, name] for name in [*files, "absent.dg"] for cmd in ("disc", "homology")]
+    out["graph-files"] = (files, cases)
     return out
 
 
@@ -155,7 +182,7 @@ def digests():
         try:
             for family, (files, cases) in families().items():
                 for name, text in files.items():
-                    Path(name).write_text(text)
+                    Path(name).write_text(text, encoding="utf-8", newline="")
                 h = hashlib.sha256()
                 count = 0
                 for argv in cases:
