@@ -1,14 +1,7 @@
 """Exact-integer calculus on weighted dual graphs of curve configurations."""
 
 from .chains import ChainType, StandardizeResult, chain_order, chain_type, standardize_chain
-from .dsl import (
-    GraphDocument,
-    dot_graph,
-    format_document,
-    format_graph,
-    parse_document,
-    parse_graph,
-)
+from .dsl import GraphDocument, dot_graph, format_document, parse_document
 from .errors import (
     BadOrder,
     ChainRewriteInvariantViolation,

@@ -167,7 +167,7 @@ def _graph_payload(doc: GraphDocument) -> dict:
     g = doc.graph
     return {
         "vertices": [[v, g.weight(v)] for v in g.vertices],
-        "edges": [list(e) for e in sorted(g.edges)],
+        "edges": [list(e) for e in g.edges],
         "roles": {name: list(ids) for name, ids in sorted(doc.roles.items())},
     }
 

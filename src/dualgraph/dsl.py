@@ -28,6 +28,7 @@ FORMAT_VERSION = "1"
 
 _ROLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _HEADER = re.compile(r"^#\s*dualgraph\s+(\S+)\s*$")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,13 @@ class GraphDocument:
 
 
 def _int(token: str, line_number: int, what: str) -> int:
+    """An optional sign and ASCII digits; int() alone also takes 1_0 and other scripts' digits."""
     try:
-        return int(token, 10)
-    except ValueError:
-        raise GraphSyntaxError(line_number, f"{what} must be an integer, got {token!r}")
+        if _INTEGER.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        pass
+    raise GraphSyntaxError(line_number, f"{what} must be an integer, got {token!r}")
 
 
 def parse_document(text: str) -> GraphDocument:
@@ -108,26 +112,18 @@ def parse_document(text: str) -> GraphDocument:
     return GraphDocument(g, roles)
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    return parse_document(text).graph
-
-
 def format_document(doc: GraphDocument) -> str:
     """Canonical text: header, vertices in graph order, sorted edges and roles."""
     g = doc.graph
     lines = [f"# dualgraph {FORMAT_VERSION}"]
     for v in g.vertices:
         lines.append(f"v {v} {g.weight(v)}")
-    for a, b in sorted(g.edges):
+    for a, b in g.edges:
         lines.append(f"e {a} {b}")
     for name in sorted(doc.roles):
         ids = " ".join(str(v) for v in doc.roles[name])
         lines.append(f"role {name} {ids}")
     return "\n".join(lines) + "\n"
-
-
-def format_graph(g: WeightedGraph, roles: Optional[Dict[str, Tuple[int, ...]]] = None) -> str:
-    return format_document(GraphDocument(g, roles or {}))
 
 
 def dot_graph(
@@ -151,7 +147,7 @@ def dot_graph(
             parts.append(f"m {multiplicity[v]}")
         parts.extend(tags.get(v, ()))
         lines.append('  n{} [label="{}"];'.format(v, "\\n".join(parts)))
-    for a, b in sorted(g.edges):
+    for a, b in g.edges:
         lines.append(f"  n{a} -- n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,14 +16,15 @@ graph, so the census builds one graph per class, not one per blow-up.
 validate_fiber checks the structural facts every fiber must satisfy, plus a
 second tier for fibers with a unique (-1)-vertex, all read from the graph's
 one adjacency index.  fujita_accounting checks the counting identity
-h + nu + rho = Sigma + #boundary + 2 on an assembled fibration model.
+h + nu + rho = Sigma + #boundary + 2 on an assembled fibration model,
+whose boundary is a set of section indices plus one vertex set per fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
 from .graph import WeightedGraph, _walk, build_graph
@@ -157,7 +158,7 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
             g = f.graph
             if len(g) >= max_vertices:
                 continue
-            for anchors in [(v,) for v in g.vertices] + sorted(set(g.edges)):
+            for anchors in [(v,) for v in g.vertices] + list(dict.fromkeys(g.edges)):
                 d = _Draft(g)
                 mult = dict(f.multiplicity)
                 move = d.blow_up(anchors)
@@ -246,30 +247,31 @@ def validate_fiber(f: Fiber) -> FiberReport:
 # ------------------------------------------------------------------ models
 
 
-BoundaryItem = Tuple  # ("fiber", index, vertex) or ("section", index)
-
-
 @dataclass(frozen=True)
 class FibrationModel:
     """Fibers, abstract sections, and a boundary selection.
 
     Sections carry incidence data only: section j meets fiber i in the
-    multiplicity-1 vertex sections[j][i].  The boundary lists fiber vertices
-    as ("fiber", i, v) and whole sections as ("section", j).  rho counts the
-    relative Picard rank, 2 + sum of (#fiber - 1).
+    multiplicity-1 vertex sections[j][i].  The boundary is the sections
+    indexed by boundary_sections plus, for each fiber i, its vertices in
+    boundary_vertices[i].  rho counts the relative Picard rank, 2 + sum of
+    (#fiber - 1).
     """
 
     fibers: Tuple[Fiber, ...]
     sections: Tuple[Dict[int, int], ...]
-    boundary: frozenset
+    boundary_sections: FrozenSet[int]
+    boundary_vertices: Tuple[FrozenSet[int], ...]
     rho: int
 
 
 def fibration_model(
     fibers: Sequence[Fiber],
     sections: Sequence[Mapping[int, int]],
-    boundary: Iterable[BoundaryItem],
+    boundary_sections: Iterable[int],
+    boundary_vertices: Sequence[Iterable[int]],
 ) -> FibrationModel:
+    """The model, after checks that raise ModelInconsistent on data it cannot hold."""
     fibers = tuple(fibers)
     sections = tuple(dict(s) for s in sections)
     for j, sec in enumerate(sections):
@@ -283,20 +285,20 @@ def fibration_model(
                     f"section {j} meets fiber {i} in a multiplicity-"
                     f"{fibers[i].multiplicity[v]} vertex"
                 )
-    bd = frozenset(boundary)
-    for item in bd:
-        if item[0] == "fiber":
-            _, i, v = item
-            if not (0 <= i < len(fibers)) or not fibers[i].graph.has_vertex(v):
-                raise ModelInconsistent(f"boundary names unknown fiber vertex {item}")
-        elif item[0] == "section":
-            _, j = item
-            if not (0 <= j < len(sections)):
-                raise ModelInconsistent(f"boundary names unknown section {item}")
-        else:
-            raise ModelInconsistent(f"unrecognized boundary item {item}")
+    in_sections = frozenset(boundary_sections)
+    for j in in_sections:
+        if not 0 <= j < len(sections):
+            raise ModelInconsistent(f"boundary names unknown section {j}")
+    in_fibers = tuple(frozenset(vs) for vs in boundary_vertices)
+    if len(in_fibers) != len(fibers):
+        raise ModelInconsistent(
+            f"boundary has {len(in_fibers)} vertex sets for {len(fibers)} fibers")
+    for i, (f, inside) in enumerate(zip(fibers, in_fibers)):
+        for v in inside:
+            if not f.graph.has_vertex(v):
+                raise ModelInconsistent(f"boundary names unknown vertex {v} of fiber {i}")
     rho = 2 + sum(len(f.graph) - 1 for f in fibers)
-    return FibrationModel(fibers, sections, bd, rho)
+    return FibrationModel(fibers, sections, in_sections, in_fibers, rho)
 
 
 @dataclass(frozen=True)
@@ -319,26 +321,26 @@ class FujitaAccounting:
 def fujita_accounting(model: FibrationModel) -> FujitaAccounting:
     """Count both sides of h + nu + rho = Sigma + #boundary + 2.
 
-    h counts boundary sections, nu the fibers lying entirely in the
-    boundary, Sigma adds (outside-vertex count - 1) over the remaining
-    fibers.  The identity holds for every well-formed model, so a mismatch
-    means the model construction itself is broken.
+    h = |boundary_sections|, nu counts the fibers whose boundary vertex
+    set is the whole fiber, Sigma adds (outside-vertex count - 1) over the
+    other fibers, and #boundary = h + the sizes of the vertex sets.  The
+    identity holds for every well-formed model, so a mismatch means the
+    model construction itself is broken.
     """
-    h = sum(1 for item in model.boundary if item[0] == "section")
+    h = len(model.boundary_sections)
     nu = 0
     sigma = 0
-    for i, f in enumerate(model.fibers):
-        inside = {item[2] for item in model.boundary if item[0] == "fiber" and item[1] == i}
-        outside = [v for v in f.graph.vertices if v not in inside]
+    for f, inside in zip(model.fibers, model.boundary_vertices):
+        outside = len(f.graph) - len(inside)
         if not outside:
             nu += 1
         else:
-            sigma += len(outside) - 1
+            sigma += outside - 1
     acc = FujitaAccounting(
         sections_in_boundary=h,
         fibers_in_boundary=nu,
         horizontal_like_sum=sigma,
-        boundary_size=len(model.boundary),
+        boundary_size=h + sum(map(len, model.boundary_vertices)),
         rho=model.rho,
     )
     if acc.left != acc.right:

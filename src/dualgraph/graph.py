@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import DuplicateId, SelfLoop, UnknownEndpoint, UnknownVertex
 
-VertexId = int
 Edge = Tuple[int, int]
 
 
@@ -180,7 +179,7 @@ def build_graph(
             raise UnknownEndpoint(f"edge endpoint {b!r} is not a vertex")
         if a == b:
             raise SelfLoop(f"edge {a}-{b} joins a vertex to itself")
-        edge_list.append(_norm_edge(a, b))
+        edge_list.append((a, b))
     next_id = max(order, default=0) + 1
     return WeightedGraph(order, weight, edge_list, next_id)
 

@@ -294,14 +294,8 @@ class _Draft:
 
 
 def apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
-    """Mechanically apply a Move patch (no snc precondition re-checks).
-
-    A blow-down undoes exactly the patch of the blow-up with the same
-    anchors, so the kind must match the anchor count (see blow_up).
-    """
-    d = _Draft(g)
-    d.apply(m)
-    return d.freeze()
+    """The graph after the one move m: a one-move replay (see _Draft.apply)."""
+    return MoveLog((m,)).replay(g)
 
 
 def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGraph, Move]:

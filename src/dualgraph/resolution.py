@@ -365,7 +365,6 @@ class TheoremCertificate:
     line: Optional[int]
     fiber_one: FiberRole
     fiber_two: FiberRole
-    boundary: Tuple[int, ...]
     rho: int
     d_near_one: int
     d_near_two: int
@@ -442,7 +441,6 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     check("free_multiplicity_one", d_near_one, fiber_one.multiplicity[AXIS_Y])
     check("free_multiplicity_two", d_near_two, fiber_two.multiplicity[AXIS_X])
 
-    boundary = tuple(v for v in g.vertices if v not in (AXIS_X, AXIS_Y))
     _accounting_checks(g, curve, sections, (fiber_one, fiber_two), (member_one, member_two),
                        rho, check)
 
@@ -457,8 +455,7 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
 
     return TheoremCertificate(
         n, m, g, curve, sections, FAR_LINE if g.has_vertex(FAR_LINE) else None,
-        fiber_one, fiber_two, boundary, rho, d_near_one, d_near_two,
-        tuple(checks), history,
+        fiber_one, fiber_two, rho, d_near_one, d_near_two, tuple(checks), history,
     )
 
 
@@ -503,11 +500,9 @@ def _accounting_checks(g, curve, sections, roles, members, rho, check) -> None:
         section_maps.append(hits)
     if any(len(sm) != 3 for sm in section_maps):
         return
-    boundary = [("section", 0), ("section", 1), ("fiber", 2, curve)]
-    for i, r in enumerate(roles):
-        boundary.extend(("fiber", i, v) for v in r.vertices if v != r.free_vertex)
+    inside = [[v for v in r.vertices if v != r.free_vertex] for r in roles] + [[curve]]
     try:
-        model = fibration_model(fibers, section_maps, boundary)
+        model = fibration_model(fibers, section_maps, (0, 1), inside)
         acc = fujita_accounting(model)
     except ModelInconsistent as exc:
         check("counting_identity", "holds", f"{type(exc).__name__}: {exc}")

@@ -23,7 +23,6 @@ from dualgraph.errors import NotSnc, TooBranched
 from dualgraph.fibration import enumerate_fibers, validate_fiber
 from dualgraph.graph import build_graph, intersection_matrix
 from dualgraph.homology import divisibility_check, q_acyclicity_relation
-from dualgraph.intmat import det_bareiss
 from dualgraph.lattice import (
     definiteness,
     discriminant,
@@ -34,16 +33,14 @@ from dualgraph.lattice import (
 from dualgraph.moves import MoveLog, blow_down, blow_up, snc_minimalize
 from dualgraph.resolution import CuspPair, build_completion, coprime_pairs, theorem_pipeline
 
+from test_graph import chain
+from test_intmat import bareiss_discriminant
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def note(k, slug):
     print(f"criterion {k} ({slug}): PASS")
-
-
-def chain(weights):
-    ids = list(range(len(weights)))
-    return build_graph(list(zip(ids, weights)), list(zip(ids, ids[1:])))
 
 
 def random_tree(rng, size, weights=(-5, 2)):
@@ -157,11 +154,6 @@ def _canon_tree(k, edges):
     return min(enc(c, None) for c in alive)
 
 
-def bareiss_discriminant(g):
-    """det(-Q) by the dense Bareiss kernel, which the forest pass never calls."""
-    return det_bareiss([[-x for x in row] for row in intersection_matrix(g)])
-
-
 def test_criterion_4_splitting_identity():
     started = time.monotonic()
     shapes = _tree_shapes(7)
@@ -266,12 +258,12 @@ def test_criterion_6_move_calculus():
 
 
 def test_criterion_7_standard_forms():
-    res = standardize_chain(chain([-2, -1, -2]))
+    res = standardize_chain(chain([-2, -1, -2], start=0))
     assert res.chain_type.entries == (0,)
 
     rng = random.Random(404)
     for _ in range(200):
-        g = chain([0, 0])
+        g = chain([0, 0], start=0)
         for _ in range(rng.randint(0, 12)):
             if rng.random() < 0.5 and g.edges:
                 a, b = rng.choice(list(g.edges))
@@ -285,7 +277,7 @@ def test_criterion_7_standard_forms():
         assert standardize_chain(g).chain_type.entries == (0, 0)
 
     for a in range(-10, 11):
-        d = discriminant(chain([-2, -a, -2]))
+        d = discriminant(chain([-2, -a, -2], start=0))
         assert d == 4 * (a - 1)
         assert d % 2 == 0
     note(7, "chains reach [0], [0,0]; d[2,a,2] = 4(a-1)")

@@ -1,14 +1,7 @@
 import pytest
 
 from dualgraph.cli import _graph_payload
-from dualgraph.dsl import (
-    GraphDocument,
-    dot_graph,
-    format_document,
-    format_graph,
-    parse_document,
-    parse_graph,
-)
+from dualgraph.dsl import GraphDocument, dot_graph, format_document, parse_document
 from dualgraph.errors import (
     DuplicateId,
     GraphSyntaxError,
@@ -22,14 +15,14 @@ from dualgraph.lattice import discriminant
 
 class TestParse:
     def test_two_zero_chain(self):
-        g = parse_graph("v 1 0\nv 2 0\ne 1 2")
+        g = parse_document("v 1 0\nv 2 0\ne 1 2").graph
         assert g.weight(1) == 0 and g.weight(2) == 0
         assert g.edges == ((1, 2),)
         assert discriminant(g) == -1
 
     def test_self_loop_reports_its_line(self):
         with pytest.raises(SelfLoop, match="line 2"):
-            parse_graph("v 1 -1\ne 1 1")
+            parse_document("v 1 -1\ne 1 1")
 
     def test_comments_blank_lines_and_header(self):
         doc = parse_document(
@@ -51,11 +44,11 @@ class TestParse:
         assert "format version" in str(err.value)
 
     def test_file_order_is_vertex_order(self):
-        g = parse_graph("v 7 0\nv 2 -1\nv 5 -2")
+        g = parse_document("v 7 0\nv 2 -1\nv 5 -2").graph
         assert g.vertices == (7, 2, 5)
 
     def test_forward_edge_reference(self):
-        g = parse_graph("v 1 0\ne 1 2\nv 2 -3")
+        g = parse_document("v 1 0\ne 1 2\nv 2 -3").graph
         assert g.has_edge(1, 2)
 
     def test_roles(self):
@@ -75,18 +68,44 @@ class TestParse:
             parse_document(text)
         assert err.value.line_number == lineno
 
+    @pytest.mark.parametrize("text,what,token", [
+        ("v 1_0 -2", "vertex id", "1_0"),
+        ("v \u0661 -1", "vertex id", "\u0661"),
+        ("v 1 -\u0662", "weight", "-\u0662"),
+        ("v 1 0\nv 2 0\ne 1 \u0662", "endpoint", "\u0662"),
+        ("v 1 0\nv 2 0\nrole r 1 \u0661", "role member", "\u0661"),
+    ])
+    def test_integers_are_a_sign_and_ascii_digits(self, text, what, token):
+        with pytest.raises(GraphSyntaxError, match=f"{what} must be an integer") as err:
+            parse_document(text)
+        assert err.value.line_number == text.count("\n") + 1
+        assert repr(token) in str(err.value)
+
+    def test_a_token_past_the_int_digit_limit_is_a_syntax_error(self):
+        big = "9" * 5000
+        try:
+            g = parse_document(f"v 1 {big}").graph
+        except GraphSyntaxError as err:
+            assert err.line_number == 1 and "weight must be an integer" in str(err)
+        else:  # an interpreter with no digit limit reads it
+            assert g.weight(1) == int(big)
+
+    def test_a_plus_sign_still_parses(self):
+        g = parse_document("v +3 -2\nv 4 +0\ne +3 4").graph
+        assert g.vertices == (3, 4) and g.weight(4) == 0 and g.has_edge(3, 4)
+
     def test_semantic_errors(self):
         with pytest.raises(DuplicateId, match="line 2"):
-            parse_graph("v 1 0\nv 1 -1")
+            parse_document("v 1 0\nv 1 -1")
         with pytest.raises(UnknownEndpoint, match="line 2"):
-            parse_graph("v 1 0\ne 1 3")
+            parse_document("v 1 0\ne 1 3")
         with pytest.raises(UnknownVertex, match="line 3"):
             parse_document("v 1 0\nv 2 0\nrole part 1 5")
         with pytest.raises(GraphSyntaxError, match="already declared"):
             parse_document("v 1 0\nrole a 1\nrole a 1")
 
     def test_parallel_edges_survive(self):
-        g = parse_graph("v 1 -2\nv 2 -2\ne 1 2\ne 1 2")
+        g = parse_document("v 1 -2\nv 2 -2\ne 1 2\ne 1 2").graph
         assert g.edge_multiplicity(1, 2) == 2
 
 
@@ -113,9 +132,9 @@ class TestFormat:
         json_roles = {k: tuple(v) for k, v in _graph_payload(doc)["roles"].items()}
         assert json_roles == parse_document(format_document(doc)).roles == doc.roles
 
-    def test_format_graph_shortcut(self):
+    def test_a_document_without_roles_prints_header_and_vertices(self):
         g = build_graph([(0, -1)])
-        assert format_graph(g) == "# dualgraph 1\nv 0 -1\n"
+        assert format_document(GraphDocument(g)) == "# dualgraph 1\nv 0 -1\n"
 
 
 class TestDot:

@@ -537,11 +537,7 @@ def smooth_fiber():
 
 def test_trivial_model_accounting():
     fib = smooth_fiber()
-    model = fibration_model(
-        [fib],
-        [{0: 0}],
-        [("fiber", 0, 0), ("section", 0)],
-    )
+    model = fibration_model([fib], [{0: 0}], {0}, [{0}])
     assert model.rho == 2
     acc = fujita_accounting(model)
     assert acc.sections_in_boundary == 1
@@ -553,9 +549,9 @@ def test_trivial_model_accounting():
 def test_singular_fiber_with_one_vertex_outside():
     f = fiber_blow_up(fiber_blow_up(initial_fiber(), 0), (0, 1))
     middle = [v for v in f.graph.vertices if f.graph.weight(v) == -1][0]
-    boundary = [("fiber", 0, v) for v in f.graph.vertices if v != middle]
-    boundary.append(("section", 0))
-    model = fibration_model([f], [{0: [v for v in f.graph.vertices if f.multiplicity[v] == 1][0]}], boundary)
+    inside = [v for v in f.graph.vertices if v != middle]
+    sec_vertex = [v for v in f.graph.vertices if f.multiplicity[v] == 1][0]
+    model = fibration_model([f], [{0: sec_vertex}], {0}, [inside])
     acc = fujita_accounting(model)
     assert acc.fibers_in_boundary == 0
     assert acc.horizontal_like_sum == 0  # one vertex outside contributes 1-1
@@ -565,10 +561,9 @@ def test_singular_fiber_with_one_vertex_outside():
 def test_two_vertices_outside_rebalance():
     f = fiber_blow_up(fiber_blow_up(initial_fiber(), 0), (0, 1))
     keep_out = list(f.graph.vertices)[:2]
-    boundary = [("fiber", 0, v) for v in f.graph.vertices if v not in keep_out]
-    boundary.append(("section", 0))
+    inside = [v for v in f.graph.vertices if v not in keep_out]
     sec_vertex = [v for v in f.graph.vertices if f.multiplicity[v] == 1][0]
-    model = fibration_model([f], [{0: sec_vertex}], boundary)
+    model = fibration_model([f], [{0: sec_vertex}], {0}, [inside])
     acc = fujita_accounting(model)
     assert acc.horizontal_like_sum == 1
     assert acc.left == acc.right
@@ -578,14 +573,30 @@ def test_model_rejects_section_on_high_multiplicity_vertex():
     f = fiber_blow_up(fiber_blow_up(initial_fiber(), 0), (0, 1))
     middle = [v for v in f.graph.vertices if f.multiplicity[v] == 2][0]
     with pytest.raises(ModelInconsistent):
-        fibration_model([f], [{0: middle}], [])
+        fibration_model([f], [{0: middle}], (), [()])
 
 
 def test_model_rejects_bad_boundary_items():
     fib = smooth_fiber()
+    with pytest.raises(ModelInconsistent, match="unknown vertex 99 of fiber 0"):
+        fibration_model([fib], [{0: 0}], (), [{99}])
+    with pytest.raises(ModelInconsistent, match="unknown section 3"):
+        fibration_model([fib], [{0: 0}], {3}, [()])
     with pytest.raises(ModelInconsistent):
-        fibration_model([fib], [{0: 0}], [("fiber", 0, 99)])
-    with pytest.raises(ModelInconsistent):
-        fibration_model([fib], [{0: 0}], [("section", 3)])
-    with pytest.raises(ModelInconsistent):
-        fibration_model([fib], [{1: 0}], [])
+        fibration_model([fib], [{1: 0}], (), [()])
+
+
+@pytest.mark.parametrize("vertex_sets", [[], [{0}, ()]])
+def test_model_needs_one_boundary_vertex_set_per_fiber(vertex_sets):
+    with pytest.raises(ModelInconsistent, match="vertex sets for 1 fibers"):
+        fibration_model([smooth_fiber()], [{0: 0}], {0}, vertex_sets)
+
+
+def test_accounting_reads_the_typed_boundary():
+    f = fiber_blow_up(fiber_blow_up(initial_fiber(), 0), (0, 1))
+    model = fibration_model([f, smooth_fiber()], [], (), [f.graph.vertices[1:], {0}])
+    assert model.boundary_sections == frozenset()
+    assert model.boundary_vertices == (frozenset(f.graph.vertices[1:]), frozenset({0}))
+    acc = fujita_accounting(model)
+    assert (acc.sections_in_boundary, acc.fibers_in_boundary, acc.horizontal_like_sum,
+            acc.boundary_size, acc.rho) == (0, 1, 0, 3, 4)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from dualgraph.graph import build_graph
+from dualgraph.graph import build_graph, intersection_matrix
 from dualgraph.intmat import charpoly, det_bareiss, smith_normal_form
 from dualgraph.lattice import smith_invariants
 
@@ -43,6 +43,11 @@ def det_naive(rows):
         term = rows[0][j] * det_naive(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def bareiss_discriminant(g, selection=None):
+    """det(-Q) by the dense Bareiss kernel, which the forest pass never calls."""
+    return det_bareiss([[-x for x in row] for row in intersection_matrix(g, selection)])
 
 
 def determinantal_factors(rows):

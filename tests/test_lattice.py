@@ -27,7 +27,8 @@ from dualgraph.lattice import (
 from dualgraph.resolution import CuspPair, theorem_pipeline
 
 from test_graph import chain
-from test_intmat import det_naive, determinantal_factors, symmetric_signature
+from test_intmat import (bareiss_discriminant, det_naive, determinantal_factors,
+                         symmetric_signature)
 
 
 def test_discriminant_known():
@@ -62,11 +63,6 @@ def test_splitting_known():
     assert discriminant_by_splitting(chain([-2, -2, -3])) == 7
     assert discriminant_by_splitting(chain([0, 0])) == -1
     assert discriminant_by_splitting(build_graph([(1, -5)], [])) == 5
-
-
-def bareiss_discriminant(g, selection=None):
-    """det(-Q) by the dense Bareiss kernel, which the forest pass never calls."""
-    return det_bareiss([[-x for x in row] for row in intersection_matrix(g, selection)])
 
 
 def test_splitting_matches_direct_random_trees():
