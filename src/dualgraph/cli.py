@@ -11,7 +11,8 @@ needs a tangency.
 
 The JSON certificate (schema dualgraph.certificate/2) holds only None,
 bool, int, str, lists, tuples and dicts with str keys; any other value or
-key raises TypeError, so no value is written through str().  It has a
+key raises TypeError, a subclass of list or tuple (a named tuple such as
+a Move) included, so no value is written through str().  It has a
 fixed byte layout, written by _json_text:
 
 - each item of an array or object starts on a new line indented by two
@@ -84,7 +85,7 @@ def _jsonable(x):
     """x with tuples as lists (--format text); a value that is not JSON raises TypeError."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
-    if isinstance(x, (list, tuple)):
+    if type(x) in (list, tuple):
         return [_jsonable(t) for t in x]
     if isinstance(x, dict) and all(isinstance(k, str) for k in x):
         return {k: _jsonable(v) for k, v in x.items()}
@@ -112,7 +113,7 @@ def _write_json(x, depth: int, out: List[str]) -> None:
         keys = sorted(x)
         values = [x[k] for k in keys]
         opening, closing = "{", "}"
-    elif isinstance(x, (list, tuple)):
+    elif type(x) in (list, tuple):
         if not x:
             out.append("[]")
             return

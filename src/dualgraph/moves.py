@@ -12,15 +12,20 @@ has weight -1 and meets the rest in at most two points, transversally, on
 curves that do not already meet (Castelnuovo's criterion for snc models).
 Every applied move yields a Move record carrying a complete structural
 patch, so a MoveLog can be replayed forward or inverted exactly, restoring
-vertex ids and canonical order bit for bit.
+vertex ids and canonical order bit for bit.  A Move is an immutable named
+tuple (kind, vertex, position, anchors); which kinds fit which anchor
+counts, and what each inverts to, is the one table _INVERSE_KIND, which
+apply and Move.inverted read (MoveLog.inverted inverts move by move), so
+a move apply rejects cannot be inverted either.
 
 Every move is applied by one function, _Draft.apply, which patches a
 mutable copy of the graph (the order list, the weights and each vertex's
 neighbour list) in time proportional to the vertex's degree, plus a
 C-level list insert or delete at the move's position in the order, and
-records the move in the draft's log.  _Draft.glue appends a fresh vertex
-wired to existing ones, the one assembly step outside the calculus, and
-logs nothing.  A run of
+records the move in the draft's log.  It branches on the kind once and
+makes every check inline, before the first write, calling no helper per
+move.  _Draft.glue appends a fresh vertex wired to existing ones, the one
+assembly step outside the calculus, and logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
 immutable graph once, at the end, and reads its move log from the draft;
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import (
     NotMinusOne,
@@ -49,7 +54,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .graph import WeightedGraph, _norm_edge
+from .graph import WeightedGraph
 
 BLOW_UP_FREE = "blow_up_free"
 BLOW_UP_EDGE = "blow_up_edge"
@@ -59,15 +64,27 @@ SPAWN = "spawn"
 #: a blow-up's kind, indexed by the number of curves through its centre
 BLOW_UP_KINDS = (SPAWN, BLOW_UP_FREE, BLOW_UP_EDGE)
 
+#: the inverse kind of every well-formed move, keyed by (kind, anchor count):
+#: a blow-up's anchors fix its kind, and a blow-down keeps the anchors of the
+#: blow-up it undoes
+_INVERSE_KIND = {
+    (SPAWN, 0): BLOW_DOWN,
+    (BLOW_UP_FREE, 1): BLOW_DOWN,
+    (BLOW_UP_EDGE, 2): BLOW_DOWN,
+    (BLOW_DOWN, 0): SPAWN,
+    (BLOW_DOWN, 1): BLOW_UP_FREE,
+    (BLOW_DOWN, 2): BLOW_UP_EDGE,
+}
 
-def _blow_up_kind(anchors: Tuple[int, ...]) -> str:
-    if len(anchors) >= len(BLOW_UP_KINDS):
-        raise ValueError(f"a blow-up centre lies on at most two curves, got {anchors}")
-    return BLOW_UP_KINDS[len(anchors)]
+
+def _malformed(kind: str, anchors: Tuple[int, ...]) -> ValueError:
+    """The error for a move whose kind and anchors are not in _INVERSE_KIND."""
+    if len(anchors) > 2:
+        return ValueError(f"a blow-up centre lies on at most two curves, got {anchors}")
+    return ValueError(f"{kind!r} move cannot have anchors {anchors}")
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One structural patch.
 
     vertex is the id created (blow_up_*, spawn) or removed (blow_down).
@@ -83,7 +100,10 @@ class Move:
     anchors: Tuple[int, ...] = ()
 
     def inverted(self) -> "Move":
-        kind = _blow_up_kind(self.anchors) if self.kind == BLOW_DOWN else BLOW_DOWN
+        """The move that undoes this one; a malformed move raises apply's ValueError."""
+        kind = _INVERSE_KIND.get((self.kind, len(self.anchors)))
+        if kind is None:
+            raise _malformed(self.kind, self.anchors)
         return Move(kind, self.vertex, self.position, self.anchors)
 
 
@@ -101,12 +121,13 @@ class MoveLog:
         return MoveLog(self.moves + other.moves)
 
     def inverted(self) -> "MoveLog":
-        return MoveLog(tuple(m.inverted() for m in reversed(self.moves)))
+        return MoveLog(tuple([m.inverted() for m in reversed(self.moves)]))
 
     def replay(self, g: WeightedGraph) -> WeightedGraph:
         d = _Draft(g)
+        apply = d.apply
         for m in self.moves:
-            d.apply(m)
+            apply(m)
         return d.freeze()
 
 
@@ -162,49 +183,62 @@ class _Draft:
         the draft, and its log, as it was; an accepted one is appended to
         the log.
         """
-        if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
-            raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
-        corner = _norm_edge(*m.anchors) if len(m.anchors) == 2 else None
-        v, adj, weights = m.vertex, self.adj, self.weights
-        if m.kind == BLOW_DOWN:
-            self.require_vertex(v)
+        kind, v, position, anchors = m
+        n = len(anchors)
+        if (kind, n) not in _INVERSE_KIND:
+            raise _malformed(kind, anchors)
+        order, weights, adj = self.order, self.weights, self.adj
+        if kind == BLOW_DOWN:
+            if v not in weights:
+                raise UnknownVertex(f"no vertex {v!r}")
             if weights[v] != -1:
                 raise NotMinusOne(f"vertex {v} has weight {weights[v]}")
-            if tuple(sorted(adj[v])) != tuple(sorted(m.anchors)):
-                raise ValueError(f"move anchors {m.anchors} do not match the graph")
-            if corner is not None and corner[0] == corner[1]:
-                raise ValueError(f"vertex {v} meets {corner[0]} twice")
-            if not 0 <= m.position < len(self.order) or self.order[m.position] != v:
-                raise ValueError(f"vertex {v} is not at position {m.position}")
-            del self.order[m.position]
+            # the neighbours must be the anchors up to order, and at most
+            # two items have at most two orders
+            nbs = adj[v]
+            if n == 2:
+                a, b = anchors
+                matched = nbs == [a, b] or nbs == [b, a]
+            else:
+                matched = nbs == list(anchors)
+            if not matched:
+                raise ValueError(f"move anchors {anchors} do not match the graph")
+            if n == 2 and a == b:
+                raise ValueError(f"vertex {v} meets {a} twice")
+            if not 0 <= position < len(order) or order[position] != v:
+                raise ValueError(f"vertex {v} is not at position {position}")
+            del order[position]
             del weights[v]
-            for a in adj.pop(v):
-                adj[a].remove(v)
-                weights[a] += 1
-            if corner is not None:
-                a, b = corner
+            del adj[v]
+            for u in nbs:
+                adj[u].remove(v)
+                weights[u] += 1
+            if n == 2:
                 adj[a].append(b)
                 adj[b].append(a)
         else:
-            if corner is not None and not self.has_edge(*corner):
-                raise UnknownEdge("no edge {}-{}".format(*m.anchors))
-            for a in m.anchors:
-                self.require_vertex(a)
+            if n == 2:
+                a, b = anchors
+                if b not in adj.get(a, ()):
+                    raise UnknownEdge(f"no edge {a}-{b}")
+            for u in anchors:
+                if u not in weights:
+                    raise UnknownVertex(f"no vertex {u!r}")
             if v in weights:
                 raise ValueError(f"move would recreate existing vertex {v}")
-            if not 0 <= m.position <= len(self.order):
-                raise ValueError(f"insertion position {m.position} out of range")
-            self.order.insert(m.position, v)
-            if corner is not None:
-                a, b = corner
+            if not 0 <= position <= len(order):
+                raise ValueError(f"insertion position {position} out of range")
+            order.insert(position, v)
+            if n == 2:
                 adj[a].remove(b)
                 adj[b].remove(a)
-            adj[v] = list(m.anchors)
+            adj[v] = list(anchors)
             weights[v] = -1
-            for a in m.anchors:
-                adj[a].append(v)
-                weights[a] -= 1
-            self.next_id = max(self.next_id, v + 1)
+            for u in anchors:
+                adj[u].append(v)
+                weights[u] -= 1
+            if v >= self.next_id:
+                self.next_id = v + 1
         self.log.append(m)
 
     def glue(self, weight: int, neighbors: Iterable[int] = ()) -> int:
@@ -228,7 +262,9 @@ class _Draft:
 
     def blow_up(self, anchors: Iterable[int] = ()) -> Move:
         anchors = tuple(anchors)
-        m = Move(_blow_up_kind(anchors), self.next_id, len(self.order), anchors)
+        if len(anchors) > 2:
+            raise _malformed(BLOW_UP_EDGE, anchors)
+        m = Move(BLOW_UP_KINDS[len(anchors)], self.next_id, len(self.order), anchors)
         self.apply(m)
         return m
 
@@ -258,12 +294,17 @@ class _Draft:
         neighbours can become contractible, so they are the only ids it
         pushes back: elsewhere it changes no weight and no neighbour list,
         and the one edge it adds can only spoil a vertex whose two
-        neighbours it joins, never free one.
+        neighbours it joins, never free one.  For the same reason the heap
+        starts with the weight -1 vertices alone: any other vertex reaches
+        weight -1 only as some blow-down's anchor, which pushes it then,
+        and equal ids pop together, so the blow-downs tried, and their
+        order, are those of a heap seeded with every vertex.
         """
-        heap = sorted(self.order)
+        weights = self.weights
+        heap = sorted(v for v in self.order if weights[v] == -1)
         while heap and len(self.order) > keep:
             v = heappop(heap)
-            if self.weights.get(v) != -1 or v in protected:
+            if weights.get(v) != -1 or v in protected:
                 continue
             try:
                 m = self.blow_down(v)

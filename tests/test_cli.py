@@ -14,6 +14,7 @@ from dualgraph.chains import ChainType
 from dualgraph.cli import main
 from dualgraph.errors import DualGraphError
 from dualgraph.lattice import discriminant
+from dualgraph.moves import Move
 
 from test_lattice import cycle_discriminant
 
@@ -667,7 +668,7 @@ def test_writer_matches_the_stdlib_encoder_on_random_payloads():
 
 
 #: what certificate/1 wrote through str(), and keys that are not str
-NOT_JSON = (1.5, Fraction(1, 2), frozenset({3, 5}), ChainType((0, 0)),
+NOT_JSON = (1.5, Fraction(1, 2), frozenset({3, 5}), ChainType((0, 0)), Move("spawn", 1, 0),
             {1: "int key"}, {True: "bool key"}, {None: "None key"}, {1: "int", "1": "str"})
 
 

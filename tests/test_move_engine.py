@@ -7,11 +7,13 @@ the one assembly step, gluing a fresh vertex on.  Both are kept here only
 as oracles.
 """
 
+import heapq
 import random
 
 import pytest
 
 from dualgraph import graph as graph_module
+from dualgraph import moves as moves_module
 from dualgraph.errors import NotMinusOne, NotSnc, TooBranched, UnknownEdge, UnknownVertex
 from dualgraph.graph import WeightedGraph, _norm_edge, build_graph
 from dualgraph.moves import (
@@ -19,7 +21,6 @@ from dualgraph.moves import (
     BLOW_UP_KINDS,
     Move,
     MoveLog,
-    _blow_up_kind,
     _Draft,
     apply_move,
     blow_down,
@@ -32,7 +33,9 @@ from test_graph import chain
 
 
 def rebuild_apply_move(g: WeightedGraph, m: Move) -> WeightedGraph:
-    if m.kind not in (_blow_up_kind(m.anchors), BLOW_DOWN):
+    if len(m.anchors) >= len(BLOW_UP_KINDS):
+        raise ValueError(f"a blow-up centre lies on at most two curves, got {m.anchors}")
+    if m.kind not in (BLOW_UP_KINDS[len(m.anchors)], BLOW_DOWN):
         raise ValueError(f"{m.kind!r} move cannot have anchors {m.anchors}")
     corner = _norm_edge(*m.anchors) if len(m.anchors) == 2 else None
     if m.kind == BLOW_DOWN:
@@ -143,10 +146,13 @@ def random_move(rng, g, log):
         return log[-1].inverted()
     if roll < 0.7 and log:
         return rng.choice(log).inverted()
-    # moves that must (mostly) be rejected
-    v = rng.choice(verts) if verts else 0
-    stranger = max(verts, default=0) + 100
-    return rng.choice([
+    return rng.choice(rejected_moves(g, rng.choice(verts) if verts else 0, fresh, pos))
+
+
+def rejected_moves(g, v, fresh, pos):
+    """Moves that must (mostly) be rejected; the first five have malformed kinds."""
+    stranger = max(g.vertices, default=0) + 100
+    return [
         Move("spawn", fresh, pos, (v,)),
         Move("blow_up_free", fresh, pos, ()),
         Move("blow_up_edge", fresh, pos, (v,)),
@@ -162,7 +168,7 @@ def random_move(rng, g, log):
         Move("spawn", v, pos, ()),
         Move("spawn", fresh, len(g) + 1, ()),
         Move("spawn", fresh, -1, ()),
-    ])
+    ]
 
 
 def outcome(fn):
@@ -203,6 +209,26 @@ def test_draft_matches_rebuild_reference_on_random_move_sequences():
         assert MoveLog(tuple(log)).inverted().replay(g) == start
     assert kinds == {"spawn", "blow_up_free", "blow_up_edge", "blow_down"}
     assert rejected > 1000
+
+
+def test_a_malformed_move_cannot_be_inverted():
+    # inverting a move whose kind does not fit its anchors would turn it
+    # into a valid move, so inverted raises what apply raises
+    rng = random.Random(3)
+    malformed = 0
+    for _ in range(200):
+        g = random_multigraph(rng, rng.randint(1, 6))
+        v = rng.choice(g.vertices)
+        for m in rejected_moves(g, v, g.next_id, 0) + [Move("flip", v, 0, (v,))]:
+            inverse = outcome(m.inverted)
+            if inverse[0] == "ok":
+                assert inverse[1].inverted() == m
+                continue
+            malformed += 1
+            applied = outcome(lambda: apply_move(g, m))
+            assert applied[0] == "error" and inverse == applied, m
+            assert outcome(MoveLog((m,)).inverted) == applied, m
+    assert malformed == 6 * 200
 
 
 def test_a_blow_down_must_hold_its_position():
@@ -345,6 +371,40 @@ def constructions(monkeypatch):
         return dict(counts)
 
     return measure
+
+
+@pytest.fixture
+def heap_pops(monkeypatch):
+    """Counts of contraction-heap pops and of contract_all runs."""
+    counts = {"pops": 0, "runs": 0}
+    contract_all = _Draft.contract_all
+
+    def counted_pop(heap):
+        counts["pops"] += 1
+        return heapq.heappop(heap)
+
+    def counted_contract_all(self, *args, **kwargs):
+        counts["runs"] += 1
+        return contract_all(self, *args, **kwargs)
+
+    monkeypatch.setattr(moves_module, "heappop", counted_pop)
+    monkeypatch.setattr(_Draft, "contract_all", counted_contract_all)
+
+    def measure(fn):
+        counts.update(pops=0, runs=0)
+        result = fn()
+        return result, dict(counts)
+
+    return measure
+
+
+def test_the_contraction_heap_holds_only_candidates(heap_pops):
+    # the heap starts with the (-1)-vertices alone, so the pops follow the
+    # contractions and the rounds, not the number of vertices
+    assert heap_pops(lambda: _Draft(chain([-2] * 2000)).contract_all())[1]["pops"] == 0
+    result, counts = heap_pops(lambda: standardize_chain(chain([120, -2])))
+    contractions = sum(m.kind == BLOW_DOWN for m in result.log)
+    assert counts["pops"] <= 4 * contractions + 4 * counts["runs"]
 
 
 def test_pipeline_builds_as_many_graphs_at_every_size(constructions):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -119,6 +120,15 @@ def test_inverted_is_involution():
     d = Move("blow_down", 5, 0, (9,))
     assert d.inverted().kind == "blow_up_free"
     assert d.inverted().inverted() == d
+
+
+def test_a_log_apply_rejects_cannot_be_inverted():
+    g = chain([-2, -1])
+    log = MoveLog((Move("flip", 2, 1, (1,)),))
+    message = re.escape("'flip' move cannot have anchors (1,)")
+    for run in (lambda: log.replay(g), log.inverted, log.moves[0].inverted):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_blow_up_anchors_decide_the_kind():
