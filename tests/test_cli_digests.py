@@ -160,6 +160,18 @@ def families():
     }
     cases = [[cmd, name] for name in [*files, "absent.dg"] for cmd in ("disc", "homology")]
     out["graph-files"] = (files, cases)
+
+    # Smith forms: random multigraphs, isolated -2 vertices and -2 stars,
+    # and two weight-2 vertices that meet three times, Q = [[2, 3], [3, 2]],
+    # whose factors (1, 5) need a round with no unit pivot
+    rng = random.Random(20)
+    files = {f"h{i:03d}.dg": _random_multigraph(rng)[0] for i in range(200)}
+    for k in range(1, 13):
+        files[f"isolated_{k}.dg"] = "".join(f"v {v} -2\n" for v in range(1, k + 1))
+        files[f"star_{k}.dg"] = ("".join(f"v {v} -2\n" for v in range(k + 1))
+                                 + "".join(f"e 0 {v}\n" for v in range(1, k + 1)))
+    files["two_three.dg"] = "v 1 2\nv 2 2\ne 1 2\ne 1 2\ne 1 2\n"
+    out["homology"] = (files, [["homology", name] for name in files])
     return out
 
 
