@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import standardize_chain
 from .dsl import GraphDocument, dot_graph, format_document, parse_document
-from .errors import BadOrder, DualGraphError, NotCoprime, Transversal
+from .errors import BadOrder, DualGraphError, NotCoprime, ResultTooLong, Transversal
 from .fibration import enumerate_fibers, validate_fiber
 from .homology import euler_open, q_acyclicity_relation
 from .lattice import discriminant, smith_invariants
@@ -164,8 +164,19 @@ def _move_rows(log) -> List[dict]:
     ]
 
 
+def _printable(what: str, value: int) -> None:
+    """Raise ResultTooLong unless |value| < 10**limit, limit being the most
+    digits Python prints, sys.get_int_max_str_digits() (0: no limit).  A
+    value below 2**(3 * limit) < 10**limit needs no power of ten."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
+        raise ResultTooLong(f"{what} reaches 10**{limit}, and Python prints at most "
+                            f"sys.get_int_max_str_digits() = {limit} digits")
+
+
 def _graph_payload(doc: GraphDocument) -> dict:
     g = doc.graph
+    _printable("a weight of the result", max(map(abs, map(g.weight, g.vertices)), default=0))
     return {
         "vertices": [[v, g.weight(v)] for v in g.vertices],
         "edges": [list(e) for e in g.edges],
@@ -198,6 +209,7 @@ def cmd_disc(args) -> CommandResult:
     doc = _load(args.file)
     sel = tuple(args.sub) if args.sub is not None else None
     d = discriminant(doc.graph, sel)
+    _printable("the discriminant", d)
     return CommandResult(
         results={
             "discriminant": d,
@@ -443,6 +455,8 @@ def _verify_range(lo: int, hi: int) -> CommandResult:
 def cmd_homology(args) -> CommandResult:
     doc = _load(args.file)
     inv = smith_invariants(doc.graph)
+    _printable("the discriminant or an invariant factor",
+               max(map(abs, (inv.discriminant, *inv.invariant_factors))))
     results = {
         "discriminant": inv.discriminant,
         "definiteness": inv.definiteness,

@@ -93,6 +93,10 @@ class ChainRewriteInvariantViolation(DualGraphError):
     past its move budget."""
 
 
+class ResultTooLong(DualGraphError):
+    """A result could have more digits than Python prints (sys.get_int_max_str_digits())."""
+
+
 class GraphSyntaxError(DualGraphError):
     """Malformed line in the textual graph format."""
 

@@ -238,20 +238,21 @@ def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGrap
     return WeightedGraph(verts, {v: g._weight[v] for v in verts}, s.induced_edges(), g.next_id)
 
 
-def intersection_matrix(g: WeightedGraph, selection: Selection = None) -> List[List[int]]:
-    """Symmetric matrix Q: weights on the diagonal, edge counts off it.
-
-    Row order is the canonical vertex order restricted to the selection.
-    """
-    g = induced_graph(g, selection)
+def intersection_rows(g: WeightedGraph) -> List[Dict[int, int]]:
+    """The rows of Q by vertex position, each mapping a column to its nonzero
+    entry: the weight on the diagonal, the edge count off it."""
     idx = g._positions()
-    q = [[0] * len(g) for _ in range(len(g))]
-    for i, v in enumerate(g.vertices):
-        q[i][i] = g.weight(v)
+    rows = [{i: w} if (w := g.weight(v)) else {} for i, v in enumerate(g.vertices)]
     for a, b in g.edges:
-        q[idx[a]][idx[b]] += 1
-        q[idx[b]][idx[a]] += 1
-    return q
+        i, j = idx[a], idx[b]
+        rows[i][j] = rows[j][i] = rows[i].get(j, 0) + 1
+    return rows
+
+
+def intersection_matrix(g: WeightedGraph, selection: Selection = None) -> List[List[int]]:
+    """Symmetric matrix Q, its rows in the canonical order of the selection."""
+    rows = intersection_rows(induced_graph(g, selection))
+    return [[r.get(j, 0) for j in range(len(rows))] for r in rows]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,10 @@
-"""Exact integer matrix kernel.
+"""Exact integer matrix kernel, on plain Python ints and never floats.
 
-Everything here works over plain Python ints (arbitrary precision) and never
-touches floats: determinants via fraction-free elimination, characteristic
-polynomials via a division-free recurrence, and Smith normal form by
-least-entry diagonalization and a gcd/lcm sweep.
-
-The package itself calls only smith_normal_form, and only on the small
-residue that lattice.py's unit pivots leave, which holds no entry +-1.
-Determinants and inertia come from the sparse passes in lattice.py, and
-the dense kernels here are their independent oracles in the tests, which
-read an inertia off charpoly themselves.
+The package's one Smith elimination is sparse_smith_form, run on the sparse
+rows of Q by lattice.py and on a dense matrix by smith_normal_form; its
+oracle, the dense least-entry kernel, lives in the tests.  Bareiss
+determinants and Berkowitz characteristic polynomials are the tests'
+oracles for the sparse passes in lattice.py, which no module here serves.
 
 Matrices are lists of equal-length lists.  The empty matrix [] is legal and
 behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
@@ -17,8 +12,9 @@ behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -97,67 +93,118 @@ def charpoly(rows: Matrix) -> List[int]:
 
 
 def smith_normal_form(rows: Matrix) -> List[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, by sparse_smith_form:
+    the full diagonal, nonnegative, trailing zeros kept, so min(#rows, #cols)
+    long; the nonzero ones multiply to |det| for a nonsingular square matrix."""
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    row = [{j: x for j, x in enumerate(map(int, r)) if x} for r in rows]
+    return sparse_smith_form(row, [{i: r[j] for i, r in enumerate(row) if j in r}
+                                   for j in range(n)])
 
-    Returns the full diagonal, nonnegative, with trailing zeros kept, so the
-    length is min(#rows, #cols).  The product of the nonzero entries equals
-    |det| for a nonsingular square matrix.
 
-    Two stages.  Each round moves the least nonzero entry of the trailing
-    block to (t, t) and reduces its column by row operations and its row by
-    column operations, taking floor quotients, so every step is unimodular
-    and leaves remainders smaller than the pivot; a round that leaves one
-    repeats on the new least entry.  The resulting diagonal is then made a
-    divisibility chain by replacing each pair (a, b) with (gcd, lcm), since
-    diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over Z.
+def sparse_smith_form(row: List[Dict[int, int]], col: List[Dict[int, int]]) -> List[int]:
+    """smith_normal_form of the matrix whose row i maps each column to its
+    nonzero entry; col mirrors row.  Consumes both.
+
+    Each step takes the shortest row r that holds a unit a = q_rc (a lazy
+    heap keyed by row length) and, in it, the unit whose column is shortest
+    (Markowitz), deletes row r and column c, and updates every other
+    q_ij -= q_ic a q_rj, since 1/a = a: a unimodular step that splits off a
+    1 (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  Where no row
+    holds a unit, a _least_entry_round runs; what it splits off forms a
+    divisibility chain.
     """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for r in a:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-    diag: List[int] = []
-    t = 0
-    while t < min(m, n):
-        piv = _min_entry(a, t, m, n)
-        if piv is None:
-            break  # the trailing block is zero
-        i, j = piv
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            for r in a:
-                r[t], r[j] = r[j], r[t]
-        p = a[t][t]
-        clear = True
-        for i in range(t + 1, m):
-            q = a[i][t] // p
-            if q:
-                for jj in range(t, n):
-                    a[i][jj] -= q * a[t][jj]
-            clear = clear and not a[i][t]
-        for j in range(t + 1, n):
-            q = a[t][j] // p
-            if q:
-                for ii in range(t, m):
-                    a[ii][j] -= q * a[ii][t]
-            clear = clear and not a[t][j]
-        if clear:
-            diag.append(abs(p))
-            t += 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return diag + [0] * (min(m, n) - len(diag))
+    heap = [(len(r), i) for i, r in enumerate(row)]
+    heapify(heap)
+    ones, chain, waiting = 0, [], set()  # waiting: live rows last seen holding no unit
+    while True:
+        while heap:
+            k, r = heappop(heap)
+            if row[r] is None or len(row[r]) != k:
+                continue  # stale: a changed row was pushed again
+            units = [c for c, x in row[r].items() if x in (1, -1)]
+            if not units:
+                waiting.add(r)
+                continue  # pushed again once an update changes it
+            c = min(units, key=lambda j: len(col[j]))
+            pivot_row, pivot_col = row[r], col[c]
+            for j in pivot_row:
+                del col[j][r]
+            for i in pivot_col:
+                del row[i][c]
+            a = pivot_row.pop(c)
+            for i, x in pivot_col.items():
+                ri = row[i]
+                for j, y in pivot_row.items():
+                    q = ri.get(j, 0) - x * a * y
+                    if q:
+                        ri[j] = col[j][i] = q
+                    elif j in ri:
+                        del ri[j], col[j][i]
+                heappush(heap, (len(ri), i))
+            row[r] = col[c] = None
+            waiting.discard(r)
+            ones += 1
+        if not _least_entry_round(row, col, waiting, heap, chain):
+            break
+    return [1] * ones + chain + [0] * (min(len(row), len(col)) - ones - len(chain))
 
 
-def _min_entry(a, t, m, n):
-    best = None
-    piv = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = abs(a[i][j])
-            if v and (best is None or v < best):
-                best, piv = v, (i, j)
-    return piv
+def _least_entry_round(row, col, waiting, heap, chain):
+    """Reduce the least |entry| p = q_rc of the rows in waiting, which hold
+    every entry and no unit (ties go to the shortest row and column; a 2
+    alone in its row or column ends the scan): column c by row operations,
+    then row r by column operations, by floor quotients, which leave
+    remainders below |p|, and put the changed rows on the heap.  Once r and
+    c hold only p, they go, and |p| joins the chain from the top: a slot
+    keeps the lcm of itself and the carry, and the gcd carries down until
+    the slot below divides it.  False if there is no entry."""
+    least = cost = 0
+    for i in waiting:
+        ri = row[i]
+        k = len(ri) - 1
+        for j, x in ri.items():
+            a = abs(x)
+            if not least or a < least or a == least and k * (len(col[j]) - 1) < cost:
+                least, cost, r, c = a, k * (len(col[j]) - 1), i, j
+        if least == 2 and not cost:
+            break
+    if not least:
+        return False
+    prow, pcol, p = row[r], col[c], row[r][c]
+    touched = list(pcol)
+    for i, x in list(pcol.items()):
+        q = x // p
+        if q and i != r:
+            ri = row[i]
+            for j, y in prow.items():
+                v = ri.get(j, 0) - q * y
+                if v:
+                    ri[j] = col[j][i] = v
+                elif j in ri:
+                    del ri[j], col[j][i]
+    for j, y in list(prow.items()):
+        q = y // p
+        if q and j != c:
+            cj = col[j]
+            for i, x in pcol.items():
+                v = cj.get(i, 0) - q * x
+                if v:
+                    cj[i] = row[i][j] = v
+                elif i in cj:
+                    del cj[i], row[i][j]
+    if len(prow) == len(pcol) == 1:
+        row[r] = col[c] = None
+        waiting.discard(r)
+        k = len(chain)
+        while k and least % chain[k - 1]:
+            g = gcd(chain[k - 1], least)
+            chain[k - 1], least = chain[k - 1] // g * least, g
+            k -= 1
+        chain.insert(k, least)
+    for i in touched:
+        if row[i] is not None:
+            heappush(heap, (len(row[i]), i))
+    return True

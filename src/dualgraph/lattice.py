@@ -4,22 +4,11 @@ The discriminant of a selection is det(-Q) where Q is its intersection
 matrix; the empty selection has discriminant 1.  Everything is exact.
 
 Each function reads its selection as its induced graph.  On a forest one
-leaves-first pass gives both the discriminant (the splitting rule, i.e.
-the plumbing-tree determinant recursion) and the inertia of Q (tree pivot
-counting after Jacobs-Trevisan), in linear ring operations on plain ints.
-The pass notices a cycle or a parallel edge on its own walk; such graphs
-take the sparse congruence pass, the same elimination on the adjacency
-itself: 1x1 pivots, a zero leaf paired with its neighbour as in the forest
-pass, and, where every diagonal is zero and no leaf is left, a row addition
-of determinant 1 that makes one nonzero.  It too runs on plain ints, by
-Bareiss's fraction-free elimination: it stores the Schur complement times
-the determinant of the block eliminated so far, whose entries are integer
-minors of Q by Sylvester's identity, so each division it makes is exact,
-and an entry waits to be rescaled until it is read.  No determinant or
-inertia builds the dense matrix.  The Smith invariant factors come from a sparse pass over the integers that
-pivots on the unit entries of Q, on every graph alike; the dense Smith
-normal form sees only the non-empty rows and columns that it leaves, which
-hold no unit.
+leaves-first pass gives both the discriminant (the splitting rule) and the
+inertia of Q (tree pivot counting after Jacobs-Trevisan); a cycle or a
+parallel edge takes the sparse congruence pass, fraction-free on plain
+ints.  The Smith invariant factors come from intmat.sparse_smith_form on
+the sparse rows of Q.  Nothing here builds the dense matrix.
 """
 
 from __future__ import annotations
@@ -30,8 +19,9 @@ from math import prod
 from typing import Optional, Tuple
 
 from .errors import NotAForest
-from .graph import Selection, WeightedGraph, _walk, classify_shape, induced_graph
-from .intmat import smith_normal_form
+from .graph import (Selection, WeightedGraph, _walk, classify_shape, induced_graph,
+                    intersection_rows)
+from .intmat import sparse_smith_form
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
@@ -96,68 +86,6 @@ def _forest_pass(g: WeightedGraph, inertia: bool = False):
         else:
             whole[p], pruned[p] = whole[p] * t - pruned[p] * e, pruned[p] * t
     return d, ((plus + pairs, zero, minus + pairs) if inertia else None)
-
-
-def _unit_pivots(g: WeightedGraph):
-    """(ones, residue): Q is equivalent over Z to I_ones (+) residue (+) 0,
-    where the residue keeps only the rows and columns that are not empty
-    and holds no entry +-1.
-
-    Sparse elimination on the adjacency in plain ints, indexed by vertex
-    position: row[i] maps each column to its nonzero entry of Q (the
-    weight on the diagonal, the edge multiplicity off it, later the fill),
-    and col mirrors it.  Each step takes the shortest row r that holds a
-    unit a = q_rc (a lazy heap keyed by row length) and, in it, the unit
-    whose column is shortest (Markowitz), deletes row r and column c, and
-    updates every other q_ij -= q_ic a q_rj, since 1/a = a.  That is a
-    unimodular row and column operation, so the invariant factors of Q are
-    a 1 per pivot followed by those of the rest (Dumas, Saunders and
-    Villard, J. Symb. Comp. 32, 2001).  On a tree it is the Tietze move of
-    Neumann's plumbing calculus.  A chain or a cycle fills O(1) per step
-    and leaves at most 1 or 2 rows; a star keeps one row fewer than it
-    has leaves.
-    """
-    idx = g._positions()
-    n = len(idx)
-    row = [{} for _ in range(n)]
-    col = [{} for _ in range(n)]
-    for i, v in enumerate(g.vertices):
-        w = g.weight(v)
-        if w:
-            row[i][i] = col[i][i] = w
-    for a, b in g.edges:
-        i, j = idx[a], idx[b]
-        row[i][j] = row[j][i] = col[j][i] = col[i][j] = row[i].get(j, 0) + 1
-    heap = [(len(r), i) for i, r in enumerate(row)]
-    heapify(heap)
-    ones = 0
-    while heap:
-        k, r = heappop(heap)
-        if row[r] is None or len(row[r]) != k:
-            continue  # stale: a changed row was pushed again
-        units = [c for c, x in row[r].items() if x in (1, -1)]
-        if not units:
-            continue  # pushed again once an update changes it
-        c = min(units, key=lambda j: len(col[j]))
-        pivot_row, pivot_col = row[r], col[c]
-        for j in pivot_row:
-            del col[j][r]
-        for i in pivot_col:
-            del row[i][c]
-        a = pivot_row.pop(c)
-        for i, x in pivot_col.items():
-            ri = row[i]
-            for j, y in pivot_row.items():
-                q = ri.get(j, 0) - x * a * y
-                if q:
-                    ri[j] = col[j][i] = q
-                elif j in ri:
-                    del ri[j], col[j][i]
-            heappush(heap, (len(ri), i))
-        row[r] = col[c] = None
-        ones += 1
-    cols = [j for j, c in enumerate(col) if c]
-    return ones, [[r.get(j, 0) for j in cols] for r in row if r]
 
 
 def _congruence_pass(g: WeightedGraph):
@@ -349,18 +277,15 @@ def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeIn
     """Discriminant, Smith invariant factors, and definiteness of a selection.
 
     The discriminant and the inertia come from the forest pass, or on a
-    cycle from the sparse congruence pass.  The invariant factors are a 1
-    for each unit pivot, then the dense Smith normal form of the unit-free
-    residue, then a 0 for each empty row the unit pivots left; invariant
-    factors are unique, so this is the Smith form of Q.
-    When the discriminant is nonzero, the product of the invariant factors
-    equals its absolute value (the order of the cokernel of Q).
+    cycle from the sparse congruence pass; the invariant factors from
+    intmat.sparse_smith_form on graph.intersection_rows.  When the
+    discriminant is nonzero, the product of the invariant factors equals
+    its absolute value (the order of the cokernel of Q).
     """
     g = induced_graph(g, selection)
     d, inertia = _discriminant_and_inertia(g)
-    ones, residue = _unit_pivots(g)
-    factors = (1,) * ones + tuple(smith_normal_form(residue))
-    factors += (0,) * (len(g) - len(factors))
+    row = intersection_rows(g)
+    factors = tuple(sparse_smith_form(row, [dict(r) for r in row]))  # Q is symmetric
     return LatticeInvariants(d, factors, _definiteness_of(inertia),
                              prod(factors) if d else None)
 

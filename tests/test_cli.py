@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import json
 import json.encoder
 import random
+import sys
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd
@@ -453,6 +455,56 @@ def test_no_command_takes_a_seed(capsys, tmp_path):
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
+# results past the digits Python prints: three weights of 2000 digits, whose
+# discriminant has 6000, and weights that a move takes from 4300 nines to 10**4300
+TOO_LONG = {
+    "three": "".join(f"v {v} -{'9' * 2000}\n" for v in range(3)),
+    "nines": f"v 1 -{'9' * 4300}\n",
+    "up": f"v 1 {'9' * 4300}\nv 2 -1\ne 1 2\n",
+}
+TOO_LONG_CASES = [["disc", "three.dg"], ["disc", "three.dg", "--sub", "0,1,2"],
+                  ["homology", "three.dg"], ["blowup", "nines.dg", "--vertex", "1"],
+                  ["minimalize", "up.dg"], ["blowdown", "up.dg", "--vertex", "2"]]
+
+
+def test_results_too_long_to_print_end_in_one_error_line(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in TOO_LONG.items():
+        write(tmp_path, text, f"{name}.dg")
+    limit = sys.get_int_max_str_digits()
+    for argv in TOO_LONG_CASES:
+        for fmt in ("json", "text", "dot"):
+            code, out, err = run(*argv, "--format", fmt)
+            assert (code, out) == (1, ""), argv
+            assert err.count("\n") == 1 and err.startswith("error: "), argv
+            assert f"sys.get_int_max_str_digits() = {limit} digits" in err
+    # euler prints no such number, and its bytes are as they were
+    h = hashlib.sha256()
+    for fmt in ("json", "text", "dot"):
+        code, out, err = run("euler", "three.dg", "--rho", "1", "--format", fmt)
+        h.update(json.dumps([fmt, code, out, err]).encode())
+    assert h.hexdigest() == "9970f33206e2ec0dfbdefe981a5d9fcf4b4c57ef6b3531bf16ad8aedc415bd87"
+
+
+def test_results_just_under_the_digit_limit_print_exactly(run, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    nines = 10 ** limit - 1
+    code, out, _ = run("disc", write(tmp_path, f"v 1 -{nines}\n"), "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["discriminant"] == nines
+    code, out, _ = run("blowup", write(tmp_path, f"v 1 -{nines - 1}\n"), "--vertex", "1",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["graph"]["vertices"][0] == [1, -nines]
+    # the limit is read at run time
+    up = write(tmp_path, f"v 1 -{nines}\n")
+    assert run("blowup", up, "--vertex", "1")[0] == 1
+    sys.set_int_max_str_digits(limit + 1)
+    try:
+        code, out, _ = run("blowup", up, "--vertex", "1", "--format", "json")
+        assert code == 0 and json.loads(out)["results"]["graph"]["vertices"][0] == [1, -nines - 1]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_no_input_ends_in_a_traceback(capsys, tmp_path):
     files = {name: write(tmp_path, text, f"{name}.dg") for name, text in
              (("chain", CHAIN_212), ("loop", LOOP), ("star", STAR))}
@@ -474,6 +526,8 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path):
         ["verify-theorem", "3", "2"], ["verify-theorem", "--range", "2", "4"],
         ["verify-theorem", "--range", "4", "2"], ["verify-theorem", "--range", "0", "3"],
     ]
+    too_long = {f"{name}.dg": write(tmp_path, text, f"{name}.dg") for name, text in TOO_LONG.items()}
+    cases += [[cmd, too_long[name], *extra] for cmd, name, *extra in TOO_LONG_CASES]
     for n, m in ((3, 2), (4, 2), (2, 3), (1, 1), (3, 0), (-3, 2)):
         cases.append(["verify-theorem", str(n), str(m)])
         cases += [["resolve", str(n), str(m), "--stage", stage]

@@ -4,8 +4,11 @@ Every name a package module imports is used in that module.  The
 package's __init__.py re-exports names on purpose, and __future__
 imports change compilation rather than bind a name, so both are exempt.
 
-The dense kernels of intmat.py other than the Smith form are test
-oracles only: no other package module imports or reads them.
+The dense kernels of intmat.py, Bareiss and Berkowitz, are test oracles
+only: no other package module imports or reads them.  The package's one
+Smith elimination is intmat.sparse_smith_form, and the dense least-entry
+kernel that it replaced is the oracle reference_smith_normal_form in
+test_intmat.py.
 
 There is not a single float in the package: no float literal, no name
 float, no math function beyond gcd, isqrt and prod, and no true division.
@@ -14,6 +17,10 @@ congruence pass included.
 
 Neither importing the CLI nor computing the signature of a graph with a
 cycle loads fractions or sympy.
+
+Every source file under src/, tests/ and bench/ parses with the grammar
+of Python 3.10, the requires-python floor, while the interpreter that
+runs the tests may be newer.
 """
 import ast
 import os
@@ -145,3 +152,22 @@ def test_the_cli_imports_neither_fractions_nor_sympy():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def test_scan_sees_every_source_tree():
+    assert {p.relative_to(ROOT).parts[0] for p in SOURCES} == {"src", "tests", "bench"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    # requires-python is 3.10; the grammar of a newer release fails here
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_python_3_10_scan_flags_newer_grammar():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from dualgraph.graph import build_graph, intersection_matrix
-from dualgraph.intmat import charpoly, det_bareiss, smith_normal_form
+from dualgraph.intmat import charpoly, det_bareiss, smith_normal_form, sparse_smith_form
 from dualgraph.lattice import smith_invariants
 
 
@@ -67,6 +69,92 @@ def determinantal_factors(rows):
         factors.append(divisor // before if divisor else 0)
         before = divisor or 1
     return factors
+
+
+def reference_smith_normal_form(rows):
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, by dense
+    least-entry rounds. Oracle only.
+
+    Returns the full diagonal, nonnegative, with trailing zeros kept, so the
+    length is min(#rows, #cols).  The product of the nonzero entries equals
+    |det| for a nonsingular square matrix.
+
+    Two stages.  Each round moves the least nonzero entry of the trailing
+    block to (t, t) and reduces its column by row operations and its row by
+    column operations, taking floor quotients, so every step is unimodular
+    and leaves remainders smaller than the pivot; a round that leaves one
+    repeats on the new least entry.  The resulting diagonal is then made a
+    divisibility chain by replacing each pair (a, b) with (gcd, lcm), since
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) are equivalent over Z.
+    """
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for r in a:
+        if len(r) != n:
+            raise ValueError("ragged matrix")
+    diag = []
+    t = 0
+    while t < min(m, n):
+        piv = _min_entry(a, t, m, n)
+        if piv is None:
+            break  # the trailing block is zero
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+        p = a[t][t]
+        clear = True
+        for i in range(t + 1, m):
+            q = a[i][t] // p
+            if q:
+                for jj in range(t, n):
+                    a[i][jj] -= q * a[t][jj]
+            clear = clear and not a[i][t]
+        for j in range(t + 1, n):
+            q = a[t][j] // p
+            if q:
+                for ii in range(t, m):
+                    a[ii][j] -= q * a[ii][t]
+            clear = clear and not a[t][j]
+        if clear:
+            diag.append(abs(p))
+            t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (min(m, n) - len(diag))
+
+
+def _min_entry(a, t, m, n):
+    best = None
+    piv = None
+    for i in range(t, m):
+        for j in range(t, n):
+            v = abs(a[i][j])
+            if v and (best is None or v < best):
+                best, piv = v, (i, j)
+    return piv
+
+
+def watch_least_entry_rounds(monkeypatch):
+    """A list that gets, for each least-entry round of sparse_smith_form,
+    copies of the non-empty rows the round scans; the call that finds no
+    entry left adds nothing."""
+    namespace = sparse_smith_form.__globals__
+    step = namespace["_least_entry_round"]
+    rounds = []
+
+    def watched(row, col, waiting, heap, chain):
+        live = [dict(row[i]) for i in waiting if row[i]]
+        if live:
+            rounds.append(live)
+        return step(row, col, waiting, heap, chain)
+
+    monkeypatch.setitem(namespace, "_least_entry_round", watched)
+    return rounds
 
 
 def random_matrix(rng, n, lo=-6, hi=6):
@@ -201,8 +289,8 @@ def test_smith_known():
 
 
 def test_smith_orders_a_diagonal_that_is_no_divisibility_chain():
-    # the diagonal stage leaves these as they are; only the gcd/lcm sweep
-    # makes the chain, with the zeros kept last
+    # each round splits one entry off as it is; only the merge into the
+    # divisibility chain reorders them, with the zeros kept last
     assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
     assert smith_normal_form([[0, 0, 0], [0, 3, 0], [0, 0, 2]]) == [1, 6, 0]
     isolated = build_graph([(v, -2) for v in range(300)], [])
@@ -232,6 +320,37 @@ def test_smith_divisibility_and_det():
                 assert 0 not in d and prod == abs(det)
             else:
                 assert 0 in d
+
+
+def test_sparse_smith_form_matches_the_dense_oracle(monkeypatch):
+    # rectangular, empty, with zero rows and columns, and entries from one
+    # digit to twelve; Q = [[2, 3], [3, 2]] holds no unit to pivot on
+    rounds = watch_least_entry_rounds(monkeypatch)
+    rng = random.Random(1993)
+    cases = [[[2, 3], [3, 2]], [], [[]], [[], []], [[0, 0], [0, 0], [0, 0]]]
+    for _ in range(2000):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        zeros, hi = rng.random(), rng.choice((2, 6, 40, 10 ** 12))
+        rows = [[0 if rng.random() < zeros else rng.randint(-hi, hi) for _ in range(n)]
+                for _ in range(m)]
+        for _ in range(rng.choice((0, 0, 1, 2))):  # zero a row or a column
+            if rows and rows[0] and rng.random() < 0.5:
+                j = rng.randrange(n)
+                for r in rows:
+                    r[j] = 0
+            elif rows:
+                rows[rng.randrange(m)] = [0] * n
+        cases.append(rows)
+    needed_a_round = []
+    for rows in cases:
+        rounds.clear()
+        assert smith_normal_form(rows) == reference_smith_normal_form(rows), rows
+        assert all(1 not in map(abs, r.values()) for seen in rounds for r in seen)
+        needed_a_round.append(len(rounds) > 0)
+    assert smith_normal_form([[2, 3], [3, 2]]) == [1, 5]
+    assert needed_a_round[0] and sum(needed_a_round) >= 100
+    with pytest.raises(ValueError):
+        smith_normal_form([[1, 2], [3]])
 
 
 def test_determinantal_oracle_known():

@@ -9,10 +9,9 @@ import pytest
 from dualgraph.errors import NotAForest
 from dualgraph.fibration import enumerate_fibers
 from dualgraph.graph import WeightedGraph, build_graph, classify_shape, intersection_matrix
-from dualgraph.intmat import det_bareiss, smith_normal_form
+from dualgraph.intmat import det_bareiss
 from dualgraph.lattice import (
     _congruence_pass,
-    _unit_pivots,
     EMPTY,
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -28,7 +27,8 @@ from dualgraph.resolution import CuspPair, theorem_pipeline
 
 from test_graph import chain
 from test_intmat import (bareiss_discriminant, det_naive, determinantal_factors,
-                         symmetric_signature)
+                         reference_smith_normal_form, symmetric_signature,
+                         watch_least_entry_rounds)
 
 
 def test_discriminant_known():
@@ -371,7 +371,7 @@ def test_cycles_and_parallel_edges_take_the_congruence_pass():
         assert signature(g, sel) == symmetric_signature(q)
         inv = smith_invariants(g, sel)
         assert (inv.discriminant, inv.definiteness) == (d, definiteness(g, sel))
-        assert inv.invariant_factors == tuple(smith_normal_form(q))
+        assert inv.invariant_factors == tuple(reference_smith_normal_form(q))
         if classify_shape(g, sel).is_forest:
             assert discriminant_by_splitting(g, sel) == d
         else:
@@ -914,7 +914,7 @@ def test_zero_leaves_on_a_hub_against_closed_forms(n_leaves):
         assert smith_invariants(g).invariant_factors == (1, 1, 1, 3) + (0,) * (n_leaves - 1)
         if n_leaves <= 8:
             assert_matches_dense_oracles(g)
-            want = smith_normal_form(intersection_matrix(g))
+            want = reference_smith_normal_form(intersection_matrix(g))
             assert smith_invariants(g).invariant_factors == tuple(want)
 
 
@@ -948,41 +948,55 @@ def test_congruence_pass_updates_linearly_many_pairs(pair_updates, g):
     assert 0 < pair_updates(lambda: signature(g)) <= 4 * (len(g) + len(g.edges))
 
 
-# ------------------------------------------------ unit pivots before the Smith form
+# ------------------------------------------------ the sparse Smith form
 
-def test_smith_invariants_match_determinantal_divisors():
-    # an oracle independent of both Smith form paths, on every small shape:
+@pytest.fixture
+def rounds(monkeypatch):
+    """Copies of the rows each least-entry round of the Smith pass scans."""
+    return watch_least_entry_rounds(monkeypatch)
+
+
+def test_smith_invariants_match_determinantal_divisors(rounds):
+    # an oracle independent of both Smith form kernels, on every small shape:
     # zero weights, parallel edges, cycles, disconnected and empty graphs
     rng = random.Random(2001)
     residues = 0
     for _ in range(500):
         g = random_multigraph(rng, rng.randint(0, 6))
         want = tuple(determinantal_factors(intersection_matrix(g)))
+        rounds.clear()
         assert smith_invariants(g).invariant_factors == want
-        residues += len(_unit_pivots(g)[1]) > 0
+        residues += len(rounds) > 0
     assert residues > 100
 
 
-def test_unit_pivots_leave_no_unit_in_the_residue():
+TWO_THREE = build_graph([(1, 2), (2, 2)], [(1, 2)] * 3)  # Q = [[2, 3], [3, 2]]
+
+
+def test_unit_pivots_leave_no_unit_in_the_residue(rounds):
+    # the sparse pass against the dense oracle; a least-entry round runs
+    # only once the unit pivots have left no unit, and Q = [[2, 3], [3, 2]]
+    # has none to begin with
     rng = random.Random(1981)
-    for _ in range(1000):
-        g = random_multigraph(rng, rng.randint(0, 10))
-        ones, residue = _unit_pivots(g)
-        # the residue keeps only its non-empty rows and columns
-        assert all(any(row) and 1 not in map(abs, row) for row in residue)
-        assert all(any(column) for column in zip(*residue))
-        factors = [1] * ones + smith_normal_form(residue)
-        want = smith_normal_form(intersection_matrix(g))
-        assert factors + [0] * (len(g) - len(factors)) == want
+    graphs = [TWO_THREE] + [random_multigraph(rng, rng.randint(0, 10)) for _ in range(1200)]
+    needed_a_round = []
+    for g in graphs:
+        rounds.clear()
+        want = tuple(reference_smith_normal_form(intersection_matrix(g)))
+        assert smith_invariants(g).invariant_factors == want
+        assert all(1 not in map(abs, r.values()) for rows in rounds for r in rows)
+        needed_a_round.append(len(rounds) > 0)
+    assert smith_invariants(TWO_THREE).invariant_factors == (1, 5)
+    assert needed_a_round[0] and sum(needed_a_round) >= 100
 
 
-def test_smith_invariants_of_2000_vertex_chain_and_cycle(smith_inputs):
+def test_smith_invariants_of_2000_vertex_chain_and_cycle(rounds):
     # a chain's cokernel is cyclic of order |d|: the minor without the first
-    # row and the last column is 1
+    # row and the last column is 1, and the unit pivots leave one entry
     rng = random.Random(4)
     ws = [rng.randint(-5, 3) for _ in range(2000)]
     assert smith_invariants(chain(ws)).invariant_factors == (1,) * 1999 + (abs(continuant(ws)),)
-    assert [(len(rows), len(rows[0])) for rows in smith_inputs] == [(1, 1)]
+    assert [[len(r) for r in rows] for rows in rounds] == [[1]]
     # the cokernel of the cycle Laplacian is Z + Z/n
     inv = smith_invariants(cycle([-2] * 2000))
     assert inv.invariant_factors == (1,) * 1998 + (2000, 0)
@@ -994,23 +1008,26 @@ def star(center, leaves):
                        [(0, v) for v in range(1, len(leaves) + 1)])
 
 
-def test_stars_match_the_dense_smith_form():
+def test_stars_match_the_dense_smith_form(rounds):
     # every leaf hangs off one column, so the residue keeps L - 1 leaves
     rng = random.Random(40)
     for n_leaves in range(1, 41):
         leaves = [rng.randint(-5, 0) for _ in range(n_leaves)]
         g = star(rng.randint(-5, 1), leaves)
-        want = tuple(smith_normal_form(intersection_matrix(g)))
+        want = tuple(reference_smith_normal_form(intersection_matrix(g)))
         assert smith_invariants(g).invariant_factors == want
-    assert len(_unit_pivots(star(-2, [-2] * 40))[1]) == 39
+    rounds.clear()
+    assert smith_invariants(star(-2, [-2] * 40)).invariant_factors == (1, 1) + (2,) * 38 + (72,)
+    assert len(rounds[0]) == 39
 
 
-def test_smith_form_sees_only_the_unit_free_residue(smith_inputs):
-    # this module's own smith_normal_form is the unwatched original
+def test_smith_form_sees_only_the_unit_free_residue(smith_inputs, rounds):
+    # smith_invariants hands no dense matrix to smith_normal_form, and its
+    # least-entry rounds see only small residues that hold no unit
     graphs = lattice_kernels_graphs(1)
     for g in graphs:
-        want = tuple(smith_normal_form(intersection_matrix(g)))
+        want = tuple(reference_smith_normal_form(intersection_matrix(g)))
         assert smith_invariants(g).invariant_factors == want
-    assert len(smith_inputs) == len(graphs)
-    assert all(1 not in map(abs, row) for rows in smith_inputs for row in rows)
-    assert max(map(len, smith_inputs)) < 20
+    assert smith_inputs == []
+    assert all(1 not in map(abs, r.values()) for rows in rounds for r in rows)
+    assert 0 < max(map(len, rounds)) < 20
