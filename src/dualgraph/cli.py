@@ -166,8 +166,8 @@ def _move_rows(log) -> List[dict]:
 
 def _printable(what: str, value: int) -> None:
     """Raise ResultTooLong unless |value| < 10**limit, limit being the most
-    digits Python prints, sys.get_int_max_str_digits() (0: no limit).  A
-    value below 2**(3 * limit) < 10**limit needs no power of ten."""
+    digits Python prints, sys.get_int_max_str_digits() (0, or absent before
+    3.10.7: no limit).  Below 2**(3 * limit) < 10**limit, no power of ten."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
         raise ResultTooLong(f"{what} reaches 10**{limit}, and Python prints at most "
@@ -176,7 +176,7 @@ def _printable(what: str, value: int) -> None:
 
 def _graph_payload(doc: GraphDocument) -> dict:
     g = doc.graph
-    _printable("a weight of the result", max(map(abs, map(g.weight, g.vertices)), default=0))
+    _printable("a weight of the result", max(map(abs, g._weight.values()), default=0))
     return {
         "vertices": [[v, g.weight(v)] for v in g.vertices],
         "edges": [list(e) for e in g.edges],

@@ -4,7 +4,7 @@ The package's one Smith elimination is sparse_smith_form, run on the sparse
 rows of Q by lattice.py and on a dense matrix by smith_normal_form; its
 oracle, the dense least-entry kernel, lives in the tests.  Bareiss
 determinants and Berkowitz characteristic polynomials are the tests'
-oracles for the sparse passes in lattice.py, which no module here serves.
+oracles for the sparse passes in lattice.py; no package module calls them.
 
 Matrices are lists of equal-length lists.  The empty matrix [] is legal and
 behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
@@ -118,7 +118,9 @@ def sparse_smith_form(row: List[Dict[int, int]], col: List[Dict[int, int]]) -> L
     """
     heap = [(len(r), i) for i, r in enumerate(row)]
     heapify(heap)
-    ones, chain, waiting = 0, [], set()  # waiting: live rows last seen holding no unit
+    ones = 0
+    chain: List[int] = []
+    waiting = set()  # live rows last seen holding no unit
     while True:
         while heap:
             k, r = heappop(heap)
@@ -154,13 +156,14 @@ def sparse_smith_form(row: List[Dict[int, int]], col: List[Dict[int, int]]) -> L
 
 def _least_entry_round(row, col, waiting, heap, chain):
     """Reduce the least |entry| p = q_rc of the rows in waiting, which hold
-    every entry and no unit (ties go to the shortest row and column; a 2
-    alone in its row or column ends the scan): column c by row operations,
-    then row r by column operations, by floor quotients, which leave
-    remainders below |p|, and put the changed rows on the heap.  Once r and
-    c hold only p, they go, and |p| joins the chain from the top: a slot
-    keeps the lcm of itself and the carry, and the gcd carries down until
-    the slot below divides it.  False if there is no entry."""
+    every entry and no unit, so p is at least 2.  Ties go to the least
+    Markowitz count (len(row) - 1) * (len(col) - 1), and a 2 whose count is
+    at most 1 ends the scan.  Column c is reduced by row operations, then
+    row r by column operations, by floor quotients, which leave remainders
+    below |p|; the changed rows that now hold a unit go on the heap.  Once
+    r and c hold only p, they go, and |p| joins the chain from the top: a
+    slot keeps the lcm of itself and the carry, and the gcd carries down
+    until the slot below divides it.  False if there is no entry."""
     least = cost = 0
     for i in waiting:
         ri = row[i]
@@ -169,11 +172,12 @@ def _least_entry_round(row, col, waiting, heap, chain):
             a = abs(x)
             if not least or a < least or a == least and k * (len(col[j]) - 1) < cost:
                 least, cost, r, c = a, k * (len(col[j]) - 1), i, j
-        if least == 2 and not cost:
+        if least == 2 and cost <= 1:
             break
     if not least:
         return False
-    prow, pcol, p = row[r], col[c], row[r][c]
+    prow, pcol = row[r], col[c]
+    p = prow[c]
     touched = list(pcol)
     for i, x in list(pcol.items()):
         q = x // p
@@ -205,6 +209,7 @@ def _least_entry_round(row, col, waiting, heap, chain):
             k -= 1
         chain.insert(k, least)
     for i in touched:
-        if row[i] is not None:
-            heappush(heap, (len(row[i]), i))
+        ri = row[i]
+        if ri is not None and (1 in ri.values() or -1 in ri.values()):
+            heappush(heap, (len(ri), i))
     return True

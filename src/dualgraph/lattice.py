@@ -4,11 +4,15 @@ The discriminant of a selection is det(-Q) where Q is its intersection
 matrix; the empty selection has discriminant 1.  Everything is exact.
 
 Each function reads its selection as its induced graph.  On a forest one
-leaves-first pass gives both the discriminant (the splitting rule) and the
-inertia of Q (tree pivot counting after Jacobs-Trevisan); a cycle or a
-parallel edge takes the sparse congruence pass, fraction-free on plain
-ints.  The Smith invariant factors come from intmat.sparse_smith_form on
-the sparse rows of Q.  Nothing here builds the dense matrix.
+leaves-first pass gives both the discriminant (the splitting rule, i.e.
+the plumbing-tree determinant recursion) and the inertia of Q (tree pivot
+counting after Jacobs-Trevisan), in linear ring operations on plain ints.
+The pass notices a cycle or a parallel edge on its own walk; such graphs
+take the sparse congruence pass, the same elimination on the adjacency
+itself, fraction-free on plain ints (Bareiss), so each division it makes
+is exact.  The Smith invariant factors come from intmat.sparse_smith_form
+on the sparse rows of Q, on every graph alike.  Nothing here builds the
+dense matrix.
 """
 
 from __future__ import annotations
@@ -285,7 +289,7 @@ def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeIn
     g = induced_graph(g, selection)
     d, inertia = _discriminant_and_inertia(g)
     row = intersection_rows(g)
-    factors = tuple(sparse_smith_form(row, [dict(r) for r in row]))  # Q is symmetric
+    factors = tuple(sparse_smith_form(row, [r.copy() for r in row]))  # Q is symmetric
     return LatticeInvariants(d, factors, _definiteness_of(inertia),
                              prod(factors) if d else None)
 
