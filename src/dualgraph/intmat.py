@@ -129,7 +129,7 @@ def sparse_smith_form(row: List[Dict[int, int]], col: List[Dict[int, int]]) -> L
             units = [c for c, x in row[r].items() if x in (1, -1)]
             if not units:
                 waiting.add(r)
-                continue  # pushed again once an update changes it
+                continue  # an update that can give it a unit pushes it again
             c = min(units, key=lambda j: len(col[j]))
             pivot_row, pivot_col = row[r], col[c]
             for j in pivot_row:
