@@ -10,9 +10,10 @@ uniquely once the graph is known.
 
 enumerate_fibers walks this inductive definition breadth-first and keeps one
 representative per isomorphism class of (weight, multiplicity)-labeled tree.
-Each child is a blow-up patched onto a move-engine draft of its parent and
-keyed on the draft's adjacency; only a child with a new key is frozen into a
-graph, so the census builds one graph per class, not one per blow-up.
+Each child is keyed on a view of its parent: the parent's adjacency index and
+labels with only the entries the blow-up changes replaced.  Only a child with
+a new key is blown up on a move-engine draft and frozen into a graph, so the
+census opens one draft and builds one graph per class, not one per blow-up.
 validate_fiber checks the structural facts every fiber must satisfy, plus a
 second tier for fibers with a unique (-1)-vertex, all read from the graph's
 one adjacency index.  fujita_accounting checks the counting identity
@@ -23,7 +24,6 @@ whose boundary is a set of section indices plus one vertex set per fiber.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
@@ -90,36 +90,46 @@ _CLOSE = (0,)
 
 
 def _encode_rooted(adj: Mapping[int, Sequence[int]],
-                   labels: Mapping[int, Tuple[int, int, int]], root: int):
+                   labels: Mapping[int, Tuple[int, int, int]], root: int) -> tuple:
     """Flat key of the tree hung from root, built leaves first.
 
-    adj maps each vertex to its neighbours (a graph's index or a draft's
-    adj).  A subtree's key is its root's label token, then its children's
-    keys in increasing order, then _CLOSE.  Raises NotAForest when the
-    walk from root misses a vertex.
+    adj maps each vertex to its neighbours (a graph's index or a census
+    child's view of it).  A subtree's key is its root's label token, then
+    its children's keys in increasing order, then _CLOSE; it is built as a
+    list, which sorts among its siblings as the tuple does, and only the
+    root's key becomes a tuple.  Raises NotAForest when the walk from root
+    misses a vertex.
     """
     order, parent = _walk(adj, (root,))
     if len(order) != len(adj):
         raise NotAForest("fiber graphs are trees")
-    kids: Dict[int, List[tuple]] = {v: [] for v in order}
+    kids: Dict[int, List[list]] = {v: [] for v in order}
     for v in reversed(order):
         below = kids[v]
         below.sort()
-        key = tuple(chain((labels[v],), *below, (_CLOSE,)))
+        key = [labels[v]]
+        for k in below:
+            key += k
+        key.append(_CLOSE)
         if parent[v] is not None:
             kids[parent[v]].append(key)
-    return key
+    return tuple(key)
 
 
-def _tree_key(adj: Mapping[int, Sequence[int]], weight: Mapping[int, int],
-              mult: Mapping[int, int]) -> tuple:
-    """fiber_key of the tree with neighbour mapping adj, weights and multiplicities."""
+def _tree_key(adj: Mapping[int, Sequence[int]],
+              labels: Mapping[int, Tuple[int, int, int]]) -> tuple:
+    """fiber_key of the tree with neighbour mapping adj and label tokens labels."""
     # the empty graph fails here too, before min sees no labels
     if sum(map(len, adj.values())) != 2 * (len(adj) - 1):
         raise NotAForest("fiber graphs are trees")
-    labels = {v: (1, weight[v], mult[v]) for v in adj}
     least = min(labels.values())
     return min(_encode_rooted(adj, labels, r) for r in adj if labels[r] == least)
+
+
+def _labels(f: Fiber) -> Dict[int, Tuple[int, int, int]]:
+    """Each vertex's label token (1, weight, multiplicity)."""
+    m = f.multiplicity
+    return {v: (1, w, m[v]) for v, w in f.graph._weight.items()}
 
 
 def fiber_key(f: Fiber) -> tuple:
@@ -134,8 +144,39 @@ def fiber_key(f: Fiber) -> tuple:
     tried; usually there is one.  A graph is a tree when it has V - 1 edges
     and the first rooting's walk reaches all V vertices.
     """
-    g = f.graph
-    return _tree_key(g._index(), g._weight, f.multiplicity)
+    return _tree_key(f.graph._index(), _labels(f))
+
+
+def _blow_up_view(index: Mapping[int, Tuple[int, ...]],
+                  labels: Mapping[int, Tuple[int, int, int]], x: int,
+                  position: Position):
+    """(adj, labels) of a tree fiber blown up at position, its new vertex x.
+
+    The parent's index and labels are copied and only the entries the
+    blow-up changes are replaced: x joins a free point's carrier, or takes
+    each edge end's place in the other's neighbours; each anchor's weight
+    drops by 1, and x is a (-1)-curve carrying the anchors' multiplicities
+    summed.  This restates _Draft.blow_up and _add_multiplicity for keying
+    alone; the tests hold it to them.
+    """
+    adj = dict(index)
+    if isinstance(position, tuple):
+        # a tree has no parallel edges, so each end meets the other once
+        a, b = anchors = position
+        adj[a] = tuple(x if u == b else u for u in index[a])
+        adj[b] = tuple(x if u == a else u for u in index[b])
+    else:
+        anchors = (position,)
+        adj[position] += (x,)
+    adj[x] = anchors
+    child = dict(labels)
+    m = 0
+    for u in anchors:
+        _one, w, mu = labels[u]
+        child[u] = (1, w - 1, mu)
+        m += mu
+    child[x] = (1, -1, m)
+    return adj, child
 
 
 def enumerate_fibers(max_vertices: int) -> List[Fiber]:
@@ -143,9 +184,11 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
 
     Breadth-first closure of the smooth fiber under blow-ups, one
     representative per isomorphism class, in (size, canonical form) order.
-    Each child is the parent's blow-up on a move-engine draft (the step
-    fiber_blow_up takes), keyed on the draft's adjacency; only a child
-    with a new key is frozen into a Fiber.
+    Each child is keyed on a view of its parent (_blow_up_view: the
+    parent's index and labels with only the entries the blow-up changes
+    replaced); only a child with a new key is made, by fiber_blow_up on a
+    move-engine draft, so the census opens one draft and builds one graph
+    per class, not one per blow-up.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
@@ -158,14 +201,11 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
             g = f.graph
             if len(g) >= max_vertices:
                 continue
-            for anchors in [(v,) for v in g.vertices] + list(dict.fromkeys(g.edges)):
-                d = _Draft(g)
-                mult = dict(f.multiplicity)
-                move = d.blow_up(anchors)
-                _add_multiplicity(mult, move)
-                key = _tree_key(d.adj, d.weights, mult)
+            index, labels = g._index(), _labels(f)
+            for pos in list(g.vertices) + list(dict.fromkeys(g.edges)):
+                key = _tree_key(*_blow_up_view(index, labels, g.next_id, pos))
                 if key not in classes:
-                    child = Fiber(d.freeze(), mult, f.history + MoveLog((move,)))
+                    child = fiber_blow_up(f, pos)
                     classes[key] = child
                     nxt.append(child)
         frontier = nxt

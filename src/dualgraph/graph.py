@@ -23,8 +23,8 @@ that takes one, so every kernel reads a WeightedGraph.
 
 Shape questions read one breadth-first walk, _walk, with no recursion.
 classify_shape, the forest pass, chain_order, fiber_key and validate_fiber
-walk a graph's index; the chain rewriting and the fiber census walk a
-draft's adjacency.
+walk a graph's index; the chain rewriting walks a draft's adjacency, and the
+fiber census a patched copy of a graph's index.
 """
 
 from __future__ import annotations
@@ -279,19 +279,18 @@ def _walk(adj: Mapping[int, Iterable[int]], roots: Optional[Iterable[int]] = Non
     """
     parent: Dict[int, Optional[int]] = {}
     order: List[int] = []
-    i = 0
     for root in adj if roots is None else roots:
         if root in parent:
             continue
         parent[root] = None
-        order.append(root)
-        while i < len(order):
-            v = order[i]
-            i += 1
+        # a list iterator also visits what is appended while it runs
+        queue = [root]
+        for v in queue:
             for u in adj[v]:
                 if u not in parent:
                     parent[u] = v
-                    order.append(u)
+                    queue.append(u)
+        order += queue
     return order, parent
 
 

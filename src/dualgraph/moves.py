@@ -29,9 +29,9 @@ assembly step outside the calculus, and logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
 immutable graph once, at the end, and reads its move log from the draft;
-a single move is a draft, one patch and one freeze, except where the caller
-keys the patched draft first and freezes only what it keeps, as the fiber
-census does with each child.  A run that must read the shape between moves
+a single move is a draft, one patch and one freeze.  The fiber census keys
+each child on a patched copy of its parent's index instead, and opens a
+draft only for a child it keeps.  A run that must read the shape between moves
 walks the draft's adj with graph._walk, as the chain rewriting does each
 round, rather than freezing it.
 

@@ -13,6 +13,7 @@ from dualgraph.errors import (
 from dualgraph.graph import (
     ShapeReport,
     SubDivisor,
+    _walk,
     build_graph,
     classify_shape,
     induced_graph,
@@ -272,3 +273,59 @@ def test_graph_reads_agree_with_edge_scans():
         for m in MoveLog(tuple(moves)).inverted():
             g = apply_move(g, m)
             _assert_reads_match_scan(g, rng)
+
+
+def reference_walk(adj, roots=None):
+    """_walk as an index loop over one shared order list.  Oracle only."""
+    parent = {}
+    order = []
+    i = 0
+    for root in adj if roots is None else roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for u in adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+    return order, parent
+
+
+def test_walk_matches_the_index_loop_reference():
+    rng = random.Random(2727)
+    split = missed = 0
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        ids = rng.sample(range(100), n)
+        # few edges for the vertex count, so most graphs fall apart
+        edges = []
+        if n >= 2:
+            for _ in range(rng.randint(0, n)):
+                a, b = rng.sample(ids, 2)
+                edges.extend([(a, b)] * rng.choice((1, 1, 2, 3)))
+        g = build_graph([(v, 0) for v in ids], edges)
+        components = len(classify_shape(g).components)
+        split += components >= 3
+        # a graph's index, and a draft-like adj whose neighbour lists are shuffled
+        shuffled = {v: rng.sample(ns, len(ns)) for v, ns in g._index().items()}
+        for adj in (g._index(), shuffled):
+            rootings = [
+                None,
+                [],
+                rng.choices(ids, k=rng.randint(1, 2 * n)),  # repeats
+                rng.sample(ids, rng.randint(1, n)),  # may miss components
+                list(reversed(ids)),
+            ]
+            for roots in rootings:
+                got = _walk(adj, roots)
+                assert got == reference_walk(adj, roots)
+                order, parent = got
+                assert len(order) == len(set(order)) == len(parent)
+                missed += roots is not None and len(order) < n
+        order, _parent = _walk(g._index())
+        assert sorted(order) == sorted(ids)
+    assert split >= 100 and missed >= 100
