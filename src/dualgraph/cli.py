@@ -177,6 +177,8 @@ def _printable(what: str, value: int) -> None:
 def _graph_payload(doc: GraphDocument) -> dict:
     g = doc.graph
     _printable("a weight of the result", max(map(abs, g._weight.values()), default=0))
+    # every id the run handed out is below next_id
+    _printable("a vertex id of the result", g.next_id - 1)
     return {
         "vertices": [[v, g.weight(v)] for v in g.vertices],
         "edges": [list(e) for e in g.edges],
@@ -490,6 +492,7 @@ def cmd_check_acyclic(args) -> CommandResult:
 def cmd_euler(args) -> CommandResult:
     doc = _load(args.file)
     chi = euler_open(args.rho, doc.graph)
+    _printable("the Euler characteristic", chi)
     return CommandResult(
         results={"euler_open": chi, "rho": args.rho},
         document=doc,

@@ -10,10 +10,11 @@ uniquely once the graph is known.
 
 enumerate_fibers walks this inductive definition breadth-first and keeps one
 representative per isomorphism class of (weight, multiplicity)-labeled tree.
-Each child is keyed on a view of its parent: the parent's adjacency index and
-labels with only the entries the blow-up changes replaced.  Only a child with
-a new key is blown up on a move-engine draft and frozen into a graph, so the
-census opens one draft and builds one graph per class, not one per blow-up.
+Each expanded parent opens one move-engine draft, and each child is keyed on
+it: the draft is blown up, keyed, and patched back by the inverse move, so the
+move engine alone says what a blow-up changes.  Only a child with a new key is
+frozen into a graph, so the census opens one draft per expanded parent and
+builds one graph per class, not one of either per blow-up.
 validate_fiber checks the structural facts every fiber must satisfy, plus a
 second tier for fibers with a unique (-1)-vertex, all read from the graph's
 one adjacency index.  fujita_accounting checks the counting identity
@@ -94,7 +95,7 @@ def _encode_rooted(adj: Mapping[int, Sequence[int]],
     """Flat key of the tree hung from root, built leaves first.
 
     adj maps each vertex to its neighbours (a graph's index or a census
-    child's view of it).  A subtree's key is its root's label token, then
+    draft's adjacency).  A subtree's key is its root's label token, then
     its children's keys in increasing order, then _CLOSE; it is built as a
     list, which sorts among its siblings as the tuple does, and only the
     root's key becomes a tuple.  Raises NotAForest when the walk from root
@@ -147,48 +148,16 @@ def fiber_key(f: Fiber) -> tuple:
     return _tree_key(f.graph._index(), _labels(f))
 
 
-def _blow_up_view(index: Mapping[int, Tuple[int, ...]],
-                  labels: Mapping[int, Tuple[int, int, int]], x: int,
-                  position: Position):
-    """(adj, labels) of a tree fiber blown up at position, its new vertex x.
-
-    The parent's index and labels are copied and only the entries the
-    blow-up changes are replaced: x joins a free point's carrier, or takes
-    each edge end's place in the other's neighbours; each anchor's weight
-    drops by 1, and x is a (-1)-curve carrying the anchors' multiplicities
-    summed.  This restates _Draft.blow_up and _add_multiplicity for keying
-    alone; the tests hold it to them.
-    """
-    adj = dict(index)
-    if isinstance(position, tuple):
-        # a tree has no parallel edges, so each end meets the other once
-        a, b = anchors = position
-        adj[a] = tuple(x if u == b else u for u in index[a])
-        adj[b] = tuple(x if u == a else u for u in index[b])
-    else:
-        anchors = (position,)
-        adj[position] += (x,)
-    adj[x] = anchors
-    child = dict(labels)
-    m = 0
-    for u in anchors:
-        _one, w, mu = labels[u]
-        child[u] = (1, w - 1, mu)
-        m += mu
-    child[x] = (1, -1, m)
-    return adj, child
-
-
 def enumerate_fibers(max_vertices: int) -> List[Fiber]:
     """All fiber classes with at most max_vertices components.
 
     Breadth-first closure of the smooth fiber under blow-ups, one
     representative per isomorphism class, in (size, canonical form) order.
-    Each child is keyed on a view of its parent (_blow_up_view: the
-    parent's index and labels with only the entries the blow-up changes
-    replaced); only a child with a new key is made, by fiber_blow_up on a
-    move-engine draft, so the census opens one draft and builds one graph
-    per class, not one per blow-up.
+    Each expanded parent opens one move-engine draft; every child is
+    keyed on that draft, blown up and then undone by the inverse move,
+    and only a child with a new key is frozen into a graph.  The undo
+    leaves the fresh-id counter raised, so it is reset to the parent's:
+    every child of a parent gets the id a lone blow-up of it would.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
@@ -201,13 +170,21 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
             g = f.graph
             if len(g) >= max_vertices:
                 continue
-            index, labels = g._index(), _labels(f)
+            d = _Draft(g)
+            mult, parent = dict(f.multiplicity), _labels(f)
             for pos in list(g.vertices) + list(dict.fromkeys(g.edges)):
-                key = _tree_key(*_blow_up_view(index, labels, g.next_id, pos))
+                move = d.blow_up(pos if isinstance(pos, tuple) else (pos,))
+                _add_multiplicity(mult, move)
+                labels = dict(parent)
+                for v in (move.vertex, *move.anchors):
+                    labels[v] = (1, d.weights[v], mult[v])
+                key = _tree_key(d.adj, labels)
                 if key not in classes:
-                    child = fiber_blow_up(f, pos)
+                    child = Fiber(d.freeze(), dict(mult), f.history + MoveLog((move,)))
                     classes[key] = child
                     nxt.append(child)
+                d.apply(move.inverted())
+                d.next_id = g.next_id
         frontier = nxt
     ordered = sorted(classes.items(), key=lambda kf: (len(kf[1].graph), kf[0]))
     return [f for _key, f in ordered]

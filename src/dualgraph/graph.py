@@ -23,8 +23,8 @@ that takes one, so every kernel reads a WeightedGraph.
 
 Shape questions read one breadth-first walk, _walk, with no recursion.
 classify_shape, the forest pass, chain_order, fiber_key and validate_fiber
-walk a graph's index; the chain rewriting walks a draft's adjacency, and the
-fiber census a patched copy of a graph's index.
+walk a graph's index; the chain rewriting and the fiber census walk a draft's
+adjacency.
 """
 
 from __future__ import annotations

@@ -29,11 +29,12 @@ assembly step outside the calculus, and logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
 immutable graph once, at the end, and reads its move log from the draft;
-a single move is a draft, one patch and one freeze.  The fiber census keys
-each child on a patched copy of its parent's index instead, and opens a
-draft only for a child it keeps.  A run that must read the shape between moves
-walks the draft's adj with graph._walk, as the chain rewriting does each
-round, rather than freezing it.
+a single move is a draft, one patch and one freeze.  The fiber census opens
+one draft per parent it expands, keys each child on it between a blow-up
+and the inverse move that undoes it, and freezes only a child it keeps.  A
+run that must read the shape between moves walks the draft's adj with
+graph._walk, as the chain rewriting does each round and the census each
+child, rather than freezing it.
 
 Composite operations: snc_minimalize (repeated contraction of unprotected
 (-1)-vertices that blow_down accepts) and elementary_transformation (blow

@@ -456,15 +456,23 @@ def test_no_command_takes_a_seed(capsys, tmp_path):
 
 
 # results past the digits Python prints: three weights of 2000 digits, whose
-# discriminant has 6000, and weights that a move takes from 4300 nines to 10**4300
+# discriminant has 6000, weights that a move takes from 4300 nines to 10**4300,
+# an Euler characteristic of 10**4300 + 1, and a vertex created after the id
+# 4300 nines, whose id is 10**4300
 TOO_LONG = {
     "three": "".join(f"v {v} -{'9' * 2000}\n" for v in range(3)),
     "nines": f"v 1 -{'9' * 4300}\n",
     "up": f"v 1 {'9' * 4300}\nv 2 -1\ne 1 2\n",
+    "empty": "# empty\n",
+    "last_minus_one": f"v {'9' * 4300} -1\n",
+    "last_one": f"v {'9' * 4300} 1\n",
 }
 TOO_LONG_CASES = [["disc", "three.dg"], ["disc", "three.dg", "--sub", "0,1,2"],
                   ["homology", "three.dg"], ["blowup", "nines.dg", "--vertex", "1"],
-                  ["minimalize", "up.dg"], ["blowdown", "up.dg", "--vertex", "2"]]
+                  ["minimalize", "up.dg"], ["blowdown", "up.dg", "--vertex", "2"],
+                  ["euler", "empty.dg", "--rho", "9" * 4300],
+                  ["blowup", "last_minus_one.dg", "--vertex", "9" * 4300],
+                  ["standardize", "last_one.dg"]]
 
 
 def test_results_too_long_to_print_end_in_one_error_line(run, tmp_path, monkeypatch):
@@ -494,6 +502,9 @@ def test_results_just_under_the_digit_limit_print_exactly(run, tmp_path):
     code, out, _ = run("blowup", write(tmp_path, f"v 1 -{nines - 1}\n"), "--vertex", "1",
                        "--format", "json")
     assert code == 0 and json.loads(out)["results"]["graph"]["vertices"][0] == [1, -nines]
+    code, out, _ = run("blowup", write(tmp_path, f"v {nines - 1} -1\n"), "--vertex",
+                       str(nines - 1), "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["graph"]["vertices"][1] == [nines, -1]
     # the limit is read at run time
     up = write(tmp_path, f"v 1 -{nines}\n")
     assert run("blowup", up, "--vertex", "1")[0] == 1

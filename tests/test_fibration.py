@@ -21,7 +21,7 @@ from dualgraph.fibration import (
     is_numerically_trivial,
     validate_fiber,
 )
-from dualgraph.moves import MoveLog, _Draft
+from dualgraph.moves import MoveLog
 
 
 def types(f):
@@ -192,9 +192,10 @@ def test_fiber_key_walks_about_once_per_call(monkeypatch):
     assert calls["_walk"] <= 1.25 * calls["_tree_key"]
 
 
-def test_census_opens_one_draft_per_new_class(monkeypatch):
-    # every child is keyed once on a view of its parent; the smooth fiber is
-    # keyed and built outright, and each other class opens one draft
+def test_census_opens_one_draft_per_expanded_parent(monkeypatch):
+    # every child is keyed once on its parent's draft, patched and then
+    # undone; the smooth fiber is keyed and built outright, and each parent
+    # below the size bound opens one draft
     calls = Counter()
     draft, tree_key = fibration._Draft, fibration._tree_key
 
@@ -209,31 +210,7 @@ def test_census_opens_one_draft_per_new_class(monkeypatch):
     monkeypatch.setattr(fibration, "_Draft", counted_draft)
     monkeypatch.setattr(fibration, "_tree_key", counted_tree_key)
     assert len(enumerate_fibers(8)) == 1942
-    assert calls == {"_Draft": 1941, "_tree_key": 5142}
-
-
-def test_census_view_is_the_draft_blow_up():
-    # _blow_up_view restates _Draft.blow_up and _add_multiplicity for
-    # keying; here it meets them on every child the census keys at --max 8
-    children = 0
-    for f in enumerate_fibers(7):
-        g = f.graph
-        index, labels = g._index(), fibration._labels(f)
-        before = dict(index), dict(labels)
-        for pos in list(g.vertices) + sorted(set(g.edges)):
-            adj, got = fibration._blow_up_view(index, labels, g.next_id, pos)
-            d = _Draft(g)
-            mult = dict(f.multiplicity)
-            move = d.blow_up(pos if isinstance(pos, tuple) else (pos,))
-            fibration._add_multiplicity(mult, move)
-            assert move.vertex == g.next_id
-            assert {v: Counter(ns) for v, ns in adj.items()} == \
-                {v: Counter(ns) for v, ns in d.adj.items()}
-            assert got == {v: (1, w, mult[v]) for v, w in d.weights.items()}
-            children += 1
-        # the view copies; the parent's index and labels stay as they were
-        assert (index, labels) == before
-    assert children == 5141
+    assert calls == {"_Draft": 417, "_tree_key": 5142}
 
 
 def reference_enumerate(max_vertices):
@@ -272,8 +249,8 @@ def test_census_matches_the_blow_up_and_key_reference(max_vertices):
 
 
 def test_census_builds_one_graph_per_class(monkeypatch):
-    # children are keyed on drafts and only a new class is frozen; the
-    # smooth fiber is built outright
+    # children are keyed on their parent's draft and only a new class is
+    # frozen; the smooth fiber is built outright
     built = Counter()
     init = fibration.WeightedGraph.__init__
 
