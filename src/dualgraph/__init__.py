@@ -9,6 +9,7 @@ from .errors import (
     DuplicateId,
     GraphSyntaxError,
     ModelInconsistent,
+    MoveLogTooLong,
     NotAChain,
     NotAForest,
     NotCoprime,

@@ -78,20 +78,20 @@ def _is_terminal(t: List[int]) -> bool:
 
 
 def _ramp_single_negative(d: _Draft, v: int) -> None:
-    # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end; v's one
-    # neighbour is always the last blow-up
+    # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end: a free
+    # blow-up, then one ladder patch of edge blow-ups between v and the last
+    # one, anchored (last, v), until v's weight is 0
     last = d.blow_up((v,)).vertex
-    while -d.weight(v) < 0:
-        last = d.blow_up((last, v)).vertex
+    d.blow_up_ladder(v, last, d.weight(v), fixed_first=False)
     d.elementary_transformation(v, "free")
 
 
 def _run_ets(d: _Draft, zero: int, side, count: int) -> None:
-    # repeated elementary transformation on a 0-vertex; the 0 migrates to a
-    # fresh vertex each time.  side "free" lowers the tip's neighbor by one
-    # unit of type, a neighbor id raises that neighbor instead
-    for _ in range(count):
-        zero = d.elementary_transformation(zero, side)[0].vertex
+    # count elementary transformations on a 0-vertex as one draft patch; the
+    # 0 migrates to a fresh vertex each time.  side "free" lowers the tip's
+    # neighbor by one unit of type per transformation, a neighbor id raises
+    # that neighbor instead
+    d.elementary_run(zero, side, count)
 
 
 def standardize_chain(g: WeightedGraph, selection: Selection = None) -> StandardizeResult:
@@ -101,7 +101,9 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
     kept), each round reads its path and types off it, and it is frozen
     once, at the end; the log replays against the chain.  Chains whose
     intersection form has two or more non-negative eigenvalues admit no
-    normal form and raise NotStandardizable.
+    normal form and raise NotStandardizable; a rewriting whose ladder or
+    run of transformations would bring the log past moves.MAX_LOG_MOVES
+    raises MoveLogTooLong before that run writes anything.
     """
     start = induced_graph(g, selection)
     chain_order(start)  # raises NotAChain before any rewriting
@@ -156,11 +158,11 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             # walk the zero toward the left tip
             _run_ets(d, order[p], order[p + 1], t[p - 1] - 1)
         else:
-            # a ladder of edge blow-ups on the right edge raises the negative
-            # to 0, leaving a single transient 1 to absorb by one transformation
-            v, right = order[p], order[p + 1]
-            for _ in range(-t[p]):
-                right = d.blow_up((v, right)).vertex
+            # a ladder of edge blow-ups on the right edge, one draft patch,
+            # raises the negative to 0, leaving a single transient 1 to absorb
+            # by one transformation
+            v = order[p]
+            right = d.blow_up_ladder(v, order[p + 1], -t[p])
             d.elementary_transformation(v, "free" if p == 0 else right)
 
     final_type = ChainType(tuple(t))

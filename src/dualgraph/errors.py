@@ -93,6 +93,10 @@ class ChainRewriteInvariantViolation(DualGraphError):
     past its move budget."""
 
 
+class MoveLogTooLong(DualGraphError):
+    """A run of moves whose count is a weight would grow its log past moves.MAX_LOG_MOVES."""
+
+
 class ResultTooLong(DualGraphError):
     """A result could have more digits than Python prints (sys.get_int_max_str_digits())."""
 

@@ -18,14 +18,28 @@ counts, and what each inverts to, is the one table _INVERSE_KIND, which
 apply and Move.inverted read (MoveLog.inverted inverts move by move), so
 a move apply rejects cannot be inverted either.
 
-Every move is applied by one function, _Draft.apply, which patches a
+Every move of a replay, and every move outside the two weight-sized runs
+below, is applied by one function, _Draft.apply, which patches a
 mutable copy of the graph (the order list, the weights and each vertex's
 neighbour list) in time proportional to the vertex's degree, plus a
 C-level list insert or delete at the move's position in the order, and
 records the move in the draft's log.  It branches on the kind once and
 makes every check inline, before the first write, calling no helper per
-move.  _Draft.glue appends a fresh vertex wired to existing ones, the one
-assembly step outside the calculus, and logs nothing.  A run of
+move.  The chain rewriting's loops whose count is a weight are one patch
+each: _Draft.blow_up_ladder (count edge blow-ups on one vertex, each on
+its edge to the one before) and _Draft.elementary_run (count elementary
+transformations, each on the 0-vertex the one before made).  Each sends
+its first move through apply, with every check; after it the moving vertex
+is last in the order and in its neighbours' lists, so the remaining moves
+cannot fail, and the patch appends them to the log in closed form and
+writes their net change to the order, the weights and the neighbour lists
+at once.  The draft, the element order of every list and the log end as
+the moves one at a time leave them, which tests/test_move_engine.py
+checks against sequential blow_up and elementary_transformation calls on
+random chains.  A run that would bring the log past MAX_LOG_MOVES raises
+MoveLogTooLong before it writes anything.  _Draft.glue appends a fresh
+vertex wired to existing ones, the one assembly step outside the
+calculus, and logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
 immutable graph once, at the end, and reads its move log from the draft;
@@ -48,6 +62,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import (
+    MoveLogTooLong,
     NotMinusOne,
     NotSnc,
     NotZeroCurve,
@@ -76,6 +91,18 @@ _INVERSE_KIND = {
     (BLOW_DOWN, 1): BLOW_UP_FREE,
     (BLOW_DOWN, 2): BLOW_UP_EDGE,
 }
+
+
+#: the most moves a weight-sized run (_Draft.blow_up_ladder, _Draft.elementary_run)
+#: may bring a draft's log to, above every chain the tests, the CLI digests and
+#: the benchmark standardize; a run past it is refused before it writes anything
+MAX_LOG_MOVES = 200_000
+
+
+def _count_text(n: int) -> str:
+    # a count from a weight near the parser's digit limit, doubled, may have
+    # more digits than Python prints
+    return str(n) if n < 10 ** 100 else "more than 10**100"
 
 
 def _malformed(kind: str, anchors: Tuple[int, ...]) -> ValueError:
@@ -313,6 +340,96 @@ class _Draft:
                 continue
             for a in m.anchors:
                 heappush(heap, a)
+
+    # ------------------------------------------------ weight-sized runs
+
+    def _admit(self, run: int) -> None:
+        predicted = len(self.log) + run
+        if predicted > MAX_LOG_MOVES:
+            raise MoveLogTooLong(
+                f"a run of {_count_text(run)} moves would bring the move log to "
+                f"{_count_text(predicted)} moves, past the ceiling of {MAX_LOG_MOVES}")
+
+    def blow_up_ladder(self, fixed: int, moving: int, count: int,
+                       fixed_first: bool = True) -> int:
+        """count edge blow-ups on fixed, each on its edge to the vertex the one before made.
+
+        The first blows up the edge fixed-moving; the anchors list fixed
+        first or last as fixed_first says, in every move.  Returns the last
+        vertex made (moving if count is 0).  Draft and log end as count
+        blow_up calls leave them: the first goes through apply, which makes
+        every check, and leaves its vertex last in the order and in fixed's
+        neighbour list, so the other count - 1, which cannot fail, are
+        written at once.
+        """
+        if count <= 0:
+            return moving
+        self._admit(count)
+        u0 = self.blow_up((fixed, moving) if fixed_first else (moving, fixed)).vertex
+        if count == 1:
+            return u0
+        order, weights, adj = self.order, self.weights, self.adj
+        first = u0 + 1
+        last = u0 + count - 1
+        shift = len(order) - first
+        self.log.extend([
+            Move(BLOW_UP_EDGE, u, u + shift, (fixed, u - 1) if fixed_first else (u - 1, fixed))
+            for u in range(first, last + 1)])
+        order.extend(range(first, last + 1))
+        # every vertex of the ladder but the last is an anchor once more
+        weights[fixed] -= count - 1
+        weights[u0] -= 1
+        weights.update(dict.fromkeys(range(first, last), -2))
+        weights[last] = -1
+        adj[u0].remove(fixed)
+        adj[u0].append(first)
+        adj.update((u, [u - 1, u + 1]) for u in range(first, last))
+        adj[last] = [fixed, last - 1] if fixed_first else [last - 1, fixed]
+        adj[fixed][-1] = last
+        self.next_id = last + 1
+        return last
+
+    def elementary_run(self, zero: int, side, count: int) -> None:
+        """count elementary transformations, each on the 0-vertex the one before made.
+
+        side is "free" or a neighbour id, as in elementary_transformation,
+        and stays the same throughout.  Draft and log end as count
+        elementary_transformation calls leave them: the first goes through
+        it, with every check, and leaves its 0-vertex last in the order
+        and in each neighbour's list, with side (if any) first in its own;
+        so the other count - 1, which cannot fail, are written at once:
+        each blows up at position L = len(order) and blows the last 0-vertex
+        down from L - 1.
+        """
+        if count <= 0:
+            return
+        self._admit(2 * count)
+        z0 = self.elementary_transformation(zero, side)[0].vertex
+        if count == 1:
+            return
+        order, weights, adj = self.order, self.weights, self.adj
+        first = z0 + 1
+        last = z0 + count - 1
+        nbs = adj.pop(z0)
+        if side == "free":
+            kind, carrier, others = BLOW_UP_FREE, (), tuple(nbs)
+        else:
+            kind, carrier, others = BLOW_UP_EDGE, (side,), tuple(nbs[1:])
+            weights[side] -= count - 1
+        for o in others:
+            weights[o] += count - 1
+        top = len(order)
+        self.log.extend([
+            m for u in range(first, last + 1)
+            for m in (Move(kind, u, top, (u - 1,) + carrier),
+                      Move(BLOW_DOWN, u - 1, top - 1, others + (u,)))])
+        order[-1] = last
+        del weights[z0]
+        weights[last] = 0
+        adj[last] = nbs
+        for x in nbs:
+            adj[x][-1] = last
+        self.next_id = last + 1
 
     def elementary_transformation(self, zero_vertex: int, side) -> Tuple[Move, Move]:
         w = self.weight(zero_vertex)

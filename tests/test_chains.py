@@ -436,3 +436,12 @@ def test_standardize_matches_the_reference_on_random_chains():
         ws[rng.randrange(len(ws))] = rng.randint(-60, 60)
         weight_lists.append(ws)
     assert _agree_with_the_reference(weight_lists) == {StandardizeResult, NotStandardizable}
+
+
+def test_standardize_matches_the_reference_on_weight_sized_runs():
+    # [W, -2] takes one ladder of W edge blow-ups, [W] the single-vertex ramp:
+    # both are one draft patch in standardize_chain and W single moves in the
+    # reference
+    ws = list(range(-3, 40)) + [64, 100, 255, 512, 1000]
+    weight_lists = [[w, -2] for w in ws] + [[w] for w in ws]
+    assert _agree_with_the_reference(weight_lists) == {StandardizeResult}

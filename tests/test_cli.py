@@ -4,6 +4,7 @@ import json
 import json.encoder
 import random
 import sys
+import time
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd
@@ -16,7 +17,7 @@ from dualgraph.chains import ChainType
 from dualgraph.cli import main
 from dualgraph.errors import DualGraphError
 from dualgraph.lattice import discriminant
-from dualgraph.moves import Move
+from dualgraph.moves import MAX_LOG_MOVES, Move
 
 from test_lattice import cycle_discriminant
 
@@ -516,9 +517,32 @@ def test_results_just_under_the_digit_limit_print_exactly(run, tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+# chains whose standardization would log more moves than moves.MAX_LOG_MOVES,
+# each with the count its error names: a ladder of 10**26 blow-ups, and a run
+# of 4300 nines free transformations, whose move count has more digits than
+# Python prints
+PAST_THE_LOG_CEILING = {
+    "ladder": (f"v 1 {10 ** 26}\nv 2 -2\ne 1 2\n", f"move log to {10 ** 26} moves"),
+    "ets": (f"v 1 0\nv 2 -{'9' * 4300}\ne 1 2\n", "move log to more than 10**100 moves"),
+}
+
+
+def test_a_standardization_past_the_log_ceiling_ends_in_one_error_line(run, tmp_path):
+    for name, (text, count) in PAST_THE_LOG_CEILING.items():
+        path = write(tmp_path, text, f"{name}.dg")
+        for fmt in ("json", "text", "dot"):
+            start = time.perf_counter()
+            code, out, err = run("standardize", path, "--format", fmt)
+            assert time.perf_counter() - start < 1.0, name
+            assert (code, out) == (1, ""), name
+            assert err.count("\n") == 1 and err.startswith("error: "), name
+            assert f"{count}, past the ceiling of {MAX_LOG_MOVES}" in err, err
+
+
 def test_no_input_ends_in_a_traceback(capsys, tmp_path):
     files = {name: write(tmp_path, text, f"{name}.dg") for name, text in
-             (("chain", CHAIN_212), ("loop", LOOP), ("star", STAR))}
+             (("chain", CHAIN_212), ("loop", LOOP), ("star", STAR),
+              *((name, text) for name, (text, _) in PAST_THE_LOG_CEILING.items()))}
     files["missing"] = str(tmp_path / "absent.dg")
     files["undecodable"] = str(tmp_path / "undecodable.dg")
     (tmp_path / "undecodable.dg").write_bytes(b"\xff\xfe v 1 -2\n")

@@ -14,7 +14,15 @@ import pytest
 
 from dualgraph import graph as graph_module
 from dualgraph import moves as moves_module
-from dualgraph.errors import NotMinusOne, NotSnc, TooBranched, UnknownEdge, UnknownVertex
+from dualgraph.errors import (
+    MoveLogTooLong,
+    NotMinusOne,
+    NotSnc,
+    NotZeroCurve,
+    TooBranched,
+    UnknownEdge,
+    UnknownVertex,
+)
 from dualgraph.graph import WeightedGraph, _norm_edge, build_graph
 from dualgraph.moves import (
     BLOW_DOWN,
@@ -347,6 +355,118 @@ def test_blow_down_rejections_keep_their_messages():
         blow_down(build_graph([(1, -1), (2, 0), (3, 0)], [(1, 2), (1, 3), (2, 3)]), 1)
 
 
+# ------------------------------------------------------ weight-sized runs
+
+
+def sequential_ladder(d, fixed, moving, count, fixed_first=True):
+    for _ in range(count):
+        moving = d.blow_up((fixed, moving) if fixed_first else (moving, fixed)).vertex
+    return moving
+
+
+def sequential_ets(d, zero, side, count):
+    for _ in range(count):
+        zero = d.elementary_transformation(zero, side)[0].vertex
+
+
+def random_chain(rng, n):
+    """A chain on random ids, declared in random order, so neighbour lists vary."""
+    ids = rng.sample(range(1, 3 * n + 3), n)
+    edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(ids, ids[1:])]
+    declared = [(v, rng.randint(-4, 3)) for v in ids]
+    rng.shuffle(declared)
+    rng.shuffle(edges)
+    return build_graph(declared, edges), ids
+
+
+def draft_state(d):
+    # element order too: the dicts' key order and each neighbour list's order
+    return (list(d.order), list(d.weights.items()), list(d.adj.items()), d.next_id, list(d.log))
+
+
+def run_both(g, patch, sequential):
+    """The outcome and the draft after the patch and after the sequential moves."""
+    sides = []
+    for fn in (patch, sequential):
+        d = _Draft(g)
+        try:
+            got = "ok", fn(d)
+        except (NotZeroCurve, TooBranched, UnknownEdge, UnknownVertex) as e:
+            got = "error", (type(e), str(e))
+        sides.append((got, draft_state(d)))
+    return sides
+
+
+def run_counts(rng):
+    return [0, 1, 2, rng.randint(3, 300)]
+
+
+def test_a_ladder_patch_equals_its_blow_ups():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(150):
+        g, path = random_chain(rng, rng.randint(2, 7))
+        i = rng.randrange(len(path) - 1)
+        fixed, moving = (path[i], path[i + 1]) if rng.random() < 0.5 else (path[i + 1], path[i])
+        if rng.random() < 0.1:  # not an edge: rejected by the first blow-up
+            moving = rng.choice([v for v in path if v != fixed and v not in g.neighbors(fixed)]
+                                or [g.next_id + 5])
+        for count in run_counts(rng):
+            for fixed_first in (True, False):
+                patched, moved = run_both(
+                    g, lambda d: d.blow_up_ladder(fixed, moving, count, fixed_first),
+                    lambda d: sequential_ladder(d, fixed, moving, count, fixed_first))
+                assert patched == moved, (g.vertices, g.edges, fixed, moving, count, fixed_first)
+                seen.add((patched[0][0], min(count, 3), fixed_first))
+    assert {("ok", count, f) for count in range(4) for f in (True, False)} <= seen
+    assert ("error", 3, True) in seen
+
+
+def test_an_elementary_run_equals_its_transformations():
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(250):
+        g, path = random_chain(rng, rng.randint(1, 7))
+        i = rng.randrange(len(path))
+        zero = path[i]
+        nbs = list(g.neighbors(zero))
+        where = "tip" if len(nbs) <= 1 else "inside"
+        weights = [(v, 0 if v == zero else g.weight(v)) for v in g.vertices]
+        if rng.random() < 0.1:  # not a 0-vertex: rejected by the first transformation
+            weights = [(v, g.weight(v) or 1) for v in g.vertices]
+        g = build_graph(weights, g.edges)
+        choices = nbs + ["free"] * (2 if where == "tip" else 1)
+        side = rng.choice(choices + [g.next_id + 3] * (rng.random() < 0.1))
+        for count in run_counts(rng):
+            patched, moved = run_both(g, lambda d: d.elementary_run(zero, side, count),
+                                      lambda d: sequential_ets(d, zero, side, count))
+            assert patched == moved, (g.vertices, g.edges, zero, side, count)
+            seen.add((patched[0][0], where, side == "free", min(count, 3)))
+    assert {("ok", where, free, count) for where, free in (("tip", True), ("tip", False),
+                                                             ("inside", False))
+            for count in range(4)} <= seen
+    assert ("error", "inside", True, 3) in seen  # a free transformation on a middle vertex
+
+
+def test_a_run_past_the_log_ceiling_writes_nothing(monkeypatch):
+    monkeypatch.setattr(moves_module, "MAX_LOG_MOVES", 20)
+    g = chain([0, -3, 5])
+    d = _Draft(g)
+    d.blow_up_ladder(3, 2, 20)  # reaches the ceiling exactly
+    before = draft_state(d)
+    for run in (lambda: d.blow_up_ladder(3, 22, 1), lambda: d.elementary_run(1, "free", 1)):
+        with pytest.raises(MoveLogTooLong, match="past the ceiling of 20"):
+            run()
+        assert draft_state(d) == before
+    d = _Draft(g)
+    with pytest.raises(MoveLogTooLong, match="a run of 22 moves would bring the move log "
+                                             "to 22 moves, past the ceiling of 20"):
+        d.elementary_run(1, "free", 11)
+    assert draft_state(d) == draft_state(_Draft(g))
+    with pytest.raises(MoveLogTooLong, match=r"more than 10\*\*100 moves, past"):
+        d.blow_up_ladder(3, 2, 10 ** 4000)
+
+
 @pytest.fixture
 def constructions(monkeypatch):
     """Counts of WeightedGraph constructions and adjacency-index builds."""
@@ -439,3 +559,38 @@ def test_a_run_of_moves_freezes_once(constructions):
     assert constructions(lambda: snc_minimalize(g)) == {"graphs": 1, "indexes": 0}
     assert constructions(lambda: apply_move(g, Move("spawn", 99, 0))) == {
         "graphs": 1, "indexes": 0}
+
+
+@pytest.fixture
+def applied(monkeypatch):
+    """Counts of _Draft.apply calls."""
+    counts = {"apply": 0}
+    apply = _Draft.apply
+
+    def counted(self, m):
+        counts["apply"] += 1
+        apply(self, m)
+
+    monkeypatch.setattr(_Draft, "apply", counted)
+
+    def measure(fn):
+        counts["apply"] = 0
+        return fn(), counts["apply"]
+
+    return measure
+
+
+@pytest.mark.parametrize("weights,per_unit", [
+    (lambda w: [w, -2], 1),  # a ladder of w blow-ups
+    (lambda w: [0, -w], 2),  # a run of w free transformations
+    (lambda w: [-w, 0, -2], 2),  # w - 1 transformations on the middle 0, side the -2
+    (lambda w: [0, w], 2),  # w transformations on the 0, side the w
+    (lambda w: [w], 1),  # the single-vertex ramp
+])
+def test_standardizing_applies_as_many_moves_at_every_weight(applied, weights, per_unit):
+    # each weight-sized run is one draft patch, so the moves sent through
+    # apply do not grow with the weight, while the log does
+    small, small_applied = applied(lambda: standardize_chain(chain(weights(100))))
+    large, large_applied = applied(lambda: standardize_chain(chain(weights(1600))))
+    assert large_applied == small_applied <= 12
+    assert len(large.log) - len(small.log) == 1500 * per_unit
