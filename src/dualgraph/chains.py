@@ -20,7 +20,7 @@ returned in snc-minimal shape and flagged as non-standard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
 from .graph import Selection, WeightedGraph, _walk, classify_shape, induced_graph
@@ -72,11 +72,6 @@ class StandardizeResult:
     is_standard: bool
 
 
-def _is_terminal(t: List[int]) -> bool:
-    # a standard form, or snc-minimal and negative definite
-    return ChainType(tuple(t)).is_standard or min(t) >= 2
-
-
 def _ramp_single_negative(d: _Draft, v: int) -> None:
     # [t] with t <= -1 becomes 2,...,2,0,0 read from the far end: a free
     # blow-up, then one ladder patch of edge blow-ups between v and the last
@@ -84,14 +79,6 @@ def _ramp_single_negative(d: _Draft, v: int) -> None:
     last = d.blow_up((v,)).vertex
     d.blow_up_ladder(v, last, d.weight(v), fixed_first=False)
     d.elementary_transformation(v, "free")
-
-
-def _run_ets(d: _Draft, zero: int, side, count: int) -> None:
-    # count elementary transformations on a 0-vertex as one draft patch; the
-    # 0 migrates to a fresh vertex each time.  side "free" lowers the tip's
-    # neighbor by one unit of type per transformation, a neighbor id raises
-    # that neighbor instead
-    d.elementary_run(zero, side, count)
 
 
 def standardize_chain(g: WeightedGraph, selection: Selection = None) -> StandardizeResult:
@@ -129,7 +116,9 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
         # chain_order's path, from the first tip in canonical order, off the draft
         order = _walk(d.adj, [next(v for v in d.order if len(d.adj[v]) <= 1)])[0]
         t = [-d.weights[v] for v in order]
-        if _is_terminal(t):
+        reading = ChainType(tuple(t))
+        # a standard form, or snc-minimal and negative definite
+        if reading.is_standard or min(t) >= 2:
             break
         k = len(t)
         if k == 1:
@@ -150,13 +139,13 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             z, o = (p, p + 1) if t[p] == 0 else (p + 1, p)
             if t[z] != 0:
                 raise ChainRewriteInvariantViolation(f"unreachable chain pattern {t}")
-            _run_ets(d, order[z], order[o], -t[o] or 2)
+            d.elementary_run(order[z], order[o], -t[o] or 2)
         elif t[p] == 0 and p == 0:
             # free transformations push the tip's neighbor to 0
-            _run_ets(d, order[0], "free", t[1])
+            d.elementary_run(order[0], "free", t[1])
         elif t[p] == 0:
             # walk the zero toward the left tip
-            _run_ets(d, order[p], order[p + 1], t[p - 1] - 1)
+            d.elementary_run(order[p], order[p + 1], t[p - 1] - 1)
         else:
             # a ladder of edge blow-ups on the right edge, one draft patch,
             # raises the negative to 0, leaving a single transient 1 to absorb
@@ -165,10 +154,9 @@ def standardize_chain(g: WeightedGraph, selection: Selection = None) -> Standard
             right = d.blow_up_ladder(v, order[p + 1], -t[p])
             d.elementary_transformation(v, "free" if p == 0 else right)
 
-    final_type = ChainType(tuple(t))
     return StandardizeResult(
-        chain_type=final_type,
+        chain_type=reading,
         log=MoveLog(tuple(d.log)),
         graph=d.freeze(),
-        is_standard=final_type.is_standard,
+        is_standard=reading.is_standard,
     )

@@ -292,7 +292,7 @@ def build_completion(pair: CuspPair) -> CompletionModel:
     bridge = inf_moves[-1].vertex
     line_side, far_part = _split_at(d.adj, bridge)
 
-    protected = [v for v in d.order if v not in line_side]
+    protected = set(d.order).difference(line_side)
     g, curve, history = _glue_and_minimalize(
         d, seed, n * n - origin_squares - inf_squares,
         _created(origin_moves[-1:]) + (bridge,), protected)

@@ -12,7 +12,6 @@ from dualgraph.errors import (
 )
 from dualgraph.graph import _walk, build_graph
 from dualgraph.lattice import discriminant, signature
-from dualgraph import chains
 from dualgraph.chains import (
     ChainType,
     StandardizeResult,
@@ -291,15 +290,15 @@ def test_exhausted_move_budget_is_a_typed_error(monkeypatch):
     # a case analysis that never reaches a terminal chain runs out of moves:
     # [0, 0] has a budget of 1800 moves at four a round, so the check
     # trips at the end of round 451
-    monkeypatch.setattr(chains, "_is_terminal", lambda t: False)
-    rounds, run_ets = [], chains._run_ets
+    monkeypatch.setattr(ChainType, "is_standard", False)
+    rounds, elementary_run = [], _Draft.elementary_run
 
     def counted(*args):
         rounds.append(args)
         assert len(rounds) <= 1000, "the move budget never stopped the rewriting"
-        run_ets(*args)
+        elementary_run(*args)
 
-    monkeypatch.setattr(chains, "_run_ets", counted)
+    monkeypatch.setattr(_Draft, "elementary_run", counted)
     with pytest.raises(ChainRewriteInvariantViolation, match="move budget"):
         standardize_chain(chain([0, 0]))
     assert len(rounds) == 451

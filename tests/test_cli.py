@@ -554,7 +554,8 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path):
         ["minimalize", chain, "--protect", "9"],
         ["blowup", chain, "--vertex", "9"], ["blowup", chain, "--edge", "1,9"],
         ["blowup", chain, "--edge", "1,3"], ["blowdown", chain, "--vertex", "9"],
-        ["blowup", chain, "--edge", "1"], ["euler", chain, "--rho", "x"],
+        ["blowup", chain, "--edge", "1"], ["blowup", chain, "--edge", "1,x"],
+        ["euler", chain, "--rho", "x"],
         ["fibers", "--max", "3", "--validate"], ["fibers", "--max", "0"],
         ["check-acyclic", "--d", "9", "--de", "1"], ["check-acyclic", "--d", "0", "--de", "1"],
         ["check-acyclic", "--d", "4", "--de", "0"],
@@ -580,6 +581,10 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path):
             if code not in (0, 1, 2):
                 bad.append((argv, fmt, code))
     assert bad == []
+    with pytest.raises(SystemExit) as err:
+        main(["blowup", chain, "--edge", "1,x"])
+    assert err.value.code == 2
+    assert "expected id,id, got '1,x'" in capsys.readouterr().err
 
 
 def test_main_builds_its_parser_once(run, tmp_path, monkeypatch):

@@ -285,6 +285,8 @@ def test_fiber_key_rejects_non_trees(weights, edges):
 
 
 def test_enumerate_small_budgets():
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_fibers(0)
     assert len(enumerate_fibers(1)) == 1
     assert len(enumerate_fibers(2)) == 2
     fs = enumerate_fibers(3)

@@ -38,6 +38,7 @@ def test_build_basic():
     assert g.degree(1) == 1
     assert g.neighbors(1) == (2,)
     assert g.next_id == 3
+    assert repr(g) == "<WeightedGraph [1:0, 2:0] edges [1-2]>"
 
 
 def test_build_errors():
@@ -45,6 +46,10 @@ def test_build_errors():
         build_graph([(1, 0), (1, 2)], [])
     with pytest.raises(UnknownEndpoint):
         build_graph([(1, 0)], [(1, 2)])
+    with pytest.raises(UnknownEndpoint, match="endpoint 2 "):
+        build_graph([(1, 0)], [(2, 1)])
+    with pytest.raises(TypeError, match="vertex id must be an int"):
+        build_graph([("1", 0)])
     with pytest.raises(SelfLoop):
         build_graph([(1, -1)], [(1, 1)])
 
@@ -68,6 +73,7 @@ def test_equality_ignores_fresh_counter():
     a = build_graph([(1, 0), (5, -2)], [(1, 5)])
     b = type(a)((1, 5), {1: 0, 5: -2}, [(5, 1)], 99)
     assert a == b
+    assert a != ((1, 0), (5, -2))
 
 
 def test_intersection_matrix_known():
