@@ -11,10 +11,11 @@ uniquely once the graph is known.
 enumerate_fibers walks this inductive definition breadth-first and keeps one
 representative per isomorphism class of (weight, multiplicity)-labeled tree.
 Each expanded parent opens one move-engine draft, and each child is keyed on
-it: the draft is blown up, keyed, and patched back by the inverse move, so the
-move engine alone says what a blow-up changes.  Only a child with a new key is
-frozen into a graph, so the census opens one draft per expanded parent and
-builds one graph per class, not one of either per blow-up.
+it: the draft is blown up, keyed on its adjacency, weights and multiplicities,
+and patched back by the inverse move, so the move engine alone says what a
+blow-up changes.  Only a child with a new key is frozen into a graph, so the
+census opens one draft per expanded parent and builds one graph per class,
+not one of either per blow-up.
 validate_fiber checks the structural facts every fiber must satisfy, plus a
 second tier for fibers with a unique (-1)-vertex, all read from the graph's
 one adjacency index.  fujita_accounting checks the counting identity
@@ -90,16 +91,16 @@ def is_numerically_trivial(f: Fiber) -> bool:
 _CLOSE = (0,)
 
 
-def _encode_rooted(adj: Mapping[int, Sequence[int]],
-                   labels: Mapping[int, Tuple[int, int, int]], root: int) -> tuple:
+def _encode_rooted(adj: Mapping[int, Sequence[int]], weights: Mapping[int, int],
+                   mult: Mapping[int, int], root: int) -> tuple:
     """Flat key of the tree hung from root, built leaves first.
 
-    adj maps each vertex to its neighbours (a graph's index or a census
-    draft's adjacency).  A subtree's key is its root's label token, then
-    its children's keys in increasing order, then _CLOSE; it is built as a
-    list, which sorts among its siblings as the tuple does, and only the
-    root's key becomes a tuple.  Raises NotAForest when the walk from root
-    misses a vertex.
+    adj maps each vertex to its neighbours, weights and mult to its weight
+    and multiplicity; only the vertices of adj are read.  A subtree's key is
+    its root's label token (1, weight, multiplicity), then its children's
+    keys in increasing order, then _CLOSE.  It is built as a list, which
+    sorts among its siblings as the tuple does; only the root's key becomes
+    a tuple.  Raises NotAForest when the walk from root misses a vertex.
     """
     order, parent = _walk(adj, (root,))
     if len(order) != len(adj):
@@ -108,7 +109,7 @@ def _encode_rooted(adj: Mapping[int, Sequence[int]],
     for v in reversed(order):
         below = kids[v]
         below.sort()
-        key = [labels[v]]
+        key = [(1, weights[v], mult[v])]
         for k in below:
             key += k
         key.append(_CLOSE)
@@ -117,20 +118,15 @@ def _encode_rooted(adj: Mapping[int, Sequence[int]],
     return tuple(key)
 
 
-def _tree_key(adj: Mapping[int, Sequence[int]],
-              labels: Mapping[int, Tuple[int, int, int]]) -> tuple:
-    """fiber_key of the tree with neighbour mapping adj and label tokens labels."""
-    # the empty graph fails here too, before min sees no labels
+def _tree_key(adj: Mapping[int, Sequence[int]], weights: Mapping[int, int],
+              mult: Mapping[int, int]) -> tuple:
+    """fiber_key of the tree with neighbour mapping adj, read as in _encode_rooted."""
+    # the empty graph fails here too, before min sees no vertex
     if sum(map(len, adj.values())) != 2 * (len(adj) - 1):
         raise NotAForest("fiber graphs are trees")
-    least = min(labels.values())
-    return min(_encode_rooted(adj, labels, r) for r in adj if labels[r] == least)
-
-
-def _labels(f: Fiber) -> Dict[int, Tuple[int, int, int]]:
-    """Each vertex's label token (1, weight, multiplicity)."""
-    m = f.multiplicity
-    return {v: (1, w, m[v]) for v, w in f.graph._weight.items()}
+    least = min((weights[v], mult[v]) for v in adj)
+    return min(_encode_rooted(adj, weights, mult, r)
+               for r in adj if (weights[r], mult[r]) == least)
 
 
 def fiber_key(f: Fiber) -> tuple:
@@ -145,7 +141,7 @@ def fiber_key(f: Fiber) -> tuple:
     tried; usually there is one.  A graph is a tree when it has V - 1 edges
     and the first rooting's walk reaches all V vertices.
     """
-    return _tree_key(f.graph._index(), _labels(f))
+    return _tree_key(f.graph._index(), f.graph._weight, f.multiplicity)
 
 
 def enumerate_fibers(max_vertices: int) -> List[Fiber]:
@@ -153,11 +149,11 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
 
     Breadth-first closure of the smooth fiber under blow-ups, one
     representative per isomorphism class, in (size, canonical form) order.
-    Each expanded parent opens one move-engine draft; every child is
-    keyed on that draft, blown up and then undone by the inverse move,
-    and only a child with a new key is frozen into a graph.  The undo
-    leaves the fresh-id counter raised, so it is reset to the parent's:
-    every child of a parent gets the id a lone blow-up of it would.
+    Each expanded parent opens one draft; every child is blown up on it,
+    keyed on its adjacency, weights and multiplicities, and undone, and
+    only a child with a new key is frozen into a graph.  The undo leaves
+    the fresh-id counter raised, so it is reset to the parent's: every
+    child of a parent gets the id a lone blow-up of it would.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
@@ -171,14 +167,11 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
             if len(g) >= max_vertices:
                 continue
             d = _Draft(g)
-            mult, parent = dict(f.multiplicity), _labels(f)
-            for pos in list(g.vertices) + list(dict.fromkeys(g.edges)):
-                move = d.blow_up(pos if isinstance(pos, tuple) else (pos,))
+            mult = dict(f.multiplicity)
+            for anchors in [(v,) for v in g.vertices] + list(dict.fromkeys(g.edges)):
+                move = d.blow_up(anchors)
                 _add_multiplicity(mult, move)
-                labels = dict(parent)
-                for v in (move.vertex, *move.anchors):
-                    labels[v] = (1, d.weights[v], mult[v])
-                key = _tree_key(d.adj, labels)
+                key = _tree_key(d.adj, d.weights, mult)
                 if key not in classes:
                     child = Fiber(d.freeze(), dict(mult), f.history + MoveLog((move,)))
                     classes[key] = child

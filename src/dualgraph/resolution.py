@@ -50,7 +50,7 @@ class CuspPair:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
+        if any(not isinstance(e, int) or isinstance(e, bool) for e in (self.n, self.m)):
             raise TypeError("exponents must be integers")
         if self.m < 1 or (self.n <= self.m and (self.n, self.m) != (1, 1)):
             raise BadOrder(f"need n > m >= 1, got ({self.n}, {self.m})")

@@ -50,9 +50,10 @@ class TestCuspPair:
         with pytest.raises(NotCoprime):
             CuspPair(n, m)
 
-    def test_non_integer_rejected(self):
+    @pytest.mark.parametrize("n,m", [(3.0, 2), (3, True), (True, 1)])
+    def test_non_integer_rejected(self, n, m):
         with pytest.raises(TypeError):
-            CuspPair(3.0, 2)
+            CuspPair(n, m)
 
     def test_coprime_pairs_counts(self):
         assert len(coprime_pairs(2, 30)) == 248
