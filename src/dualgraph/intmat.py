@@ -1,19 +1,22 @@
 """Exact integer matrix kernel, on plain Python ints and never floats.
 
 The package's one Smith elimination is sparse_smith_form, run on the sparse
-rows of Q by lattice.py and on a dense matrix by smith_normal_form; its
-oracle, the dense least-entry kernel, lives in the tests.  Bareiss
+rows of Q by lattice.py and on a dense matrix by smith_normal_form.  It
+builds its own column mirror, and _subtract writes each update to both.
+Its oracle, the dense least-entry kernel, lives in the tests.  Bareiss
 determinants and Berkowitz characteristic polynomials are the tests'
 oracles for the sparse passes in lattice.py; no package module calls them.
 
-Matrices are lists of equal-length lists.  The empty matrix [] is legal and
-behaves as the 0x0 matrix (determinant 1, characteristic polynomial [1]).
+Matrices are lists of equal-length lists of ints, read by operator.index, so
+a float raises TypeError.  The empty matrix [] is legal and behaves as the
+0x0 matrix (determinant 1, characteristic polynomial [1]).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import index
 from typing import Dict, List, Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -28,7 +31,7 @@ def det_bareiss(rows: Matrix) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    a = [list(map(int, r)) for r in rows]
+    a = [list(map(index, r)) for r in rows]
     for r in a:
         if len(r) != n:
             raise ValueError("determinant needs a square matrix")
@@ -65,7 +68,7 @@ def charpoly(rows: Matrix) -> List[int]:
     n = len(rows)
     if n == 0:
         return [1]
-    a = [list(map(int, r)) for r in rows]
+    a = [list(map(index, r)) for r in rows]
     for r in a:
         if len(r) != n:
             raise ValueError("charpoly needs a square matrix")
@@ -99,23 +102,24 @@ def smith_normal_form(rows: Matrix) -> List[int]:
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    row = [{j: x for j, x in enumerate(map(int, r)) if x} for r in rows]
-    return sparse_smith_form(row, [{i: r[j] for i, r in enumerate(row) if j in r}
-                                   for j in range(n)])
+    return sparse_smith_form([{j: x for j, x in enumerate(map(index, r)) if x} for r in rows], n)
 
 
-def sparse_smith_form(row: List[Dict[int, int]], col: List[Dict[int, int]]) -> List[int]:
-    """smith_normal_form of the matrix whose row i maps each column to its
-    nonzero entry; col mirrors row.  Consumes both.
+def sparse_smith_form(row: List[Dict[int, int]], n: int) -> List[int]:
+    """smith_normal_form of the matrix with n columns whose row i maps each
+    column to its nonzero entry.  Consumes row; builds its own column mirror.
 
     Each step takes the shortest row r that holds a unit a = q_rc (a lazy
-    heap keyed by row length) and, in it, the unit whose column is shortest
-    (Markowitz), deletes row r and column c, and updates every other
-    q_ij -= q_ic a q_rj, since 1/a = a: a unimodular step that splits off a
-    1 (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  Where no row
-    holds a unit, a _least_entry_round runs; what it splits off forms a
-    divisibility chain.
+    heap keyed by row length), in it the unit whose column is shortest
+    (Markowitz), and runs a round's column half on it: row i -= q_ic a row r
+    (1/a = a) clears column c, then row r and column c go, splitting off a 1
+    (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).  With no unit
+    left, a _least_entry_round runs; it splits off a divisibility chain.
     """
+    col: List[Dict[int, int]] = [{} for _ in range(n)]
+    for i, r in enumerate(row):
+        for j, x in r.items():
+            col[j][i] = x
     heap = [(len(r), i) for i, r in enumerate(row)]
     heapify(heap)
     ones = 0
@@ -131,27 +135,31 @@ def sparse_smith_form(row: List[Dict[int, int]], col: List[Dict[int, int]]) -> L
                 waiting.add(r)
                 continue  # an update that can give it a unit pushes it again
             c = min(units, key=lambda j: len(col[j]))
-            pivot_row, pivot_col = row[r], col[c]
-            for j in pivot_row:
+            prow, a = row[r], row[r][c]
+            for i, x in list(col[c].items()):
+                if i != r:
+                    _subtract(row, col, i, prow, x * a)
+                    heappush(heap, (len(row[i]), i))
+            for j in prow:
                 del col[j][r]
-            for i in pivot_col:
-                del row[i][c]
-            a = pivot_row.pop(c)
-            for i, x in pivot_col.items():
-                ri = row[i]
-                for j, y in pivot_row.items():
-                    q = ri.get(j, 0) - x * a * y
-                    if q:
-                        ri[j] = col[j][i] = q
-                    elif j in ri:
-                        del ri[j], col[j][i]
-                heappush(heap, (len(ri), i))
             row[r] = col[c] = None
             waiting.discard(r)
             ones += 1
         if not _least_entry_round(row, col, waiting, heap, chain):
             break
-    return [1] * ones + chain + [0] * (min(len(row), len(col)) - ones - len(chain))
+    return [1] * ones + chain + [0] * (min(len(row), n) - ones - len(chain))
+
+
+def _subtract(lines, mirror, i, src, q):
+    """lines[i] -= q * src, on sparse lines that drop their zeros; mirror
+    holds the same entries transposed and is kept equal."""
+    li = lines[i]
+    for j, y in src.items():
+        v = li.get(j, 0) - q * y
+        if v:
+            li[j] = mirror[j][i] = v
+        elif j in li:
+            del li[j], mirror[j][i]
 
 
 def _least_entry_round(row, col, waiting, heap, chain):
@@ -182,23 +190,11 @@ def _least_entry_round(row, col, waiting, heap, chain):
     for i, x in list(pcol.items()):
         q = x // p
         if q and i != r:
-            ri = row[i]
-            for j, y in prow.items():
-                v = ri.get(j, 0) - q * y
-                if v:
-                    ri[j] = col[j][i] = v
-                elif j in ri:
-                    del ri[j], col[j][i]
+            _subtract(row, col, i, prow, q)
     for j, y in list(prow.items()):
         q = y // p
         if q and j != c:
-            cj = col[j]
-            for i, x in pcol.items():
-                v = cj.get(i, 0) - q * x
-                if v:
-                    cj[i] = row[i][j] = v
-                elif i in cj:
-                    del cj[i], row[i][j]
+            _subtract(col, row, j, pcol, q)
     if len(prow) == len(pcol) == 1:
         row[r] = col[c] = None
         waiting.discard(r)

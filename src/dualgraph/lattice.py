@@ -11,8 +11,8 @@ The pass notices a cycle or a parallel edge on its own walk; such graphs
 take the sparse congruence pass, the same elimination on the adjacency
 itself, fraction-free on plain ints (Bareiss), so each division it makes
 is exact.  The Smith invariant factors come from intmat.sparse_smith_form
-on the sparse rows of Q, on every graph alike.  Nothing here builds the
-dense matrix.
+on the sparse rows of Q, on every graph alike; it builds its own column
+mirror.  Nothing here builds the dense matrix.
 """
 
 from __future__ import annotations
@@ -282,14 +282,14 @@ def smith_invariants(g: WeightedGraph, selection: Selection = None) -> LatticeIn
 
     The discriminant and the inertia come from the forest pass, or on a
     cycle from the sparse congruence pass; the invariant factors from
-    intmat.sparse_smith_form on graph.intersection_rows.  When the
+    intmat.sparse_smith_form on graph.intersection_rows and the vertex
+    count, which is all it needs to build its column mirror.  When the
     discriminant is nonzero, the product of the invariant factors equals
     its absolute value (the order of the cokernel of Q).
     """
     g = induced_graph(g, selection)
     d, inertia = _discriminant_and_inertia(g)
-    row = intersection_rows(g)
-    factors = tuple(sparse_smith_form(row, [r.copy() for r in row]))  # Q is symmetric
+    factors = tuple(sparse_smith_form(intersection_rows(g), len(g)))
     return LatticeInvariants(d, factors, _definiteness_of(inertia),
                              prod(factors) if d else None)
 

@@ -2,7 +2,9 @@ import ast
 import hashlib
 import json
 import json.encoder
+import os
 import random
+import subprocess
 import sys
 import time
 from enum import IntEnum
@@ -426,6 +428,23 @@ class TestRendering:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    # __main__.py passes main's exit code to the shell: 0 on a pass, 2 on a
+    # usage error
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def dash_m(*argv):
+        return subprocess.run([sys.executable, "-m", "dualgraph", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = dash_m("verify-theorem", "5", "2", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "pass"
+    done = dash_m("verify-theorem", "5")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:")
 
 
 LOOP = "v 1 -2\nv 2 -2\nv 3 -2\ne 1 2\ne 2 3\ne 3 1\n"

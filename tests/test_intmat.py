@@ -351,6 +351,13 @@ def test_sparse_smith_form_matches_the_dense_oracle(monkeypatch):
     assert needed_a_round[0] and sum(needed_a_round) >= 100
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
+    # entries are read by operator.index: a float is refused, not truncated
+    with pytest.raises(TypeError):
+        smith_normal_form([[2.5]])
+    with pytest.raises(TypeError):
+        det_bareiss([[2.5, 1], [1, 2]])
+    with pytest.raises(TypeError):
+        charpoly([[0.9]])
 
 
 def test_determinantal_oracle_known():
