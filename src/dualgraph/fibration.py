@@ -9,7 +9,9 @@ numerically trivial (Q m = 0 for the intersection matrix Q), which pins it
 uniquely once the graph is known.
 
 enumerate_fibers walks this inductive definition breadth-first and keeps one
-representative per isomorphism class of (weight, multiplicity)-labeled tree.
+representative per isomorphism class of (weight, multiplicity)-labeled tree,
+one size level at a time: a blow-up adds exactly one vertex, and a flat key
+holds two tokens per vertex, so keys of unequal sizes never collide.
 Each expanded parent opens one move-engine draft, and each child is keyed on
 it: the draft is blown up, keyed on its adjacency, weights and multiplicities,
 and patched back by the inverse move, so the move engine alone says what a
@@ -149,6 +151,8 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
 
     Breadth-first closure of the smooth fiber under blow-ups, one
     representative per isomorphism class, in (size, canonical form) order.
+    Each level holds one size (a blow-up adds one vertex), so it is deduped
+    in a table of its own, emitted in key order, expanded in discovery order.
     Each expanded parent opens one draft; every child is blown up on it,
     keyed on its adjacency, weights and multiplicities, and undone, and
     only a child with a new key is frozen into a graph.  The undo leaves
@@ -157,30 +161,25 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
-    start = initial_fiber()
-    classes = {fiber_key(start): start}
-    frontier = [start]
-    while frontier:
-        nxt: List[Fiber] = []
-        for f in frontier:
+    level = [initial_fiber()]
+    out = list(level)
+    for _size in range(1, max_vertices):
+        seen: Dict[tuple, Fiber] = {}
+        for f in level:
             g = f.graph
-            if len(g) >= max_vertices:
-                continue
             d = _Draft(g)
             mult = dict(f.multiplicity)
-            for anchors in [(v,) for v in g.vertices] + list(dict.fromkeys(g.edges)):
+            for anchors in [(v,) for v in g.vertices] + list(g.edges):
                 move = d.blow_up(anchors)
                 _add_multiplicity(mult, move)
                 key = _tree_key(d.adj, d.weights, mult)
-                if key not in classes:
-                    child = Fiber(d.freeze(), dict(mult), f.history + MoveLog((move,)))
-                    classes[key] = child
-                    nxt.append(child)
+                if key not in seen:
+                    seen[key] = Fiber(d.freeze(), dict(mult), f.history + MoveLog((move,)))
                 d.apply(move.inverted())
                 d.next_id = g.next_id
-        frontier = nxt
-    ordered = sorted(classes.items(), key=lambda kf: (len(kf[1].graph), kf[0]))
-    return [f for _key, f in ordered]
+        out += [seen[k] for k in sorted(seen)]
+        level = list(seen.values())
+    return out
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,9 @@ def test_fiber_key_matches_the_recursive_reference():
     for _ in range(2000):
         f = random_labelled_tree(rng, rng.randint(1, 12))
         assert fiber_key(f) == flatten(reference_key(f))
+        # one label and one close token per vertex: keys of unequal sizes
+        # differ, which lets the census dedup one size level at a time
+        assert len(fiber_key(f)) == 2 * len(f.graph)
 
 
 def test_fiber_key_orders_pairs_like_the_reference():
@@ -198,10 +201,11 @@ def test_fiber_key_walks_about_once_per_call(monkeypatch):
 
 def test_census_opens_one_draft_per_expanded_parent(monkeypatch):
     # every child is keyed once on its parent's draft, patched and then
-    # undone; the smooth fiber is keyed and built outright, and each parent
-    # below the size bound opens one draft
+    # undone; the smooth fiber is built outright and never keyed, as no other
+    # class has its size; each parent below the size bound opens one draft,
+    # and fiber_key is never called
     calls = Counter()
-    draft, tree_key = fibration._Draft, fibration._tree_key
+    draft, tree_key, key = fibration._Draft, fibration._tree_key, fibration.fiber_key
 
     def counted_draft(*args):
         calls["_Draft"] += 1
@@ -211,10 +215,16 @@ def test_census_opens_one_draft_per_expanded_parent(monkeypatch):
         calls["_tree_key"] += 1
         return tree_key(*args)
 
+    def counted_key(*args):
+        calls["fiber_key"] += 1
+        return key(*args)
+
     monkeypatch.setattr(fibration, "_Draft", counted_draft)
     monkeypatch.setattr(fibration, "_tree_key", counted_tree_key)
+    monkeypatch.setattr(fibration, "fiber_key", counted_key)
     assert len(enumerate_fibers(8)) == 1942
-    assert calls == {"_Draft": 417, "_tree_key": 5142}
+    assert calls == {"_Draft": 417, "_tree_key": 5141}
+    assert calls["fiber_key"] == 0
 
 
 def reference_enumerate(max_vertices):
