@@ -15,11 +15,13 @@ patch, so a MoveLog can be replayed forward or inverted exactly, restoring
 vertex ids and canonical order bit for bit.  A Move is an immutable named
 tuple (kind, vertex, position, anchors); which kinds fit which anchor
 counts, and what each inverts to, is the one table _INVERSE_KIND, which
-apply and Move.inverted read (MoveLog.inverted inverts move by move), so
-a move apply rejects cannot be inverted either.
+apply and Move.inverted read (MoveLog.inverted looks each move's inverse
+kind up in it, at C speed, and raises Move.inverted's error for the first
+malformed move), so a move apply rejects cannot be inverted either.
 
-Every move of a replay, and every move outside the two weight-sized runs
-below, is applied by one function, _Draft.apply, which patches a
+Every move but those of the two weight-sized runs and of the ladder tails
+a replay finds (both below) is applied by one function, _Draft.apply, which
+patches a
 mutable copy of the graph (the order list, the weights and each vertex's
 neighbour list) in time proportional to the vertex's degree, plus a
 C-level list insert or delete at the move's position in the order, and
@@ -33,11 +35,21 @@ its first move through apply, with every check; after it the moving vertex
 is last in the order and in its neighbours' lists, so the remaining moves
 cannot fail, and the patch appends them to the log in closed form and
 writes their net change to the order, the weights and the neighbour lists
-at once.  The draft, the element order of every list and the log end as
-the moves one at a time leave them, which tests/test_move_engine.py
-checks against sequential blow_up and elementary_transformation calls on
-random chains.  A run that would bring the log past MAX_LOG_MOVES raises
-MoveLogTooLong before it writes anything.  _Draft.glue appends a fresh
+at once: for the ladder, the tail patch _Draft._ladder_tail.  The draft, the
+element order of every list and the log end as the moves one at a time
+leave them, which tests/test_move_engine.py checks against sequential
+blow_up and elementary_transformation calls on random chains.  A run that
+would bring the log past MAX_LOG_MOVES raises MoveLogTooLong before it
+writes anything.  A replay (_Draft.replay) finds ladder tails in the moves
+themselves: after an edge blow-up, the edge blow-ups that continue it as a
+ladder, ids and positions rising by one, are one _ladder_tail patch, and
+after a blow-down, the blow-downs that undo a ladder tail, ids and
+positions falling by one, are one blow-down patch.  The length of each run
+is measured at C speed, in windows of doubling size, and every check the
+moves would make one at a time is made before the first write; a run that
+fails one goes through apply, so a tampered log fails with apply's error at
+its move.  tests/test_move_engine.py checks replays against apply one move
+at a time on random and tampered logs.  _Draft.glue appends a fresh
 vertex wired to existing ones, the one assembly step outside the
 calculus, and logs nothing.  A run of
 moves (a replay, a minimalization, a chain rewriting, a whole resolution
@@ -57,9 +69,13 @@ up on a 0-vertex, then blow the old vertex down).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from itertools import compress, count, islice, repeat
+from operator import contains, itemgetter, ne
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     MoveLogTooLong,
@@ -135,9 +151,72 @@ class Move(NamedTuple):
         return Move(kind, self.vertex, self.position, self.anchors)
 
 
+#: Move(kind, vertex, position, anchors) from one 4-tuple, at C speed
+_make_move = partial(tuple.__new__, Move)
+
+#: exhaust an iterator at C speed
+_drain = partial(deque, maxlen=0)
+
+
+def _ladder_moves(kind: str, fixed: int, vertex: int, position: int, fixed_first: bool,
+                  step: int) -> Iterator[tuple]:
+    """The ladder moves from (kind, vertex, position, (fixed, vertex - 1)) on, as plain tuples.
+
+    Vertex and position move by step from each move to the next, and the
+    anchors list fixed first or last as fixed_first says.  The tuples equal
+    the Move records they stand for, and never end.
+    """
+    before = count(vertex - 1, step)
+    anchors = zip(repeat(fixed), before) if fixed_first else zip(before, repeat(fixed))
+    return zip(repeat(kind), count(vertex, step), count(position, step), anchors)
+
+
+def _run_length(moves: Sequence[Move], start: int, expected: Iterator[tuple]) -> int:
+    """How many moves from moves[start] on equal the expected ones.
+
+    The log is compared in windows of doubling size, each a C-level slice
+    and a C-level scan for the first difference, so a run costs time in
+    proportion to its own length, wherever it lies in the log.
+    """
+    length, size = 0, 8
+    while True:
+        window = moves[start + length:start + length + size]
+        miss = next(compress(count(), map(ne, window, expected)), None)
+        if miss is not None:
+            return length + miss
+        length += len(window)
+        if len(window) < size:
+            return length
+        size *= 2
+
+
+def _ladder_run(moves: Sequence[Move], i: int, kind: str, vertex: int, position: int,
+                step: int, a: int, b: int) -> Tuple[int, bool, int]:
+    """The ladder run from moves[i] on: (fixed, fixed_first, length), length 0 if none.
+
+    moves[i] must be (kind, vertex, position, (a, vertex - 1)), fixed a
+    first, or (kind, vertex, position, (vertex - 1, b)), fixed b last; the
+    run is the moves from it on that follow _ladder_moves by step.
+    """
+    anchors = moves[i][3]
+    if anchors == (a, vertex - 1):
+        fixed, fixed_first = a, True
+    elif anchors == (vertex - 1, b):
+        fixed, fixed_first = b, False
+    else:
+        return a, True, 0
+    expected = _ladder_moves(kind, fixed, vertex, position, fixed_first, step)
+    return fixed, fixed_first, _run_length(moves, i, expected)
+
+
 @dataclass(frozen=True)
 class MoveLog:
     moves: Tuple[Move, ...] = ()
+
+    def __post_init__(self):
+        # a list would leave the log unequal to the same moves in a tuple,
+        # unhashable, and open to change
+        object.__setattr__(self, "moves", tuple(self.moves))
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -146,16 +225,33 @@ class MoveLog:
         return iter(self.moves)
 
     def __add__(self, other: "MoveLog") -> "MoveLog":
+        if not isinstance(other, MoveLog):
+            return NotImplemented
         return MoveLog(self.moves + other.moves)
 
     def inverted(self) -> "MoveLog":
-        return MoveLog(tuple([m.inverted() for m in reversed(self.moves)]))
+        """The log that undoes this one: each move inverted, last first.
+
+        The moves are built at C speed from the log's columns; a malformed
+        move raises Move.inverted's error, for the first one in reversed
+        order.
+        """
+        moves = self.moves[::-1]
+
+        def column(k):
+            return map(itemgetter(k), moves)
+
+        try:
+            inverse = map(_INVERSE_KIND.__getitem__, zip(column(0), map(len, column(3))))
+            return MoveLog(tuple(map(_make_move, zip(inverse, column(1), column(2), column(3)))))
+        except (KeyError, TypeError):
+            for m in moves:
+                m.inverted()
+            raise
 
     def replay(self, g: WeightedGraph) -> WeightedGraph:
         d = _Draft(g)
-        apply = d.apply
-        for m in self.moves:
-            apply(m)
+        d.replay(self.moves)
         return d.freeze()
 
 
@@ -164,8 +260,9 @@ class _Draft:
 
     order is the canonical vertex order, weights maps ids to weights,
     adj lists each vertex's neighbours, one entry per edge, in no
-    particular order, and log lists the moves applied, oldest first.
-    weight and has_edge answer as WeightedGraph's do.
+    particular order, log lists the moves applied, oldest first, and
+    next_id is above every id the draft holds.  weight and has_edge answer
+    as WeightedGraph's do.
     """
 
     __slots__ = ("order", "weights", "adj", "next_id", "log")
@@ -269,6 +366,105 @@ class _Draft:
                 self.next_id = v + 1
         self.log.append(m)
 
+    def replay(self, moves: Sequence[Move]) -> None:
+        """Apply moves in order, leaving draft and log as apply one at a time does.
+
+        Moves that continue the move before them as a ladder tail are one
+        patch: edge blow-ups on one fixed curve, each on its edge to the
+        vertex the one before made (_replay_ladder), or blow-downs that
+        undo such a tail from its last vertex (_replay_ladder_down).  Each
+        run is found in the moves themselves: a tail may follow an edge
+        blow-up whose vertex the next move has as an anchor, and an undone
+        tail a blow-down whose anchors hold the next move's vertex, one
+        below its own.  Any other move costs a few comparisons more than
+        apply.
+        """
+        apply = self.apply
+        n = len(moves)
+        steps = enumerate(moves, 1)
+        for i, m in steps:
+            apply(m)
+            if i < n:
+                kind = m[0]
+                if kind == BLOW_UP_EDGE:
+                    if m[1] in moves[i][3]:
+                        _drain(islice(steps, self._replay_ladder(moves, i, m)))
+                elif kind == BLOW_DOWN:
+                    below = moves[i][1]
+                    if below in m[3] and below == m[1] - 1:
+                        _drain(islice(steps, self._replay_ladder_down(moves, i, m)))
+
+    def _replay_ladder(self, moves: Sequence[Move], i: int, head: Move) -> int:
+        """Write the ladder tail from moves[i] on that continues the edge blow-up head.
+
+        Returns the number of moves written, 0 if moves[i] starts no tail.
+        head, just applied, made base on an edge of fixed and left it last
+        in fixed's list, so the tail's blow-ups cannot fail once their ids
+        are fresh; if they are not, the tail goes through apply instead.
+        """
+        _kind, base, position, (a, b) = head
+        fixed, fixed_first, tail = _ladder_run(moves, i, BLOW_UP_EDGE, base + 1, position + 1,
+                                               1, a, b)
+        run = moves[i:i + tail]
+        if tail and base + 1 >= self.next_id:
+            self._ladder_tail(fixed, base, position + 1, base + tail, fixed_first, run)
+        else:
+            _drain(map(self.apply, run))
+        return tail
+
+    def _replay_ladder_down(self, moves: Sequence[Move], i: int, head: Move) -> int:
+        """Write the blow-downs from moves[i] on that, after head, undo a ladder tail.
+
+        Returns the number of moves written, 0 if moves[i] starts no such
+        run.  The run blows down hi = head's vertex - 1, then hi - 1, down
+        to lo, each on fixed and the vertex below it.  If the draft does
+        not hold such a tail (_holds_ladder), the run goes through apply
+        instead, which raises its error at its move.
+        """
+        _kind, top, position, anchors = head
+        if len(anchors) != 2:
+            return 0
+        fixed, _fixed_first, tail = _ladder_run(moves, i, BLOW_DOWN, top - 1, position - 1,
+                                                -1, *anchors)
+        run, hi, lo, start = moves[i:i + tail], top - 1, top - tail, position - tail
+        if not tail or not self._holds_ladder(fixed, lo, hi, start):
+            _drain(map(self.apply, run))
+            return tail
+        order, weights, adj = self.order, self.weights, self.adj
+        self.log.extend(run)
+        del order[start:position]
+        _drain(map(weights.__delitem__, range(lo, top)))
+        _drain(map(adj.__delitem__, range(lo, top)))
+        weights[fixed] += tail
+        weights[lo - 1] += 1
+        adj[fixed].remove(hi)
+        adj[fixed].append(lo - 1)
+        adj[lo - 1].remove(lo)
+        adj[lo - 1].append(fixed)
+        return tail
+
+    def _holds_ladder(self, fixed: int, lo: int, hi: int, start: int) -> bool:
+        """Whether blow-downs of hi, hi - 1, ..., lo, each on fixed and the vertex below, succeed.
+
+        These are the checks the blow-downs one at a time make: fixed lies
+        outside lo - 1, ..., hi, the order holds lo, ..., hi from start on,
+        hi weighs -1 and meets fixed and hi - 1, and every other vertex of
+        the run weighs -2 and meets the two beside it.  A negative start
+        slices fewer vertices than the run has, so it fails the order
+        check.  For the last, the lists of lo, ..., hi - 1 hold two entries
+        each, one the vertex below; the vertex above lists each, so each
+        lists it too, since every edge is in both its ends' lists.
+        """
+        order, weights, adj = self.order, self.weights, self.adj
+        if lo - 1 <= fixed <= hi or order[start:start + hi - lo + 1] != list(range(lo, hi + 1)):
+            return False
+        below = range(lo, hi)
+        inner = list(map(adj.__getitem__, below))
+        return (weights[hi] == -1 and adj[hi] in ([fixed, hi - 1], [hi - 1, fixed])
+                and not any(map(ne, map(weights.__getitem__, below), repeat(-2)))
+                and sum(map(len, inner)) == 2 * len(below)
+                and all(map(contains, inner, range(lo - 1, hi - 1))))
+
     def glue(self, weight: int, neighbors: Iterable[int] = ()) -> int:
         """Append a fresh vertex meeting each listed neighbour once; returns its id.
 
@@ -358,36 +554,49 @@ class _Draft:
         first or last as fixed_first says, in every move.  Returns the last
         vertex made (moving if count is 0).  Draft and log end as count
         blow_up calls leave them: the first goes through apply, which makes
-        every check, and leaves its vertex last in the order and in fixed's
-        neighbour list, so the other count - 1, which cannot fail, are
-        written at once.
+        every check, and the other count - 1, which cannot fail, are one
+        _ladder_tail patch.
         """
         if count <= 0:
             return moving
         self._admit(count)
-        u0 = self.blow_up((fixed, moving) if fixed_first else (moving, fixed)).vertex
+        _kind, base, position, _anchors = self.blow_up(
+            (fixed, moving) if fixed_first else (moving, fixed))
         if count == 1:
-            return u0
+            return base
+        last = base + count - 1
+        tail = _ladder_moves(BLOW_UP_EDGE, fixed, base + 1, position + 1, fixed_first, 1)
+        self._ladder_tail(fixed, base, position + 1, last, fixed_first,
+                          map(_make_move, islice(tail, count - 1)))
+        return last
+
+    def _ladder_tail(self, fixed: int, base: int, position: int, last: int,
+                     fixed_first: bool, moves: Iterable[Move]) -> None:
+        """Write edge blow-ups base + 1, ..., last on fixed, each on its edge to the vertex before.
+
+        base is the vertex an edge blow-up on fixed has just made, so it
+        meets fixed and is last in fixed's neighbour list, and every id
+        after it is fresh.  The new vertices go into the order from
+        position on, and moves, the tail's Move records, into the log.  No
+        blow-up of the tail can fail, and draft and log end as the moves
+        one at a time leave them.
+        """
         order, weights, adj = self.order, self.weights, self.adj
-        first = u0 + 1
-        last = u0 + count - 1
-        shift = len(order) - first
-        self.log.extend([
-            Move(BLOW_UP_EDGE, u, u + shift, (fixed, u - 1) if fixed_first else (u - 1, fixed))
-            for u in range(first, last + 1)])
-        order.extend(range(first, last + 1))
-        # every vertex of the ladder but the last is an anchor once more
-        weights[fixed] -= count - 1
-        weights[u0] -= 1
+        first = base + 1
+        self.log.extend(moves)
+        order[position:position] = range(first, last + 1)
+        # every vertex of the tail but the last is an anchor once more
+        weights[fixed] -= last - base
+        weights[base] -= 1
         weights.update(dict.fromkeys(range(first, last), -2))
         weights[last] = -1
-        adj[u0].remove(fixed)
-        adj[u0].append(first)
-        adj.update((u, [u - 1, u + 1]) for u in range(first, last))
+        adj[base].remove(fixed)
+        adj[base].append(first)
+        adj.update(zip(range(first, last),
+                       map(list, zip(range(base, last - 1), range(first + 1, last + 1)))))
         adj[last] = [fixed, last - 1] if fixed_first else [last - 1, fixed]
         adj[fixed][-1] = last
         self.next_id = last + 1
-        return last
 
     def elementary_run(self, zero: int, side, count: int) -> None:
         """count elementary transformations, each on the 0-vertex the one before made.

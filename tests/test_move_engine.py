@@ -236,6 +236,13 @@ def test_a_malformed_move_cannot_be_inverted():
             applied = outcome(lambda: apply_move(g, m))
             assert applied[0] == "error" and inverse == applied, m
             assert outcome(MoveLog((m,)).inverted) == applied, m
+            # in a long log, the first malformed move in reversed order
+            # raises, wherever it lies
+            long = list(standardize_chain(chain([rng.randint(5, 60), -2])).log)
+            at = rng.randrange(len(long) + 1)
+            earlier = Move("blow_up_free", 0, 0, ())
+            log = MoveLog(long[:at // 2] + [earlier] + long[at // 2:at] + [m] + long[at:])
+            assert outcome(log.inverted) == applied, m
     assert malformed == 6 * 200
 
 
@@ -594,3 +601,196 @@ def test_standardizing_applies_as_many_moves_at_every_weight(applied, weights, p
     large, large_applied = applied(lambda: standardize_chain(chain(weights(1600))))
     assert large_applied == small_applied <= 12
     assert len(large.log) - len(small.log) == 1500 * per_unit
+
+
+@pytest.mark.parametrize("weights", [
+    lambda w: [w, -2],  # a ladder of w blow-ups
+    lambda w: [w],  # the single-vertex ramp, a ladder anchored the other way
+])
+def test_replaying_a_ladder_applies_as_many_moves_at_every_weight(applied, weights):
+    # the replay writes a ladder tail, and the inverted replay the tail's
+    # blow-downs, as one patch each, so the moves sent through apply do not
+    # grow with the weight
+    counts = []
+    for w in (100, 1600):
+        g = chain(weights(w))
+        res = standardize_chain(g)
+        forward, forward_applied = applied(lambda: res.log.replay(g))
+        back, back_applied = applied(lambda: res.log.inverted().replay(res.graph))
+        assert state(forward) == state(res.graph) and back == g
+        counts.append((forward_applied, back_applied))
+    assert counts[0] == counts[1]
+    assert max(counts[0]) <= 12
+
+
+# ---------------------------------------------- replay against apply
+
+
+def replay_one_at_a_time(d, moves):
+    for m in moves:
+        d.apply(m)
+
+
+def random_ladder_log(rng):
+    """A chain and a log of ladders, their inverses, contractions and random moves."""
+    g, _path = random_chain(rng, rng.randint(2, 6))
+    d = _Draft(g)
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if roll < 0.45:
+            fixed = rng.choice(d.order)
+            if d.adj[fixed]:
+                d.blow_up_ladder(fixed, rng.choice(d.adj[fixed]), rng.randint(0, 300),
+                                 rng.random() < 0.5)
+        elif roll < 0.7 and d.log:
+            # undo the last moves, a ladder tail among them as a rule
+            for m in list(reversed(d.log[-rng.randint(1, len(d.log)):])):
+                d.apply(m.inverted())
+        elif roll < 0.8:
+            d.contract_all(keep=1)
+        else:
+            here = d.freeze()
+            for _ in range(rng.randint(1, 4)):
+                m = random_move(rng, here, d.log)
+                if outcome(lambda: d.apply(m))[0] == "ok":
+                    here = d.freeze()
+    return g, list(d.log)
+
+
+def tampered(rng, moves, g):
+    """moves with one move changed, dropped or doubled, and what was done."""
+    moves = list(moves)
+    i = rng.randrange(len(moves))
+    kind, v, pos, anchors = moves[i]
+    how = rng.choice(["vertex", "position", "anchor", "kind", "drop", "double"])
+    if how == "vertex":
+        moves[i] = Move(kind, v + rng.choice((-1, 1)), pos, anchors)
+    elif how == "position":
+        moves[i] = Move(kind, v, pos + rng.choice((-1, 1)), anchors)
+    elif how == "anchor" and anchors:
+        j = rng.randrange(len(anchors))
+        other = rng.choice([anchors[j] - 1, anchors[j] + 1, v, rng.choice(g.vertices)])
+        moves[i] = Move(kind, v, pos, anchors[:j] + (other,) + anchors[j + 1:])
+    elif how == "kind":
+        moves[i] = Move(rng.choice([k for k in (*BLOW_UP_KINDS, BLOW_DOWN) if k != kind]),
+                        v, pos, anchors)
+    elif how == "drop":
+        del moves[i]
+    else:
+        moves.insert(i, moves[i])
+    return moves, how
+
+
+def replayed(g, moves, replay):
+    """The outcome, error type and message included, and the draft after the replay."""
+    d = _Draft(g)
+    try:
+        replay(d, moves)
+        got = "ok"
+    except Exception as e:  # noqa: BLE001 - both replays must fail alike
+        got = type(e), str(e)
+    return got, d
+
+
+def test_a_replay_equals_its_moves_one_at_a_time(applied):
+    rng = random.Random(20261022)
+    seen, patched = set(), 0
+    for _ in range(300):
+        g, log = random_ladder_log(rng)
+        if not log:
+            continue
+        inverse = list(MoveLog(log).inverted())
+        cases = [(log, "as made"), (inverse, "as made")]
+        cases += [tampered(rng, log, g) for _ in range(3)] + [tampered(rng, inverse, g)]
+        for moves, how in cases:
+            (got, d), n_applied = applied(lambda: replayed(g, moves, _Draft.replay))
+            want, one_at_a_time = replayed(g, moves, replay_one_at_a_time)
+            assert (got, draft_state(d)) == (want, draft_state(one_at_a_time)), how
+            whole = outcome(lambda: MoveLog(moves).replay(g))
+            if got == "ok":
+                assert whole[0] == "ok" and state(whole[1]) == state(one_at_a_time.freeze())
+                patched += len(moves) - n_applied
+            else:
+                assert whole == ("error", got), how
+            seen.add((how, got == "ok"))
+    assert ("as made", True) in seen
+    assert {(how, False) for how in ("vertex", "position", "anchor", "kind", "drop",
+                                     "double")} <= seen
+    assert patched > 50_000
+
+
+def retouched(rng, g):
+    """g with a weight changed, an edge added, two ids swapped in the order or in the graph."""
+    order, weights, edges = list(g.vertices), {v: g.weight(v) for v in g.vertices}, list(g.edges)
+    how = rng.choice(["weight", "edge", "order", "ids"])
+    if how == "weight":
+        v = rng.choice(order)
+        weights[v] += rng.choice((-1, 1))
+    elif how == "edge":
+        a, b = rng.sample(order, 2)
+        edges.append((a, b))
+    elif how == "order":
+        i, j = rng.sample(range(len(order)), 2)
+        order[i], order[j] = order[j], order[i]
+    else:
+        a, b = rng.sample(order, 2)
+        ids = {v: v for v in order} | {a: b, b: a}
+        weights = {ids[v]: w for v, w in weights.items()}
+        edges = [(ids[u], ids[v]) for u, v in edges]
+    return WeightedGraph(order, weights, edges, g.next_id), how
+
+
+def retouched_run(rng, moves, g):
+    """moves with every move from one on given another fixed anchor or a shifted position."""
+    i = rng.randrange(len(moves))
+    how = rng.choice(["fixed", "position"])
+    if how == "fixed":
+        old, new = rng.choice(moves[i].anchors or (None,)), rng.choice(g.vertices)
+        tail = [m._replace(anchors=tuple(new if a == old else a for a in m.anchors))
+                for m in moves[i:]]
+    else:
+        shift = rng.choice((-2, -1, 1))
+        tail = [m._replace(position=m.position + shift) for m in moves[i:]]
+    return moves[:i] + tail, how
+
+
+def test_a_ladder_replay_checks_the_draft_before_it_writes():
+    # logs that follow a ladder's pattern over drafts that do not hold the
+    # ladder: a weight, an edge or the order changed, or a whole run given
+    # another fixed anchor or positions; the replay must fail, or succeed,
+    # as the moves one at a time do
+    rng = random.Random(20261023)
+    seen = set()
+    for _ in range(1500):
+        g, path = random_chain(rng, rng.randint(2, 5))
+        d = _Draft(g)
+        fixed = rng.choice(path)
+        d.blow_up_ladder(fixed, rng.choice(d.adj[fixed]), rng.randint(2, 40), rng.random() < 0.5)
+        after = d.freeze()
+        forward, inverse = list(d.log), list(MoveLog(d.log).inverted())
+        cases = []
+        for start, moves, down in ((g, forward, False), (after, inverse, True)):
+            changed, how = retouched(rng, start)
+            cases.append((changed, moves, how, down))
+            cases.append((start, *retouched_run(rng, moves, start), down))
+        for start, moves, how, down in cases:
+            got, patched = replayed(start, moves, _Draft.replay)
+            want, one_at_a_time = replayed(start, moves, replay_one_at_a_time)
+            assert (got, draft_state(patched)) == (want, draft_state(one_at_a_time)), how
+            seen.add((how, down, got == "ok"))
+    # a blow-down must hold its position, so a shifted run always fails
+    assert {(how, True, False) for how in ("weight", "edge", "order", "ids", "fixed",
+                                           "position")} <= seen
+    assert {(how, True, True) for how in ("weight", "edge", "order", "ids", "fixed")} <= seen
+
+
+def test_a_ladder_closed_into_a_cycle_is_blown_down_one_move_at_a_time():
+    # 0 - 1 - ... - 6 - 7 - 0 and blow-downs of 7, 6, ..., 1, each on 0 and
+    # the vertex below: the last meets 0 twice, so fixed may not be lo - 1
+    g = build_graph([(0, -3)] + [(v, -2) for v in range(1, 7)] + [(7, -1)],
+                    [(v, v + 1) for v in range(7)] + [(7, 0)])
+    moves = [Move(BLOW_DOWN, u, u, (0, u - 1)) for u in range(7, 0, -1)]
+    got, patched = replayed(g, moves, _Draft.replay)
+    want, one_at_a_time = replayed(g, moves, replay_one_at_a_time)
+    assert got == want == (ValueError, "vertex 1 meets 0 twice")
+    assert draft_state(patched) == draft_state(one_at_a_time)

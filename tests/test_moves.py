@@ -131,6 +131,30 @@ def test_a_log_apply_rejects_cannot_be_inverted():
             run()
 
 
+def test_a_log_holds_its_moves_in_a_tuple():
+    # a log given a list equals and hashes as the same moves in a tuple, and
+    # changing the list afterwards leaves it as it was
+    m = Move("spawn", 3, 0)
+    moves = [m]
+    log = MoveLog(moves)
+    assert log == MoveLog((m,)) and hash(log) == hash(MoveLog((m,)))
+    assert isinstance(log.moves, tuple) and {log: 1}[MoveLog((m,))] == 1
+    moves.append(m)
+    assert log.moves == (m,) and len(log) == 1
+    assert MoveLog(iter(moves)).moves == (m, m)
+
+
+def test_a_log_adds_only_a_log():
+    m = Move("spawn", 3, 0)
+    log = MoveLog((m,))
+    assert log + MoveLog((m,)) == MoveLog((m, m))
+    for other in ((m,), [m], m, None):
+        with pytest.raises(TypeError):
+            log + other
+    with pytest.raises(TypeError):
+        (m,) + log
+
+
 def test_blow_up_anchors_decide_the_kind():
     g = chain([0, -2])
     for anchors, kind in (((), "spawn"), ((2,), "blow_up_free"), ((1, 2), "blow_up_edge")):
