@@ -71,9 +71,9 @@ class CommandResult:
     checks: Sequence[CheckResult] = ()
     moves: Dict[str, List[dict]] = field(default_factory=dict)
     document: Optional[GraphDocument] = None
-    multiplicity: Optional[Dict[int, int]] = None
-    dot_label: Optional[str] = None
-    dot_blocks: Optional[List[Tuple[str, GraphDocument, Optional[Dict[int, int]]]]] = None
+    #: Graphviz blocks (name, document, multiplicity, label), joined by --format dot
+    dot: List[Tuple[str, GraphDocument, Optional[Dict[int, int]], Optional[str]]] = \
+        field(default_factory=list)
     summary: List[str] = field(default_factory=list)
 
     @property
@@ -218,7 +218,7 @@ def cmd_disc(args) -> CommandResult:
             "selection": list(args.sub) if args.sub is not None else "all",
         },
         document=doc,
-        dot_label=f"d = {d}",
+        dot=[("dualgraph", doc, None, f"d = {d}")],
         summary=[f"discriminant: {d}"],
     )
 
@@ -299,14 +299,9 @@ def cmd_fibers(args) -> CommandResult:
         results["violations"] = violations
         checks.append(CheckResult("no_violations", 0, violations))
         summary.append(f"violations: {violations}")
-    blocks = None
-    if args.format == "dot":
-        blocks = [
-            (f"fiber_{i}", GraphDocument(f.graph), dict(f.multiplicity))
-            for i, f in enumerate(fibers)
-        ]
-    return CommandResult(results=results, checks=checks, summary=summary,
-                         dot_blocks=blocks)
+    dot = [(f"fiber_{i}", GraphDocument(f.graph), dict(f.multiplicity), None)
+           for i, f in enumerate(fibers)] if args.format == "dot" else []
+    return CommandResult(results=results, checks=checks, summary=summary, dot=dot)
 
 
 def cmd_resolve(args) -> CommandResult:
@@ -417,8 +412,7 @@ def _verify_single(pair: CuspPair) -> CommandResult:
         moves={"resolution": _move_rows(cert.history.resolution),
                "minimalization": _move_rows(cert.history.minimalization)},
         document=out,
-        multiplicity=mult,
-        dot_label=f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}",
+        dot=[("dualgraph", out, mult, f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}")],
         summary=[f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}, "
                  f"rho = {cert.rho}, checks = {len(cert.checks)}"],
     )
@@ -468,7 +462,7 @@ def cmd_homology(args) -> CommandResult:
     return CommandResult(
         results=results,
         document=doc,
-        dot_label=f"d = {inv.discriminant} ({inv.definiteness})",
+        dot=[("dualgraph", doc, None, f"d = {inv.discriminant} ({inv.definiteness})")],
         summary=[f"{k}: {results[k]}" for k in
                  ("discriminant", "definiteness", "invariant_factors", "torsion_order")],
     )
@@ -496,7 +490,7 @@ def cmd_euler(args) -> CommandResult:
     return CommandResult(
         results={"euler_open": chi, "rho": args.rho},
         document=doc,
-        dot_label=f"euler = {chi}",
+        dot=[("dualgraph", doc, None, f"euler = {chi}")],
         summary=[f"euler characteristic of the complement: {chi}"],
     )
 
@@ -534,15 +528,13 @@ def _render_text(args, result: CommandResult) -> str:
 
 
 def _render_dot(args, result: CommandResult) -> str:
-    if result.dot_blocks is not None:
-        return "\n".join(
-            dot_graph(doc.graph, doc.roles, mult, name=name)
-            for name, doc, mult in result.dot_blocks
-        )
-    if result.document is None:
-        raise UsageFailure(f"--format dot is not available for {args.command!r}")
-    doc = result.document
-    return dot_graph(doc.graph, doc.roles, result.multiplicity, result.dot_label)
+    blocks = result.dot
+    if not blocks:
+        if result.document is None:
+            raise UsageFailure(f"--format dot is not available for {args.command!r}")
+        blocks = [("dualgraph", result.document, None, None)]
+    return "\n".join(dot_graph(doc.graph, doc.roles, mult, label, name)
+                     for name, doc, mult, label in blocks)
 
 
 def render(args, result: CommandResult) -> str:

@@ -10,9 +10,10 @@ vertex order is insertion order and never changes under derived-graph
 construction.  Ids of removed vertices are never handed out again.
 
 Each graph builds its adjacency index (every vertex's neighbours in
-canonical order, one entry per parallel edge) and its position table once,
-on the first read that needs them, and keeps them.  Immutability makes
-that safe: nothing can change the vertices or edges they were built from.
+canonical order, one entry per parallel edge) once, on the first read that
+needs it, and keeps it.  Immutability makes that safe: nothing can change
+the vertices or edges it was built from.  A vertex's position is read from
+the canonical order itself, which is a tuple.
 A run of moves does not make a graph per step: the move engine patches one
 mutable draft (moves._Draft) and freezes it into a graph only where a
 caller reads one, so graphs are built once per run, not once per move.
@@ -48,7 +49,7 @@ class WeightedGraph:
     operations, which maintain the fresh-id counter.
     """
 
-    __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj", "_pos")
+    __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj")
 
     def __init__(self, order, weight, edges, next_id):
         self._order: Tuple[int, ...] = tuple(order)
@@ -56,7 +57,6 @@ class WeightedGraph:
         self._edges: Tuple[Edge, ...] = tuple(sorted(_norm_edge(a, b) for a, b in edges))
         self._next_id: int = next_id
         self._adj: Optional[Dict[int, Tuple[int, ...]]] = None
-        self._pos: Optional[Dict[int, int]] = None
 
     def _index(self) -> Dict[int, Tuple[int, ...]]:
         if self._adj is None:
@@ -75,11 +75,6 @@ class WeightedGraph:
             for v in incident[u]:
                 adj[v].append(u)
         return {v: tuple(ns) for v, ns in adj.items()}
-
-    def _positions(self) -> Dict[int, int]:
-        if self._pos is None:
-            self._pos = {v: i for i, v in enumerate(self._order)}
-        return self._pos
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -125,9 +120,10 @@ class WeightedGraph:
         return len(self.neighbors(v))
 
     def position(self, v: int) -> int:
-        """Index of v in the canonical order."""
+        """Index of v in the canonical order, found by a scan of it; no
+        package code calls this."""
         self.require_vertex(v)
-        return self._positions()[v]
+        return self._order.index(v)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -232,16 +228,17 @@ def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGrap
     if selection is None:
         return g
     s = SubDivisor(g, selection)
-    if len(s.selected) == len(g):
+    sel = s.selected
+    if len(sel) == len(g):
         return g
-    verts = sorted(s.selected, key=g._positions().__getitem__)
+    verts = [v for v in g.vertices if v in sel]
     return WeightedGraph(verts, {v: g._weight[v] for v in verts}, s.induced_edges(), g.next_id)
 
 
 def intersection_rows(g: WeightedGraph) -> List[Dict[int, int]]:
     """The rows of Q by vertex position, each mapping a column to its nonzero
     entry: the weight on the diagonal, the edge count off it."""
-    idx = g._positions()
+    idx = {v: i for i, v in enumerate(g.vertices)}
     rows = [{i: w} if (w := g.weight(v)) else {} for i, v in enumerate(g.vertices)]
     for a, b in g.edges:
         i, j = idx[a], idx[b]

@@ -45,14 +45,14 @@ themselves: after an edge blow-up, the edge blow-ups that continue it as a
 ladder, ids and positions rising by one, are one _ladder_tail patch, and
 after a blow-down, the blow-downs that undo a ladder tail, ids and
 positions falling by one, are one blow-down patch.  The length of each run
-is measured at C speed, in windows of doubling size, and every check the
-moves would make one at a time is made before the first write; a run that
-fails one goes through apply, so a tampered log fails with apply's error at
-its move.  tests/test_move_engine.py checks replays against apply one move
-at a time on random and tampered logs.  _Draft.glue appends a fresh
-vertex wired to existing ones, the one assembly step outside the
-calculus, and logs nothing.  A run of
-moves (a replay, a minimalization, a chain rewriting, a whole resolution
+is measured at C speed, by one scan of the log in place that stops at the
+first move off the run, and every check the moves would make one at a time
+is made before the first write; a run that fails one goes through apply, so
+a tampered log fails with apply's error at its move.  tests/test_move_engine.py
+checks replays against apply one move at a time on random and tampered
+logs.  _Draft.glue appends a fresh vertex wired to existing ones, the one
+assembly step outside the calculus, and logs nothing.  A run of moves (a
+replay, a minimalization, a chain rewriting, a whole resolution
 pipeline with its gluing) patches one draft, freezes it into an
 immutable graph once, at the end, and reads its move log from the draft;
 a single move is a draft, one patch and one freeze.  The fiber census opens
@@ -171,25 +171,6 @@ def _ladder_moves(kind: str, fixed: int, vertex: int, position: int, fixed_first
     return zip(repeat(kind), count(vertex, step), count(position, step), anchors)
 
 
-def _run_length(moves: Sequence[Move], start: int, expected: Iterator[tuple]) -> int:
-    """How many moves from moves[start] on equal the expected ones.
-
-    The log is compared in windows of doubling size, each a C-level slice
-    and a C-level scan for the first difference, so a run costs time in
-    proportion to its own length, wherever it lies in the log.
-    """
-    length, size = 0, 8
-    while True:
-        window = moves[start + length:start + length + size]
-        miss = next(compress(count(), map(ne, window, expected)), None)
-        if miss is not None:
-            return length + miss
-        length += len(window)
-        if len(window) < size:
-            return length
-        size *= 2
-
-
 def _ladder_run(moves: Sequence[Move], i: int, kind: str, vertex: int, position: int,
                 step: int, a: int, b: int) -> Tuple[int, bool, int]:
     """The ladder run from moves[i] on: (fixed, fixed_first, length), length 0 if none.
@@ -206,7 +187,11 @@ def _ladder_run(moves: Sequence[Move], i: int, kind: str, vertex: int, position:
     else:
         return a, True, 0
     expected = _ladder_moves(kind, fixed, vertex, position, fixed_first, step)
-    return fixed, fixed_first, _run_length(moves, i, expected)
+    # one C-level scan of the log in place, stopping at the first move that
+    # differs, so a run costs time in proportion to its own length and no
+    # slice of the rest of the log is made
+    read = map(moves.__getitem__, range(i, len(moves)))
+    return fixed, fixed_first, next(compress(count(), map(ne, read, expected)), len(moves) - i)
 
 
 @dataclass(frozen=True)

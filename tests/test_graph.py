@@ -219,6 +219,8 @@ def _assert_reads_match_scan(g, rng):
         g.neighbors(g.next_id)
     with pytest.raises(UnknownVertex):
         g.degree(g.next_id)
+    with pytest.raises(UnknownVertex):
+        g.position(g.next_id)
     for sel in (everything, {v for v in ids if rng.random() < 0.6}, set()):
         s = SubDivisor(g, sel)
         assert s.induced_edges() == tuple(e for e in g.edges if set(e) <= sel)

@@ -623,6 +623,43 @@ def test_replaying_a_ladder_applies_as_many_moves_at_every_weight(applied, weigh
     assert max(counts[0]) <= 12
 
 
+class CountedLog(tuple):
+    """A move tuple that counts the moves read from it by index, a slice as its length."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+
+@pytest.mark.parametrize("n", [600, 3000])
+def test_a_replay_reads_each_move_a_bounded_number_of_times(applied, n):
+    # n ladders of 50 edge blow-ups on 1, each followed by a free blow-up
+    # that ends its run: measuring a run by a scan that restarts at
+    # moves[i:] would read the rest of the log once per run, thousands of
+    # reads per move, while a scan in place reads each move a few times
+    g = chain([-1, -1])
+    d = _Draft(g)
+    moving = 2
+    for _ in range(n):
+        moving = d.blow_up_ladder(1, moving, 50)
+        d.blow_up((moving,))
+    after = d.freeze()
+    log = MoveLog(d.log)
+    for start, end, moves in ((g, after, log.moves), (after, g, log.inverted().moves)):
+        counted = CountedLog(moves)
+        replay = _Draft(start)
+        _, n_applied = applied(lambda: replay.replay(counted))
+        assert replay.freeze() == end and replay.log == list(moves)
+        # the runs were found: apply saw each free blow-up and each
+        # ladder's first move (inverted, also its last), not 51 per ladder
+        assert n_applied <= 3 * n
+        reads_per_move = counted.reads / len(moves)
+        assert reads_per_move < 5
+
+
 # ---------------------------------------------- replay against apply
 
 
