@@ -30,6 +30,18 @@ fixed byte layout, written by _json_text:
 
 This is the layout json.dumps(..., sort_keys=True, indent=2) gives, which
 the tests hold it to.
+
+Three kinds of list whose row shape the CLI fixes are written from a
+%-template per row, made for the depth at which the writer meets the
+list, and joined with one str.join: the check rows (computed, expected,
+name, pass), the move rows of _move_rows (anchors, kind, position,
+vertex) and the graph payload's vertex and edge pairs ([int, int]).  A check value
+other than None or an exact int, str or bool still goes through
+_write_json, and so does every row of another shape: another key set, a
+value that is not exactly an int or a str (a bool or an IntEnum among
+them), anchors that are not a list of exact ints, a pair that is not a
+list of two exact ints.  Every other value is written by _write_json, so
+the bytes, and the TypeError, are the generic writer's for every input.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chains import standardize_chain
 from .dsl import GraphDocument, dot_graph, format_document, parse_document
@@ -105,6 +117,7 @@ def _write_json(x, depth: int, out: List[str]) -> None:
     One pass over x.  Ints, strings and booleans inside a container are
     written in place rather than by a call each, and each object is
     sorted once.  A key that is not a str raises TypeError in sorted or _quote.
+    A _Rows item is written by its own row writer.
     """
     if isinstance(x, dict):
         if not x:
@@ -150,10 +163,103 @@ def _write_json(x, depth: int, out: List[str]) -> None:
             append("true")
         elif v is False:
             append("false")
+        elif t is _Rows:
+            append(v.write(v.rows, depth + 1))
         else:
             _write_json(v, depth + 1, out)
         append(sep)
     out[-1] = "\n" + "  " * depth + closing  # the last separator gives way to the close
+
+
+class _Rows(NamedTuple):
+    """A list of rows that _write_json hands to write(rows, depth), its shape's row writer.
+
+    Only _render_json makes one, in its own copy of the payload, so none
+    reaches a CommandResult.
+    """
+
+    write: Callable[[object, int], str]
+    rows: object
+
+
+def _value_text(x, depth: int) -> str:
+    """The text of x nested depth levels deep: a scalar in place, anything else by _write_json."""
+    t = type(x)
+    if t is int:
+        return repr(x)
+    if t is str:
+        return _quote(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    out: List[str] = []
+    _write_json(x, depth, out)
+    return "".join(out)
+
+
+def _array(texts: List[str], depth: int) -> str:
+    """The array of the item texts, its brackets nested depth levels deep."""
+    if not texts:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _row_template(keys: Sequence[str], depth: int) -> str:
+    """The %-template of an object with the sorted keys, nested depth levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + ",".join(pad + _quote(k) + ": %s" for k in keys) + "\n" + "  " * depth + "}"
+
+
+def _check_rows(checks, depth: int) -> str:
+    """The checks array nested depth levels deep, one template for every row."""
+    row = _row_template(("computed", "expected", "name", "pass"), depth + 1)
+    d = depth + 2
+    return _array([row % (_value_text(c.computed, d), _value_text(c.expected, d),
+                          _value_text(c.name, d), _value_text(c.passed, d))
+                   for c in checks], depth)
+
+
+_MOVE_KEYS = frozenset(("anchors", "kind", "position", "vertex"))
+
+
+def _move_row_list(rows, depth: int) -> str:
+    """A list of _move_rows rows nested depth levels deep.
+
+    A row with other keys, or with a value of another type than _move_rows
+    gives (an exact str kind, exact int vertex and position, a list of
+    exact ints as anchors), goes through _write_json.
+    """
+    row = _row_template(("anchors", "kind", "position", "vertex"), depth + 1)
+    texts = []
+    for r in rows:
+        if type(r) is dict and r.keys() == _MOVE_KEYS:
+            anchors, kind, position, vertex = r["anchors"], r["kind"], r["position"], r["vertex"]
+            if (type(kind) is str and type(position) is int and type(vertex) is int
+                    and type(anchors) is list and all(type(a) is int for a in anchors)):
+                texts.append(row % (_array([*map(repr, anchors)], depth + 2), _quote(kind),
+                                    repr(position), repr(vertex)))
+                continue
+        texts.append(_value_text(r, depth + 1))
+    return _array(texts, depth)
+
+
+def _pair_list(pairs, depth: int) -> str:
+    """A list of [int, int] pairs nested depth levels deep; any other item goes through _write_json."""
+    pad = "\n" + "  " * (depth + 2)
+    pair = "[" + pad + "%s," + pad + "%s\n" + "  " * (depth + 1) + "]"
+    texts = []
+    for p in pairs:
+        if type(p) is list and len(p) == 2:
+            a, b = p
+            if type(a) is int and type(b) is int:
+                texts.append(pair % (repr(a), repr(b)))
+                continue
+        texts.append(_value_text(p, depth + 1))
+    return _array(texts, depth)
 
 
 def _move_rows(log) -> List[dict]:
@@ -499,15 +605,25 @@ def cmd_euler(args) -> CommandResult:
 
 def _render_json(args, result: CommandResult) -> str:
     skip = {"command", "format", "out"}
+    results, moves = result.results, result.moves
+    # the row lists go into copies, so result itself keeps its plain data
+    graph = results.get("graph") if isinstance(results, dict) else None
+    if type(graph) is dict:
+        graph = dict(graph)
+        for key in ("vertices", "edges"):
+            if type(graph.get(key)) is list:
+                graph[key] = _Rows(_pair_list, graph[key])
+        results = {**results, "graph": graph}
+    if isinstance(moves, dict):
+        moves = {k: _Rows(_move_row_list, rows) if type(rows) is list else rows
+                 for k, rows in moves.items()}
     payload = {
         "schema": SCHEMA,
         "command": args.command,
         "inputs": {k: v for k, v in vars(args).items() if k not in skip},
-        "results": result.results,
-        "checks": [{"name": c.name, "expected": c.expected,
-                    "computed": c.computed, "pass": c.passed}
-                   for c in result.checks],
-        "moves": result.moves,
+        "results": results,
+        "checks": _Rows(_check_rows, result.checks),
+        "moves": moves,
         "status": "pass" if result.passed else "fail",
     }
     return _json_text(payload) + "\n"

@@ -20,6 +20,7 @@ from dualgraph.cli import main
 from dualgraph.errors import DualGraphError
 from dualgraph.lattice import discriminant
 from dualgraph.moves import MAX_LOG_MOVES, Move
+from dualgraph.resolution import CheckResult
 
 from test_lattice import cycle_discriminant
 
@@ -691,6 +692,12 @@ def certificate_pair(argv):
     return cli._render_json(args, result), reference_render_json(args, result)
 
 
+#: every long-Euclid pair the verify_sweep benchmark draws: (k+1, k) for k
+#: within 2 of 121 and 163, and (2k+1, 2) for k within 2 of 113 and 153
+LONG_EUCLID = ([(k + 1, k) for c in (121, 163) for k in range(c - 2, c + 3)]
+               + [(2 * k + 1, 2) for c in (113, 153) for k in range(c - 2, c + 3)])
+
+
 def test_certificates_match_the_stdlib_encoder(tmp_path):
     files = [write(tmp_path, text, f"{name}.dg") for name, text in
              (("chain", CHAIN_212), ("zero", ZERO_ZERO), ("loop", LOOP), ("star", STAR))]
@@ -705,7 +712,7 @@ def test_certificates_match_the_stdlib_encoder(tmp_path):
     cases += [["resolve", "7", "3", "--stage", s] for s in ("local", "infinity", "completion")]
     pairs = [(n, m) for n in range(2, 31) for m in range(1, n) if gcd(n, m) == 1]
     assert len(pairs) == 277
-    cases += [["verify-theorem", str(n), str(m)] for n, m in pairs]
+    cases += [["verify-theorem", str(n), str(m)] for n, m in pairs + LONG_EUCLID]
     rendered = set()
     for argv in cases:
         try:
@@ -806,3 +813,99 @@ def test_certificate_never_reaches_the_pure_python_encoder(run, monkeypatch):
         json.dumps([1], indent=2)
     code, out, _ = run(*argv, "--format", "json")
     assert (code, out) == (0, want)
+
+
+# ------------------------------------- the row templates and their fallback
+
+def generic_render_json(args, result):
+    """The certificate as cli._json_text writes its plain payload, with no row template."""
+    skip = {"command", "format", "out"}
+    return cli._json_text({
+        "schema": cli.SCHEMA,
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in skip},
+        "results": result.results,
+        "checks": [{"name": c.name, "expected": c.expected,
+                    "computed": c.computed, "pass": c.passed}
+                   for c in result.checks],
+        "moves": result.moves,
+        "status": "pass" if result.passed else "fail",
+    }) + "\n"
+
+
+MOVE_ROW = {"kind": "blow_up_edge", "vertex": 7, "position": 3, "anchors": [2, 5]}
+ODD_VALUES = (True, False, Level.HIGH, Label("tagged"), (1, 2), [[1, [2, True]], []],
+              None, Move("spawn", 1, 0), 1.5)
+ODD_MOVE_ROWS = (
+    {**MOVE_ROW, "position": True}, {**MOVE_ROW, "vertex": Level.LOW},
+    {**MOVE_ROW, "anchors": (2, 5)}, {**MOVE_ROW, "anchors": [True]},
+    {**MOVE_ROW, "anchors": []}, {**MOVE_ROW, "kind": Label("spawn")},
+    {**MOVE_ROW, "note": "extra"}, {k: MOVE_ROW[k] for k in ("kind", "vertex", "position")},
+    {**MOVE_ROW, "position": 1.5}, ["blow_up_free", 1, 0, [2]], Move("spawn", 1, 0),
+)
+ODD_PAIRS = ([1, True], [1, 2, 3], (1, 2), [Level.HIGH, -1], [1], [1, 1.5], [1, [2]])
+
+
+def hand_built_results():
+    for v in ODD_VALUES:
+        yield cli.CommandResult({}, checks=[CheckResult("c", v, 1), CheckResult("d", 2, v),
+                                            CheckResult(Label("e"), v, v)])
+    for row in ODD_MOVE_ROWS:
+        yield cli.CommandResult({}, moves={"main": [MOVE_ROW, row, dict(MOVE_ROW)]})
+    yield cli.CommandResult({}, moves={"main": (MOVE_ROW,), "none": [], "rows": [MOVE_ROW]})
+    for pair in ODD_PAIRS:
+        for key in ("vertices", "edges"):
+            graph = {"vertices": [[1, -1], [2, 0]], "edges": [[1, 2]], "roles": {}}
+            graph[key] = [[3, 4], pair, [5, 6]]
+            yield cli.CommandResult({"n": 2, "graph": graph})
+    yield cli.CommandResult({"graph": {"vertices": ([1, -1],), "edges": [], "roles": {}}})
+    yield cli.CommandResult({"graph": [[1, 2]]})
+
+
+def test_row_templates_write_what_the_generic_writer_does():
+    """Every row the templates decline goes through _write_json at its depth:
+    the same bytes as the stdlib encoder, or the same TypeError."""
+    args = cli.build_parser().parse_args(["verify-theorem", "5", "3", "--format", "json"])
+    raised = 0
+    for result in hand_built_results():
+        try:
+            want = generic_render_json(args, result)
+        except TypeError:
+            raised += 1
+            with pytest.raises(TypeError):
+                cli._render_json(args, result)
+            continue
+        assert want == reference_render_json(args, result), result
+        assert cli._render_json(args, result) == want, result
+    assert raised == 6  # a float or a Move among the checks or the move rows, a float in a pair
+
+
+def test_rendering_leaves_the_result_as_it_was():
+    args = cli.build_parser().parse_args(["verify-theorem", "5", "3", "--format", "json"])
+    result = cli._handler(args.command)(args)
+    before = json.dumps([result.results, result.moves], sort_keys=True)
+    graph, moves = result.results["graph"], result.moves
+    cli._render_json(args, result)
+    assert result.results["graph"] is graph and result.moves is moves
+    assert json.dumps([result.results, result.moves], sort_keys=True) == before
+
+
+def test_a_certificate_takes_at_most_half_the_generic_writer_calls(monkeypatch):
+    """The row templates write each check row, move row and graph pair
+    without a _write_json call of its own.  The generic writer alone made
+    48346 calls on these 277 certificates, 174.5 each."""
+    calls = 0
+    write = cli._write_json
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_write_json", counting)  # the recursion looks the name up
+    pairs = [(n, m) for n in range(2, 31) for m in range(1, n) if gcd(n, m) == 1]
+    assert len(pairs) == 277
+    for n, m in pairs:
+        args = cli.build_parser().parse_args(["verify-theorem", str(n), str(m), "--format", "json"])
+        cli._render_json(args, cli._handler(args.command)(args))
+    assert calls <= 48346 // 2
