@@ -31,17 +31,18 @@ fixed byte layout, written by _json_text:
 This is the layout json.dumps(..., sort_keys=True, indent=2) gives, which
 the tests hold it to.
 
-Three kinds of list whose row shape the CLI fixes are written from a
-%-template per row, made for the depth at which the writer meets the
-list, and joined with one str.join: the check rows (computed, expected,
-name, pass), the move rows of _move_rows (anchors, kind, position,
-vertex) and the graph payload's vertex and edge pairs ([int, int]).  A check value
-other than None or an exact int, str or bool still goes through
-_write_json, and so does every row of another shape: another key set, a
-value that is not exactly an int or a str (a bool or an IntEnum among
-them), anchors that are not a list of exact ints, a pair that is not a
-list of two exact ints.  Every other value is written by _write_json, so
-the bytes, and the TypeError, are the generic writer's for every input.
+One recursive function, _value_text, writes every value that no row
+template writes, and _json_text is that function at depth 0.  Three kinds
+of list whose row shape the CLI fixes are handed to it as _Rows and
+written from a %-template per row, made for the depth at which it meets
+the list: the check rows (computed, expected, name, pass), the move rows
+of _move_rows (anchors, kind, position, vertex) and the graph payload's
+vertex and edge pairs ([int, int]).  A check value other than None or an
+exact int, str or bool goes back to _value_text, and so does every row
+of another shape: another key set, a value that is not exactly an int or
+a str (a bool or an IntEnum among them), anchors that are not a list of
+exact ints, a pair that is not a list of two exact ints.  So the bytes,
+and the TypeError, are the same with the templates as without them.
 """
 
 from __future__ import annotations
@@ -106,73 +107,11 @@ def _jsonable(x):
 
 def _json_text(x) -> str:
     """x in the certificate layout (see the module docstring)."""
-    out: List[str] = []
-    _write_json(x, 0, out)
-    return "".join(out)
-
-
-def _write_json(x, depth: int, out: List[str]) -> None:
-    """Append the text of x, nested depth levels deep, to out in pieces.
-
-    One pass over x.  Ints, strings and booleans inside a container are
-    written in place rather than by a call each, and each object is
-    sorted once.  A key that is not a str raises TypeError in sorted or _quote.
-    A _Rows item is written by its own row writer.
-    """
-    if isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        keys = sorted(x)
-        values = [x[k] for k in keys]
-        opening, closing = "{", "}"
-    elif type(x) in (list, tuple):
-        if not x:
-            out.append("[]")
-            return
-        keys, values = None, x
-        opening, closing = "[", "]"
-    else:
-        if x is None:
-            text = "null"
-        elif x is True:
-            text = "true"
-        elif x is False:
-            text = "false"
-        elif isinstance(x, int):
-            text = int.__repr__(x)
-        elif isinstance(x, str):
-            text = _quote(x)
-        else:
-            raise TypeError(f"not a certificate value: {x!r}")
-        out.append(text)
-        return
-    pad = "\n" + "  " * (depth + 1)
-    sep = "," + pad
-    append = out.append
-    append(opening + pad)
-    for i, v in enumerate(values):
-        if keys is not None:
-            append(_quote(keys[i]) + ": ")
-        t = type(v)
-        if t is int:
-            append(repr(v))
-        elif t is str:
-            append(_quote(v))
-        elif v is True:
-            append("true")
-        elif v is False:
-            append("false")
-        elif t is _Rows:
-            append(v.write(v.rows, depth + 1))
-        else:
-            _write_json(v, depth + 1, out)
-        append(sep)
-    out[-1] = "\n" + "  " * depth + closing  # the last separator gives way to the close
+    return _value_text(x, 0)
 
 
 class _Rows(NamedTuple):
-    """A list of rows that _write_json hands to write(rows, depth), its shape's row writer.
+    """A list of rows that _value_text hands to write(rows, depth), its shape's row writer.
 
     Only _render_json makes one, in its own copy of the payload, so none
     reaches a CommandResult.
@@ -183,7 +122,13 @@ class _Rows(NamedTuple):
 
 
 def _value_text(x, depth: int) -> str:
-    """The text of x nested depth levels deep: a scalar in place, anything else by _write_json."""
+    """The text of x, nested depth levels deep: the one certificate writer.
+
+    Each object is sorted once and joined once, each array joined once by
+    _array, and an exact int inside an array is written in place rather
+    than by a call.  A key that is not a str raises TypeError in sorted or
+    _quote.  A _Rows value is written by its own row writer.
+    """
     t = type(x)
     if t is int:
         return repr(x)
@@ -195,17 +140,39 @@ def _value_text(x, depth: int) -> str:
         return "false"
     if x is None:
         return "null"
-    out: List[str] = []
-    _write_json(x, depth, out)
-    return "".join(out)
+    if t is _Rows:
+        return x.write(x.rows, depth)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        pieces = ["{"]
+        for k, v in sorted(x.items()):
+            pieces += (pad + _quote(k) + ": ", _value_text(v, depth + 1), ",")
+        pieces[-1] = "\n" + "  " * depth + "}"  # the last separator gives way to the close
+        return "".join(pieces)
+    if t is list or t is tuple:
+        return _array([repr(v) if type(v) is int else _value_text(v, depth + 1) for v in x],
+                      depth)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return _quote(x)
+    raise TypeError(f"not a certificate value: {x!r}")
 
 
 def _array(texts: List[str], depth: int) -> str:
-    """The array of the item texts, its brackets nested depth levels deep."""
+    """The array of the item texts, its brackets nested depth levels deep.
+
+    The brackets go onto the first and last texts, so texts must be a
+    list of the caller's own, and the join is the only copy.
+    """
     if not texts:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
+    texts[0] = "[" + pad + texts[0]
+    texts[-1] += "\n" + "  " * depth + "]"
+    return ("," + pad).join(texts)
 
 
 def _row_template(keys: Sequence[str], depth: int) -> str:
@@ -231,7 +198,7 @@ def _move_row_list(rows, depth: int) -> str:
 
     A row with other keys, or with a value of another type than _move_rows
     gives (an exact str kind, exact int vertex and position, a list of
-    exact ints as anchors), goes through _write_json.
+    exact ints as anchors), goes through _value_text.
     """
     row = _row_template(("anchors", "kind", "position", "vertex"), depth + 1)
     texts = []
@@ -248,7 +215,7 @@ def _move_row_list(rows, depth: int) -> str:
 
 
 def _pair_list(pairs, depth: int) -> str:
-    """A list of [int, int] pairs nested depth levels deep; any other item goes through _write_json."""
+    """A list of [int, int] pairs nested depth levels deep; any other item goes through _value_text."""
     pad = "\n" + "  " * (depth + 2)
     pair = "[" + pad + "%s," + pad + "%s\n" + "  " * (depth + 1) + "]"
     texts = []

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd
@@ -863,7 +864,7 @@ def hand_built_results():
 
 
 def test_row_templates_write_what_the_generic_writer_does():
-    """Every row the templates decline goes through _write_json at its depth:
+    """Every row the templates decline goes through _value_text at its depth:
     the same bytes as the stdlib encoder, or the same TypeError."""
     args = cli.build_parser().parse_args(["verify-theorem", "5", "3", "--format", "json"])
     raised = 0
@@ -892,20 +893,39 @@ def test_rendering_leaves_the_result_as_it_was():
 
 def test_a_certificate_takes_at_most_half_the_generic_writer_calls(monkeypatch):
     """The row templates write each check row, move row and graph pair
-    without a _write_json call of its own.  The generic writer alone made
-    48346 calls on these 277 certificates, 174.5 each."""
+    without a writer call of its own.  The generic writer alone made 48346
+    calls on these 277 certificates, 174.5 each.  Only calls on a dict,
+    list, tuple or _Rows count, since the writer also takes each value of
+    an object by a call, a scalar included; they number 14301."""
     calls = 0
-    write = cli._write_json
+    write = cli._value_text
 
-    def counting(*args):
+    def counting(x, depth):
         nonlocal calls
-        calls += 1
-        return write(*args)
+        calls += isinstance(x, dict) or type(x) in (list, tuple, cli._Rows)
+        return write(x, depth)
 
-    monkeypatch.setattr(cli, "_write_json", counting)  # the recursion looks the name up
+    monkeypatch.setattr(cli, "_value_text", counting)  # the recursion looks the name up
     pairs = [(n, m) for n in range(2, 31) for m in range(1, n) if gcd(n, m) == 1]
     assert len(pairs) == 277
     for n, m in pairs:
         args = cli.build_parser().parse_args(["verify-theorem", str(n), str(m), "--format", "json"])
         cli._render_json(args, cli._handler(args.command)(args))
     assert calls <= 48346 // 2
+
+
+def test_rendering_a_long_certificate_takes_at_most_2_4_times_its_text():
+    """The peak of the memory Python allocates while rendering the
+    certificate of (4001, 4000), 2.85 MB of text, the text itself included.
+    The text and its copy with the last newline make 2; a writer that
+    returns each value's text reads 2.04, one that kept every piece of the
+    document in one list until a last join read 2.7 to 2.8."""
+    args = cli.build_parser().parse_args(["verify-theorem", "4001", "4000", "--format", "json"])
+    result = cli._handler(args.command)(args)
+    tracemalloc.start()
+    try:
+        text = cli._render_json(args, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * len(text), (peak, len(text))
