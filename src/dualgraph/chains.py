@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import ChainRewriteInvariantViolation, NotAChain, NotStandardizable
-from .graph import Selection, WeightedGraph, _walk, classify_shape, induced_graph
+from .graph import Selection, WeightedGraph, _walk, induced_graph
 from .lattice import signature
 from .moves import MoveLog, _Draft
 
@@ -50,13 +50,17 @@ class ChainType:
 
 
 def chain_order(g: WeightedGraph, selection: Selection = None) -> Tuple[int, ...]:
-    """Vertex ids of a chain in path order, starting from the earlier tip."""
+    """Vertex ids of a chain in path order, starting from the earlier tip: the
+    one walk of the index from the first tip, which must reach all V vertices
+    of a graph with V - 1 edges and no degree above 2."""
     g = induced_graph(g, selection)
-    shape = classify_shape(g)
-    if not shape.is_chain:
-        raise NotAChain("selection is not a connected cycle-free chain")
-    # tips come in canonical order; the walk from the earlier one is the path
-    return tuple(_walk(g._index(), shape.tips[:1])[0])
+    adj = g._index()
+    if len(g.edges) == len(g) - 1 and all(len(ns) <= 2 for ns in adj.values()):
+        # fewer edges than vertices, so some vertex has degree at most 1
+        order = _walk(adj, (next(v for v in g.vertices if len(adj[v]) <= 1),))[0]
+        if len(order) == len(g):
+            return tuple(order)
+    raise NotAChain("selection is not a connected cycle-free chain")
 
 
 def chain_type(g: WeightedGraph, selection: Selection = None) -> ChainType:

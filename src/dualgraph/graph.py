@@ -7,25 +7,22 @@ forbidden: a component crossing itself is outside this category.
 
 Graphs are immutable.  Vertex ids are stable small integers; the canonical
 vertex order is insertion order and never changes under derived-graph
-construction.  Ids of removed vertices are never handed out again.
-
-Each graph builds its adjacency index (every vertex's neighbours in
-canonical order, one entry per parallel edge) once, on the first read that
-needs it, and keeps it.  Immutability makes that safe: nothing can change
-the vertices or edges it was built from.  A vertex's position is read from
-the canonical order itself, which is a tuple.
-A run of moves does not make a graph per step: the move engine patches one
-mutable draft (moves._Draft) and freezes it into a graph only where a
-caller reads one, so graphs are built once per run, not once per move.
+construction.  Ids of removed vertices are never handed out again.  Each
+graph builds its adjacency index (every vertex's neighbours in canonical
+order, one entry per parallel edge) once, on the first read that needs
+it, and keeps it, which immutability makes safe.  A run of moves patches
+one mutable draft (moves._Draft) and freezes it once, not once per move.
 
 A vertex selection (a twig, a fiber member, a far chain) is an iterable of
 ids, or None for all; induced_graph alone reads one, on entry to each function
 that takes one, so every kernel reads a WeightedGraph.
 
-Shape questions read one breadth-first walk, _walk, with no recursion.
-classify_shape, the forest pass, chain_order, fiber_key and validate_fiber
-walk a graph's index; the chain rewriting and the fiber census walk a draft's
-adjacency.
+Shape questions read one breadth-first walk, _walk, with no recursion.  It
+walks a graph's index in classify_shape, in the forest pass behind the
+lattice invariants and validate_fiber's tree test, in validate_fiber's second
+tier, in fiber_key, and in chain_order, whose one walk is both the chain test
+and the path order of each member the resolution pipeline measures.  The chain
+rewriting, the fiber census and resolution._split_at walk a draft's adjacency.
 """
 
 from __future__ import annotations

@@ -379,6 +379,9 @@ class TheoremCertificate:
 AXIS_X = 0
 AXIS_Y = 1
 FAR_LINE = 2
+#: the seed of every pipeline run: the two axes and the far line
+_PLANE = build_graph([(AXIS_X, 1), (AXIS_Y, 1), (FAR_LINE, 1)],
+                     [(AXIS_X, AXIS_Y), (AXIS_X, FAR_LINE), (AXIS_Y, FAR_LINE)])
 
 
 def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
@@ -394,9 +397,7 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     if pair.transversal:
         raise Transversal("a degree-one curve crosses the far line transversally")
     n, m = pair.n, pair.m
-    seed = build_graph([(AXIS_X, 1), (AXIS_Y, 1), (FAR_LINE, 1)],
-                       [(AXIS_X, AXIS_Y), (AXIS_X, FAR_LINE), (AXIS_Y, FAR_LINE)])
-    d = _Draft(seed)
+    d = _Draft(_PLANE)
     origin_moves, origin_squares = _euclid(d, n, m, (AXIS_X, AXIS_Y))
     inf_moves, inf_squares = _euclid(d, n, n - m, (FAR_LINE, AXIS_Y))
     omega = {AXIS_X: -m, AXIS_Y: n, FAR_LINE: m - n}  # the pencil's vanishing orders
@@ -405,7 +406,7 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
     sections = (origin_moves[-1].vertex, inf_moves[-1].vertex)
 
     g, curve, history = _glue_and_minimalize(
-        d, seed, n * n - origin_squares - inf_squares, sections,
+        d, _PLANE, n * n - origin_squares - inf_squares, sections,
         (AXIS_X, AXIS_Y, *sections))
     omega[curve] = 0
     rho = 1 + len(history.resolution) - len(history.minimalization)
@@ -427,17 +428,15 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
 
     origin_set = set(_created(origin_moves))
     far_set = {FAR_LINE, *_created(inf_moves)}
-    fiber_one, member_one = _fiber_role(
+    fiber_one, member_one, (d_near_one, d_far_one) = _fiber_role(
         g, one_ids, AXIS_Y, origin_set, far_set, omega, check, "one")
-    fiber_two, member_two = _fiber_role(
+    fiber_two, member_two, (d_near_two, d_far_two) = _fiber_role(
         g, two_ids, AXIS_X, origin_set, far_set, omega, check, "two")
 
-    d_near_one = discriminant(g, fiber_one.near_part)
-    d_near_two = discriminant(g, fiber_two.near_part)
     check("near_discriminant_one", n, d_near_one)
     check("near_discriminant_two", m, d_near_two)
-    check("far_discriminant_one", n, discriminant(g, fiber_one.far_part))
-    check("far_discriminant_two", m, discriminant(g, fiber_two.far_part))
+    check("far_discriminant_one", n, d_far_one)
+    check("far_discriminant_two", m, d_far_two)
     check("free_multiplicity_one", d_near_one, fiber_one.multiplicity[AXIS_Y])
     check("free_multiplicity_two", d_near_two, fiber_two.multiplicity[AXIS_X])
 
@@ -460,7 +459,10 @@ def theorem_pipeline(pair: CuspPair) -> TheoremCertificate:
 
 
 def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
-                tag) -> Tuple[FiberRole, Fiber]:
+                tag) -> Tuple[FiberRole, Fiber, Tuple[int, int]]:
+    """Role, fiber and (near, far) discriminants of the member of g on ids: one
+    induced graph, whose index chain_order walks once for the chain test and
+    the order (sorted ids off a chain), and validate_fiber reads again."""
     member = induced_graph(g, ids)
     try:
         vertices, is_chain = chain_order(member), True
@@ -480,7 +482,22 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
         check(f"member_{tag}_sides_are_near_far", sorted([sorted(near), sorted(far)]), sides)
     fiber = Fiber(member, mult, MoveLog())
     check(f"member_{tag}_fiber_report", (), validate_fiber(fiber).violations)
-    return role, fiber
+    path = vertices if is_chain else None
+    return role, fiber, (_part_discriminant(member, path, near),
+                         _part_discriminant(member, path, far))
+
+
+def _part_discriminant(member: WeightedGraph, path, part: Tuple[int, ...]) -> int:
+    """det(-Q) of part, listed in the order of path, member's chain order
+    (None off a chain): the continuant of its negated weights when it is a
+    run of path, else lattice.discriminant on the member."""
+    i = path.index(part[0]) if path and part else 0
+    if path is None or path[i:i + len(part)] != part:
+        return discriminant(member, part)
+    before, d = 0, 1
+    for v in part:
+        before, d = d, -member.weight(v) * d - before
+    return d
 
 
 def _accounting_checks(g, curve, sections, roles, members, rho, check) -> None:

@@ -10,7 +10,7 @@ from dualgraph.errors import (
     NotAChain,
     NotStandardizable,
 )
-from dualgraph.graph import _walk, build_graph
+from dualgraph.graph import _walk, build_graph, classify_shape
 from dualgraph.lattice import discriminant, signature
 from dualgraph.chains import (
     ChainType,
@@ -106,6 +106,36 @@ def test_chain_order_rejects_disconnected():
         chain_order(g)
     with pytest.raises(NotAChain):
         chain_order(g, [])
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    ([], []),                                         # empty
+    ([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)]),  # cycle
+    ([1, 2, 3], [(1, 2), (2, 3), (2, 3)]),            # parallel edge
+    ([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)]),          # fork
+    ([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)]),          # two components, V - 1 edges
+    ([1, 2, 3, 4], [(1, 2), (3, 4)]),                  # two components, two paths
+])
+def test_chain_order_raises_one_error_off_a_chain(vertices, edges):
+    g = build_graph([(v, -2) for v in vertices], edges)
+    with pytest.raises(NotAChain, match="^selection is not a connected cycle-free chain$"):
+        chain_order(g)
+
+
+def test_chain_order_agrees_with_the_shape_report():
+    # the one walk of chain_order against classify_shape's chain test and
+    # the walk from its first tip, on random small multigraphs
+    rng = random.Random(38)
+    for _ in range(3000):
+        k = rng.randint(0, 6)
+        edges = [tuple(rng.sample(range(k), 2)) for _ in range(rng.randint(0, k))] if k > 1 else []
+        g = build_graph([(v, -2) for v in range(k)], edges)
+        shape = classify_shape(g)
+        if shape.is_chain:
+            assert chain_order(g) == tuple(_walk(g._index(), shape.tips[:1])[0])
+        else:
+            with pytest.raises(NotAChain):
+                chain_order(g)
 
 
 def test_chain_type_negates_weights():

@@ -294,8 +294,11 @@ class TestVerifyTheorem:
 
 @pytest.fixture
 def wrong_discriminant(monkeypatch):
-    real = resolution.discriminant
+    # the pipeline measures the parts of its members by _part_discriminant,
+    # the completion its boundary by discriminant
+    real, real_part = resolution.discriminant, resolution._part_discriminant
     monkeypatch.setattr(resolution, "discriminant", lambda g, sel=None: real(g, sel) + 1)
+    monkeypatch.setattr(resolution, "_part_discriminant", lambda *args: real_part(*args) + 1)
 
 
 class TestFailedCertificate:

@@ -541,6 +541,14 @@ def test_pipeline_builds_as_many_graphs_at_every_size(constructions):
     assert small["graphs"] <= 14
 
 
+@pytest.mark.parametrize("n,m", [(13, 5), (164, 163)])
+def test_a_certificate_reads_each_member_once(constructions, n, m):
+    # the frozen graph, one induced graph per special member, the curve's
+    # fiber and the rebuild; an index for the first three alone
+    counts = constructions(lambda: theorem_pipeline(CuspPair(n, m)))
+    assert counts["graphs"] <= 5 and counts["indexes"] <= 4
+
+
 @pytest.mark.parametrize("k", [100, 400])
 def test_a_completion_and_a_rebuild_freeze_one_draft(constructions, k):
     pair = CuspPair(k + 1, k)

@@ -13,7 +13,7 @@ from dualgraph.errors import (
     Transversal,
 )
 from dualgraph.fibration import _add_multiplicity
-from dualgraph.graph import build_graph
+from dualgraph.graph import build_graph, induced_graph
 from dualgraph.lattice import definiteness, discriminant
 from dualgraph.moves import _Draft
 from dualgraph.resolution import (
@@ -25,6 +25,8 @@ from dualgraph.resolution import (
     resolve_cusp_local,
     theorem_pipeline,
 )
+
+from test_cli import LONG_EUCLID
 
 
 def weights_along(g, ids):
@@ -334,8 +336,8 @@ class TestFailedChecks:
         assert not CheckResult("differ", 3, 4).passed
 
     def test_wrong_discriminant_fails_the_certificate(self, monkeypatch):
-        real = resolution.discriminant
-        monkeypatch.setattr(resolution, "discriminant", lambda g, sel=None: real(g, sel) + 1)
+        real = resolution._part_discriminant
+        monkeypatch.setattr(resolution, "_part_discriminant", lambda *args: real(*args) + 1)
         cert = theorem_pipeline(CuspPair(3, 2))
         assert not cert.passed
         failed = {c.name: c for c in cert.checks if not c.passed}
@@ -381,8 +383,53 @@ def test_fiber_role_orders_chain_and_other_members():
     for g, ids, want, is_chain in ((chain, [7, 1, 5], (5, 1, 7), True),
                                    (fork, [3, 1, 0, 2], (0, 1, 2, 3), False)):
         seen = []
-        role, fiber = resolution._fiber_role(
+        role, fiber, discriminants = resolution._fiber_role(
             g, ids, 1, {5, 2}, {7, 3}, dict.fromkeys(ids, 1),
             lambda *check: seen.append(check), "one")
         assert seen[0] == ("member_one_is_chain", True, is_chain)
         assert role.vertices == want and fiber.graph == g
+        assert discriminants == (2, 2)
+
+
+def test_part_discriminants_are_continuants_of_runs(monkeypatch):
+    # every near and far part of a certified pair is a run of its member's
+    # chain order, so the pipeline never falls back to the lattice kernel,
+    # and each run's continuant equals the kernel's discriminant of the part
+    def no_fallback(g, selection=None):
+        raise AssertionError(f"fallback on {selection}")
+
+    monkeypatch.setattr(resolution, "discriminant", no_fallback)
+    pairs = [(n, m) for n in range(2, 31) for m in range(1, n) if gcd(n, m) == 1]
+    for n, m in pairs + LONG_EUCLID:
+        cert = theorem_pipeline(CuspPair(n, m))
+        assert cert.passed, (n, m)
+        for role in (cert.fiber_one, cert.fiber_two):
+            member = induced_graph(cert.graph, role.vertices)
+            for part in (role.near_part, role.far_part):
+                assert (resolution._part_discriminant(member, role.vertices, part)
+                        == discriminant(cert.graph, part)), (n, m, part)
+
+
+def test_part_discriminant_falls_back_off_a_run(monkeypatch):
+    # a part that is not a run of the chain order, and any part of a member
+    # that is not a chain, go to the lattice kernel; a run never does
+    calls = []
+
+    def spy(g, selection=None):
+        calls.append(selection)
+        return discriminant(g, selection)
+
+    monkeypatch.setattr(resolution, "discriminant", spy)
+    line = build_graph([(4, -2), (9, -3), (2, -1), (6, -4)], [(4, 9), (9, 2), (2, 6)])
+    fork = build_graph([(0, -1), (1, -2), (2, -3), (3, -2)], [(0, 1), (0, 2), (0, 3)])
+    path = chain_order(line)
+    for g, order, part, falls_back in ((line, path, (), False),
+                                       (line, path, (9, 2), False),
+                                       (line, path, path, False),
+                                       (line, path, (4, 2), True),
+                                       (line, path, (4, 9, 6), True),
+                                       (fork, None, (0, 2), True),
+                                       (fork, None, (), True)):
+        calls.clear()
+        assert resolution._part_discriminant(g, order, part) == discriminant(g, part)
+        assert calls == ([part] if falls_back else []), part
