@@ -13,6 +13,13 @@ order, one entry per parallel edge) once, on the first read that needs
 it, and keeps it, which immutability makes safe.  A run of moves patches
 one mutable draft (moves._Draft) and freezes it once, not once per move.
 
+A graph is built along one of two paths.  build_graph checks its input and
+hands it to the constructor, which copies it, normalizes and sorts the
+edges and leaves the index to the first read.  WeightedGraph._trusted takes
+over state that its two callers hold canonical already: _Draft.freeze a
+fresh weight dict and its (low, high) edge list, which it sorts once, and
+induced_graph also the child's index, restricted from the parent's.
+
 A vertex selection (a twig, a fiber member, a far chain) is an iterable of
 ids, or None for all; induced_graph alone reads one, on entry to each function
 that takes one, so every kernel reads a WeightedGraph.
@@ -43,7 +50,9 @@ class WeightedGraph:
     """Immutable weighted multigraph without self-loops.
 
     Do not call the constructor directly; use build_graph or the move
-    operations, which maintain the fresh-id counter.
+    operations, which maintain the fresh-id counter.  The constructor
+    copies and normalizes what it is given; _trusted, the path of
+    _Draft.freeze and induced_graph, takes over state already canonical.
     """
 
     __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj")
@@ -54,6 +63,23 @@ class WeightedGraph:
         self._edges: Tuple[Edge, ...] = tuple(sorted(_norm_edge(a, b) for a, b in edges))
         self._next_id: int = next_id
         self._adj: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    @classmethod
+    def _trusted(cls, order, weight, edges, next_id, adj=None) -> "WeightedGraph":
+        """The graph of state already canonical, taken over without checks.
+
+        order is the canonical order; weight, a dict, and edges, a list of
+        (low, high) pairs, are fresh and become the graph's own, edges
+        sorted in place; adj, when given, is what _build_index would build.
+        """
+        g = cls.__new__(cls)
+        edges.sort()
+        g._order = tuple(order)
+        g._weight = weight
+        g._edges = tuple(edges)
+        g._next_id = next_id
+        g._adj = adj
+        return g
 
     def _index(self) -> Dict[int, Tuple[int, ...]]:
         if self._adj is None:
@@ -180,8 +206,8 @@ def build_graph(
 class SubDivisor:
     """A validated vertex selection of a graph: its ids and the edges among them.
 
-    induced_graph validates every selection by building one and reads its
-    edges from induced_edges.
+    induced_graph validates every selection by building one; it reads the
+    edges off the parent's index itself.
     """
 
     __slots__ = ("_parent", "_selected")
@@ -199,7 +225,8 @@ class SubDivisor:
         return self._selected
 
     def induced_edges(self) -> Tuple[Edge, ...]:
-        """Edges with both ends selected, sorted like the parent's edges."""
+        """Edges with both ends selected, sorted like the parent's edges;
+        nothing calls it, but bench/tracer.py times it."""
         sel = self._selected
         adj = self._parent._index()
         return tuple(sorted((v, u) for v in sel for u in adj[v] if v < u and u in sel))
@@ -220,16 +247,19 @@ def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGrap
 
     The one reader of a selection, whose order and repeats do not matter.
     Vertex ids, their canonical order, weights and the fresh-id counter are
-    kept, so moves on the result never reuse an id of g.
+    kept, so moves on the result never reuse an id of g.  g's index lists
+    neighbours in canonical order, so its restriction to the selection is
+    the result's index, parallel edges included, and the result takes it over.
     """
     if selection is None:
         return g
-    s = SubDivisor(g, selection)
-    sel = s.selected
+    sel = SubDivisor(g, selection).selected
     if len(sel) == len(g):
         return g
-    verts = [v for v in g.vertices if v in sel]
-    return WeightedGraph(verts, {v: g._weight[v] for v in verts}, s.induced_edges(), g.next_id)
+    parent = g._index()
+    adj = {v: tuple(filter(sel.__contains__, parent[v])) for v in g.vertices if v in sel}
+    edges = [(v, u) for v, ns in adj.items() for u in ns if v < u]
+    return WeightedGraph._trusted(adj, {v: g._weight[v] for v in adj}, edges, g.next_id, adj)
 
 
 def intersection_rows(g: WeightedGraph) -> List[Dict[int, int]]:

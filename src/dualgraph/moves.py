@@ -264,9 +264,14 @@ class _Draft:
         self.log: List[Move] = []
 
     def freeze(self) -> WeightedGraph:
-        """The current graph, which later patches leave unchanged."""
+        """The current graph, which later patches leave unchanged.
+
+        It takes over a copy of the weights and the edges as (low, high)
+        pairs; the neighbour lists are in no particular order, so it builds
+        its own index when a read needs one.
+        """
         edges = [(a, b) for a, ns in self.adj.items() for b in ns if a < b]
-        return WeightedGraph(self.order, self.weights, edges, self.next_id)
+        return WeightedGraph._trusted(self.order, dict(self.weights), edges, self.next_id)
 
     # ------------------------------------------------------------ reads
 

@@ -267,12 +267,19 @@ def test_census_builds_one_graph_per_class(monkeypatch):
     # frozen; the smooth fiber is built outright
     built = Counter()
     init = fibration.WeightedGraph.__init__
+    trusted = fibration.WeightedGraph._trusted
 
     def counted_init(self, *args):
         built["graphs"] += 1
         init(self, *args)
 
+    def counted_trusted(cls, *args):
+        built["graphs"] += 1
+        return trusted(*args)
+
+    # every construction path: the constructor and the draft's freeze
     monkeypatch.setattr(fibration.WeightedGraph, "__init__", counted_init)
+    monkeypatch.setattr(fibration.WeightedGraph, "_trusted", classmethod(counted_trusted))
     assert len(enumerate_fibers(8)) == 1942
     assert built["graphs"] == 1942
 

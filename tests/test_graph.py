@@ -13,6 +13,7 @@ from dualgraph.errors import (
 from dualgraph.graph import (
     ShapeReport,
     SubDivisor,
+    WeightedGraph,
     _walk,
     build_graph,
     classify_shape,
@@ -67,6 +68,9 @@ def test_multi_edge_counts():
     assert g.edge_multiplicity(1, 2) == 2
     assert g.degree(1) == 2
     assert g.neighbors(1) == (2, 2)
+    # the public constructor normalizes and sorts the edges it is given
+    h = WeightedGraph((1, 2, 3), {1: 0, 2: -1, 3: -2}, [(3, 2), (2, 1), (1, 2)], 4)
+    assert h.edges == ((1, 2), (1, 2), (2, 3)) and h.neighbors(2) == (1, 1, 3)
 
 
 def test_equality_ignores_fresh_counter():

@@ -23,7 +23,7 @@ from dualgraph.errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from dualgraph.graph import WeightedGraph, _norm_edge, build_graph
+from dualgraph.graph import WeightedGraph, _norm_edge, build_graph, induced_graph
 from dualgraph.moves import (
     BLOW_DOWN,
     BLOW_UP_KINDS,
@@ -476,20 +476,27 @@ def test_a_run_past_the_log_ceiling_writes_nothing(monkeypatch):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts of WeightedGraph constructions and adjacency-index builds."""
+    """Counts of WeightedGraph constructions, along either path, and of
+    adjacency-index builds."""
     counts = {"graphs": 0, "indexes": 0}
     init = WeightedGraph.__init__
+    trusted = WeightedGraph._trusted
     build_index = WeightedGraph._build_index
 
     def counted_init(self, *args):
         counts["graphs"] += 1
         init(self, *args)
 
+    def counted_trusted(cls, *args):
+        counts["graphs"] += 1
+        return trusted(*args)
+
     def counted_index(self):
         counts["indexes"] += 1
         return build_index(self)
 
     monkeypatch.setattr(graph_module.WeightedGraph, "__init__", counted_init)
+    monkeypatch.setattr(graph_module.WeightedGraph, "_trusted", classmethod(counted_trusted))
     monkeypatch.setattr(graph_module.WeightedGraph, "_build_index", counted_index)
 
     def measure(fn):
@@ -544,9 +551,10 @@ def test_pipeline_builds_as_many_graphs_at_every_size(constructions):
 @pytest.mark.parametrize("n,m", [(13, 5), (164, 163)])
 def test_a_certificate_reads_each_member_once(constructions, n, m):
     # the frozen graph, one induced graph per special member, the curve's
-    # fiber and the rebuild; an index for the first three alone
+    # fiber and the rebuild; one index, the frozen graph's, which each
+    # induced graph restricts to its own
     counts = constructions(lambda: theorem_pipeline(CuspPair(n, m)))
-    assert counts["graphs"] <= 5 and counts["indexes"] <= 4
+    assert counts["graphs"] <= 5 and counts["indexes"] == 1
 
 
 @pytest.mark.parametrize("k", [100, 400])
@@ -574,6 +582,57 @@ def test_a_run_of_moves_freezes_once(constructions):
     assert constructions(lambda: snc_minimalize(g)) == {"graphs": 1, "indexes": 0}
     assert constructions(lambda: apply_move(g, Move("spawn", 99, 0))) == {
         "graphs": 1, "indexes": 0}
+
+
+# ------------------------------------- graphs taken over from canonical state
+
+
+def assert_as_constructed(got, order, weights, edges, next_id):
+    """got equals the public constructor's graph from the same data, index too.
+
+    The index's key order is the canonical order the walks start from.
+    """
+    want = WeightedGraph(order, weights, edges, next_id)
+    assert state(got) == state(want) and got._weight == want._weight
+    assert list(got._index().items()) == list(want._build_index().items())
+
+
+def test_a_frozen_draft_equals_the_public_constructors_graph():
+    rng = random.Random(20261021)
+    for _ in range(300):
+        d = _Draft(random_multigraph(rng, rng.randint(0, 8)))
+        for _ in range(12):
+            m = random_move(rng, d.freeze(), d.log)
+            outcome(lambda: d.apply(m))
+            frozen = d.freeze()
+            # each edge once, high end first, for the constructor to normalize
+            edges = [(b, a) for a, ns in d.adj.items() for b in ns if a < b]
+            assert_as_constructed(frozen, list(d.order), dict(d.weights), edges, d.next_id)
+            # a later patch leaves it as it was: no order, weights or edges shared
+            before = state(frozen), dict(frozen._weight)
+            d.blow_up((rng.choice(d.order),) if d.order else ())
+            assert (state(frozen), dict(frozen._weight)) == before
+
+
+def test_an_induced_graph_equals_the_public_constructors_graph():
+    rng = random.Random(20261022)
+    parallel = 0
+    for _ in range(300):
+        g = random_multigraph(rng, rng.randint(1, 9))
+        if g.edges and rng.random() < 0.6:
+            g = build_graph([(v, g.weight(v)) for v in g.vertices],
+                            list(g.edges) + rng.choices(g.edges, k=rng.randint(1, 3)))
+        for _ in range(4):
+            sel = [v for v in g.vertices if rng.random() < 0.6]
+            picks = sel + rng.choices(sel, k=2) if sel else []
+            rng.shuffle(picks)
+            h = induced_graph(g, picks)
+            inside = [e for e in g.edges if set(e) <= set(sel)]
+            parallel += len(set(inside)) < len(inside)
+            assert_as_constructed(h, sel, {v: g.weight(v) for v in sel},
+                                  [(b, a) for a, b in inside], g.next_id)
+            g = h if len(h) and rng.random() < 0.3 else g  # select again from a selection
+    assert parallel > 50
 
 
 @pytest.fixture
