@@ -40,7 +40,6 @@ from .fibration import (
 )
 from .graph import (
     ShapeReport,
-    SubDivisor,
     WeightedGraph,
     build_graph,
     classify_shape,

@@ -13,16 +13,18 @@ order, one entry per parallel edge) once, on the first read that needs
 it, and keeps it, which immutability makes safe.  A run of moves patches
 one mutable draft (moves._Draft) and freezes it once, not once per move.
 
-A graph is built along one of two paths.  build_graph checks its input and
-hands it to the constructor, which copies it, normalizes and sorts the
-edges and leaves the index to the first read.  WeightedGraph._trusted takes
-over state that its two callers hold canonical already: _Draft.freeze a
-fresh weight dict and its (low, high) edge list, which it sorts once, and
-induced_graph also the child's index, restricted from the parent's.
+Every package graph is built by WeightedGraph._trusted, which takes over
+state its three callers hold canonical and sorts their fresh (low, high)
+edge list once: build_graph normalizes each edge as it checks it,
+_Draft.freeze hands over its draft, and induced_graph also the child's
+index, restricted from the parent's.  The public constructor normalizes
+what it is given; no package code calls it.
 
 A vertex selection (a twig, a fiber member, a far chain) is an iterable of
 ids, or None for all; induced_graph alone reads one, on entry to each function
-that takes one, so every kernel reads a WeightedGraph.
+that takes one, so every kernel reads a WeightedGraph.  It checks the selection
+with one subset test against the graph's ids.  Ids are ints, never bools:
+an id, endpoint or member of any other type raises TypeError before lookup.
 
 Shape questions read one breadth-first walk, _walk, with no recursion.  It
 walks a graph's index in classify_shape, in the forest pass behind the
@@ -46,13 +48,18 @@ def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+def _require_int(v) -> None:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"vertex id must be an int, got {v!r}")
+
+
 class WeightedGraph:
     """Immutable weighted multigraph without self-loops.
 
-    Do not call the constructor directly; use build_graph or the move
-    operations, which maintain the fresh-id counter.  The constructor
-    copies and normalizes what it is given; _trusted, the path of
-    _Draft.freeze and induced_graph, takes over state already canonical.
+    Build one with build_graph or the move operations, which maintain the
+    fresh-id counter; all of them go through _trusted, which takes over
+    state already canonical.  The public constructor copies, normalizes
+    and sorts what it is given, for callers whose edges are unnormalized.
     """
 
     __slots__ = ("_order", "_weight", "_edges", "_next_id", "_adj")
@@ -68,6 +75,7 @@ class WeightedGraph:
     def _trusted(cls, order, weight, edges, next_id, adj=None) -> "WeightedGraph":
         """The graph of state already canonical, taken over without checks.
 
+        Its callers are build_graph, _Draft.freeze and induced_graph.
         order is the canonical order; weight, a dict, and edges, a list of
         (low, high) pairs, are fresh and become the graph's own, edges
         sorted in place; adj, when given, is what _build_index would build.
@@ -142,12 +150,6 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def position(self, v: int) -> int:
-        """Index of v in the canonical order, found by a scan of it; no
-        package code calls this."""
-        self.require_vertex(v)
-        return self._order.index(v)
-
     def __len__(self) -> int:
         return len(self._order)
 
@@ -175,8 +177,8 @@ def build_graph(
 ) -> WeightedGraph:
     """Construct a graph from (id, weight) pairs and id-pair edges.
 
-    A mapping of id to weight works too.  Ids must be unique integers; edge
-    endpoints must be declared; edges may repeat (parallel intersection
+    A mapping of id to weight works too.  Ids must be unique ints; edge
+    endpoints must be declared ints; edges may repeat (parallel intersection
     points) but may not join a vertex to itself.
     """
     if isinstance(vertex_weights, Mapping):
@@ -184,30 +186,30 @@ def build_graph(
     order: List[int] = []
     weight: Dict[int, int] = {}
     for v, w in vertex_weights:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"vertex id must be an int, got {v!r}")
+        _require_int(v)
         if v in weight:
             raise DuplicateId(f"vertex {v} declared twice")
         order.append(v)
         weight[v] = w
     edge_list: List[Edge] = []
     for a, b in edges:
+        _require_int(a)
+        _require_int(b)
         if a not in weight:
             raise UnknownEndpoint(f"edge endpoint {a!r} is not a vertex")
         if b not in weight:
             raise UnknownEndpoint(f"edge endpoint {b!r} is not a vertex")
         if a == b:
             raise SelfLoop(f"edge {a}-{b} joins a vertex to itself")
-        edge_list.append((a, b))
-    next_id = max(order, default=0) + 1
-    return WeightedGraph(order, weight, edge_list, next_id)
+        edge_list.append(_norm_edge(a, b))
+    return WeightedGraph._trusted(order, weight, edge_list, max(order, default=0) + 1)
 
 
 class SubDivisor:
     """A validated vertex selection of a graph: its ids and the edges among them.
 
-    induced_graph validates every selection by building one; it reads the
-    edges off the parent's index itself.
+    The package builds none: it is the tests' reference for induced_graph,
+    and bench/tracer.py times its induced_edges and neighbors.
     """
 
     __slots__ = ("_parent", "_selected")
@@ -220,19 +222,14 @@ class SubDivisor:
         self._parent = parent
         self._selected = sel
 
-    @property
-    def selected(self) -> frozenset:
-        return self._selected
-
     def induced_edges(self) -> Tuple[Edge, ...]:
-        """Edges with both ends selected, sorted like the parent's edges;
-        nothing calls it, but bench/tracer.py times it."""
+        """Edges with both ends selected, sorted like the parent's edges."""
         sel = self._selected
         adj = self._parent._index()
         return tuple(sorted((v, u) for v in sel for u in adj[v] if v < u and u in sel))
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        """Selected neighbours of v; nothing calls it, but bench/tracer.py times it."""
+        """Selected neighbours of v."""
         if v not in self._selected:
             raise UnknownVertex(f"vertex {v!r} not in selection")
         sel = self._selected
@@ -245,7 +242,9 @@ Selection = Optional[Iterable[int]]
 def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGraph:
     """The selection as a graph of its own; g itself when it selects everything.
 
-    The one reader of a selection, whose order and repeats do not matter.
+    The one reader of a selection, whose order and repeats do not matter;
+    its first member, in frozenset order, that is no int or no vertex of g
+    raises TypeError or UnknownVertex.
     Vertex ids, their canonical order, weights and the fresh-id counter are
     kept, so moves on the result never reuse an id of g.  g's index lists
     neighbours in canonical order, so its restriction to the selection is
@@ -253,7 +252,13 @@ def induced_graph(g: WeightedGraph, selection: Selection = None) -> WeightedGrap
     """
     if selection is None:
         return g
-    sel = SubDivisor(g, selection).selected
+    sel = frozenset(selection)
+    for v in sel:
+        if type(v) is not int:
+            _require_int(v)
+    if not g._weight.keys() >= sel:
+        v = next(v for v in sel if v not in g._weight)
+        raise UnknownVertex(f"selection contains unknown vertex {v!r}")
     if len(sel) == len(g):
         return g
     parent = g._index()

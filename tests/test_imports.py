@@ -10,6 +10,12 @@ Smith elimination is intmat.sparse_smith_form, and the dense least-entry
 kernel that it replaced is the oracle reference_smith_normal_form in
 test_intmat.py.
 
+Every package graph is built along one path, WeightedGraph._trusted, and
+every selection is checked by induced_graph: no package module calls the
+public constructor WeightedGraph(...), and none, __init__.py included,
+imports or reads SubDivisor, which stays as the tests' reference for
+induced_graph.
+
 There is not a single float in the package: no float literal, no name
 float, no math function beyond gcd, isqrt and prod, and no true division.
 No module imports fractions either: every kernel runs on plain ints, the
@@ -87,6 +93,39 @@ def test_scan_flags_a_dense_oracle():
                          ids=lambda p: p.name)
 def test_dense_kernels_stay_test_oracles(path):
     assert dense_oracle_uses(path.read_text()) == []
+
+
+def graph_layer_bypasses(source):
+    """(line, what) for each read or import of SubDivisor, and each direct
+    call of the public WeightedGraph constructor; the class statement that
+    defines SubDivisor binds the name without reading it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "SubDivisor") for a in node.names if a.name == "SubDivisor"]
+        elif isinstance(node, ast.Name) and node.id == "SubDivisor" or (
+                isinstance(node, ast.Attribute) and node.attr == "SubDivisor"):
+            found.append((node.lineno, "SubDivisor"))
+        elif isinstance(node, ast.Call) and "WeightedGraph" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, "WeightedGraph()"))
+    return sorted(found)
+
+
+def test_scan_flags_each_graph_layer_bypass():
+    src = ("from .graph import SubDivisor, WeightedGraph\n"
+           "class SubDivisor:\n    pass\n"
+           "s = SubDivisor(g, [1]).selected\nt = graph.SubDivisor\n"
+           "h = WeightedGraph((), {}, [], 1)\nk = graph.WeightedGraph._trusted((), {}, [], 1)\n"
+           "m = graph.WeightedGraph((), {}, [], 1)\n")
+    assert graph_layer_bypasses(src) == [(1, "SubDivisor"), (4, "SubDivisor"),
+                                         (5, "SubDivisor"), (6, "WeightedGraph()"),
+                                         (8, "WeightedGraph()")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_graphs_and_selections_take_one_path(path):
+    assert graph_layer_bypasses(path.read_text()) == []
 
 
 EXACT_MATH = {"gcd", "isqrt", "prod"}

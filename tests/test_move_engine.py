@@ -112,7 +112,7 @@ def rescan_snc_minimalize(g, protected=(), keep=0, eligible=None):
     while len(g) > keep:
         for v in sorted(g.vertices):
             if eligible(g, v):
-                m = Move(BLOW_DOWN, v, g.position(v), g.neighbors(v))
+                m = Move(BLOW_DOWN, v, g.vertices.index(v), g.neighbors(v))
                 g = rebuild_apply_move(g, m)
                 log.append(m)
                 break
@@ -148,7 +148,7 @@ def random_move(rng, g, log):
         v = rng.choice(verts)
         anchors = list(g.neighbors(v))
         rng.shuffle(anchors)
-        pos = g.position(v) if rng.random() < 0.5 else rng.randint(0, len(g))
+        pos = g.vertices.index(v) if rng.random() < 0.5 else rng.randint(0, len(g))
         return Move(BLOW_DOWN, v, pos, tuple(anchors))
     if roll < 0.6 and log:
         return log[-1].inverted()
@@ -549,12 +549,22 @@ def test_pipeline_builds_as_many_graphs_at_every_size(constructions):
 
 
 @pytest.mark.parametrize("n,m", [(13, 5), (164, 163)])
-def test_a_certificate_reads_each_member_once(constructions, n, m):
+def test_a_certificate_reads_each_member_once(constructions, monkeypatch, n, m):
     # the frozen graph, one induced graph per special member, the curve's
     # fiber and the rebuild; one index, the frozen graph's, which each
-    # induced graph restricts to its own
+    # induced graph restricts to its own; and no SubDivisor, since
+    # induced_graph checks each selection itself
+    subdivisors = []
+    init = graph_module.SubDivisor.__init__
+
+    def counted_init(self, *args):
+        subdivisors.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(graph_module.SubDivisor, "__init__", counted_init)
     counts = constructions(lambda: theorem_pipeline(CuspPair(n, m)))
     assert counts["graphs"] <= 5 and counts["indexes"] == 1
+    assert len(subdivisors) == 0
 
 
 @pytest.mark.parametrize("k", [100, 400])

@@ -292,7 +292,7 @@ def test_minimalize_smallest_id_first():
 def test_elementary_interior_shifts_weight():
     g = chain([-2, 0, -2])
     g2, log = elementary_transformation(g, 2, side=1)
-    order = sorted(g2.vertices, key=g2.position)
+    order = g2.vertices
     # new chain reads (-3, 0, -1) from the old left tip
     assert weights_along(g2, (1,)) == [-3]
     assert g2.weight(3) == -1
