@@ -20,7 +20,11 @@ census opens one draft per expanded parent and builds one graph per class,
 not one of either per blow-up.
 validate_fiber checks the structural facts every fiber must satisfy, plus a
 second tier for fibers with a unique (-1)-vertex, all read from the graph's
-one adjacency index.  fujita_accounting checks the counting identity
+one adjacency index.  It is the census's check, and the resolution
+pipeline's fallback and oracle: the pipeline checks a chain member with
+_chain_violations, one pass along the path order it already has, which
+reports what validate_fiber reports on it; any other member takes
+validate_fiber.  fujita_accounting checks the counting identity
 h + nu + rho = Sigma + #boundary + 2 on an assembled fibration model,
 whose boundary is a set of section indices plus one vertex set per fiber.
 """
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ModelInconsistent, NotAForest
-from .graph import WeightedGraph, _walk, build_graph
-from .lattice import _forest_pass
+from .graph import WeightedGraph, _require_int, _walk, build_graph
+from .lattice import _continuant, _forest_pass
 from .moves import Move, MoveLog, _Draft
 
 
@@ -159,6 +163,8 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
     the fresh-id counter raised, so it is reset to the parent's: every
     child of a parent gets the id a lone blow-up of it would.
     """
+    if type(max_vertices) is not int:
+        _require_int(max_vertices, "max_vertices")
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
     level = [initial_fiber()]
@@ -180,6 +186,13 @@ def enumerate_fibers(max_vertices: int) -> List[Fiber]:
         out += [seen[k] for k in sorted(seen)]
         level = list(seen.values())
     return out
+
+
+#: the violations validate_fiber and _chain_violations both report, in this order
+_NONZERO_DISCRIMINANT = "discriminant is not zero"
+_NOT_NUMERICALLY_TRIVIAL = "multiplicity vector is not numerically trivial"
+_ONE_COUNT = "expected two multiplicity-1 components, found {}"
+_ONE_NOT_A_TIP = "a multiplicity-1 component is not a tip"
 
 
 @dataclass(frozen=True)
@@ -220,9 +233,9 @@ def validate_fiber(f: Fiber) -> FiberReport:
         if len(adj[v]) >= 3:
             bad.append(f"(-1)-vertex {v} branches")
     if is_tree and forest[0] != 0:
-        bad.append("discriminant is not zero")
+        bad.append(_NONZERO_DISCRIMINANT)
     if not is_numerically_trivial(f):
-        bad.append("multiplicity vector is not numerically trivial")
+        bad.append(_NOT_NUMERICALLY_TRIVIAL)
 
     second = is_tree and len(minus_ones) == 1
     if second:
@@ -243,14 +256,40 @@ def validate_fiber(f: Fiber) -> FiberReport:
                 bad.append("neither complement component is a chain")
         ones = [v for v in g.vertices if m[v] == 1]
         if len(ones) != 2:
-            bad.append(f"expected two multiplicity-1 components, found {len(ones)}")
+            bad.append(_ONE_COUNT.format(len(ones)))
         if any(len(adj[v]) > 1 for v in ones):
-            bad.append("a multiplicity-1 component is not a tip")
+            bad.append(_ONE_NOT_A_TIP)
         is_chain = all(len(ns) <= 2 for ns in adj.values())
         homes = [home[v] for v in ones if v in home]
         if not is_chain and len(ones) == len(homes) == 2 and homes[0] != homes[1]:
             bad.append("multiplicity-1 tips split across complement components")
     return FiberReport(tuple(bad), second)
+
+
+def _chain_violations(weights: Sequence[int], mult: Sequence[int]) -> Tuple[str, ...]:
+    """validate_fiber's violations of a chain fiber, read along its path.
+
+    weights and mult list the components' weights and multiplicities in
+    path order.  A chain is a tree with no branching vertex, so of the
+    first tier only the discriminant (the continuant of the negated
+    weights) and numerical triviality ((Q m)_i = w_i m_i + m_(i-1) +
+    m_(i+1)) can fail.  In the second tier the complement of the one
+    (-1)-vertex is at most two chains and the tips are the path's ends,
+    so only the count of multiplicity-1 components and their places remain.
+    """
+    bad: List[str] = []
+    if _continuant(weights) != 0:
+        bad.append(_NONZERO_DISCRIMINANT)
+    padded = (0, *mult, 0)
+    if any(w * padded[i + 1] + padded[i] + padded[i + 2] != 0 for i, w in enumerate(weights)):
+        bad.append(_NOT_NUMERICALLY_TRIVIAL)
+    if weights.count(-1) == 1:
+        ones = [i for i, k in enumerate(mult) if k == 1]
+        if len(ones) != 2:
+            bad.append(_ONE_COUNT.format(len(ones)))
+        if any(0 < i < len(mult) - 1 for i in ones):
+            bad.append(_ONE_NOT_A_TIP)
+    return tuple(bad)
 
 
 # ------------------------------------------------------------------ models

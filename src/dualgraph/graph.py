@@ -29,9 +29,11 @@ an id, endpoint or member of any other type raises TypeError before lookup.
 Shape questions read one breadth-first walk, _walk, with no recursion.  It
 walks a graph's index in classify_shape, in the forest pass behind the
 lattice invariants and validate_fiber's tree test, in validate_fiber's second
-tier, in fiber_key, and in chain_order, whose one walk is both the chain test
-and the path order of each member the resolution pipeline measures.  The chain
-rewriting, the fiber census and resolution._split_at walk a draft's adjacency.
+tier, in fiber_key, and in chain_order.  chain_order's one walk of each member
+the resolution pipeline measures is the chain test and the path order, which
+that member's fiber check and part discriminants read; only a member that is
+not a chain is walked again, by validate_fiber.  The chain rewriting, the
+fiber census and resolution._split_at walk a draft's adjacency.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def _require_int(v) -> None:
+def _require_int(v, what: str = "vertex id") -> None:
+    """Raise TypeError naming what unless v is an int; a bool is not one."""
     if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError(f"vertex id must be an int, got {v!r}")
+        raise TypeError(f"{what} must be an int, got {v!r}")
 
 
 class WeightedGraph:
@@ -177,9 +180,9 @@ def build_graph(
 ) -> WeightedGraph:
     """Construct a graph from (id, weight) pairs and id-pair edges.
 
-    A mapping of id to weight works too.  Ids must be unique ints; edge
-    endpoints must be declared ints; edges may repeat (parallel intersection
-    points) but may not join a vertex to itself.
+    A mapping of id to weight works too.  Ids must be unique ints and
+    weights ints; edge endpoints must be declared ints; edges may repeat
+    (parallel intersection points) but may not join a vertex to itself.
     """
     if isinstance(vertex_weights, Mapping):
         vertex_weights = vertex_weights.items()
@@ -189,6 +192,8 @@ def build_graph(
         _require_int(v)
         if v in weight:
             raise DuplicateId(f"vertex {v} declared twice")
+        if type(w) is not int:
+            _require_int(w, f"weight of vertex {v}")
         order.append(v)
         weight[v] = w
     edge_list: List[Edge] = []

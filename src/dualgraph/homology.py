@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import Optional, Tuple
 
 from .errors import NotAForest, NotSmoothCase, ZeroBoundaryDiscriminant
-from .graph import Selection, WeightedGraph, classify_shape, induced_graph
+from .graph import Selection, WeightedGraph, _require_int, classify_shape, induced_graph
 from .lattice import discriminant
 
 
@@ -26,8 +26,10 @@ def euler_open(rho: int, g: WeightedGraph, boundary: Selection = None) -> int:
     characteristic is 2 + rho.  Each boundary component is a sphere and
     each boundary edge identifies one point pair, hence the boundary
     contributes 2 * #vertices - #edges.  Cyclic boundaries fall outside
-    this count and are rejected.
+    this count and are rejected.  rho must be an int.
     """
+    if type(rho) is not int:
+        _require_int(rho, "rho")
     b = induced_graph(g, boundary)
     if not classify_shape(b).is_forest:
         raise NotAForest("boundary must be a forest of spheres")

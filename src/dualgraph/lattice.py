@@ -10,9 +10,11 @@ counting after Jacobs-Trevisan), in linear ring operations on plain ints.
 The pass notices a cycle or a parallel edge on its own walk; such graphs
 take the sparse congruence pass, the same elimination on the adjacency
 itself, fraction-free on plain ints (Bareiss), so each division it makes
-is exact.  The Smith invariant factors come from intmat.sparse_smith_form
-on the sparse rows of Q, on every graph alike; it builds its own column
-mirror.  Nothing here builds the dense matrix.
+is exact.  Along a path whose order is known, _continuant gives the
+discriminant in one pass over the weights.  The Smith invariant factors
+come from intmat.sparse_smith_form on the sparse rows of Q, on every graph
+alike; it builds its own column mirror.  Nothing here builds the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .errors import NotAForest
 from .graph import (Selection, WeightedGraph, _walk, classify_shape, induced_graph,
@@ -31,6 +33,16 @@ NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
 INDEFINITE = "indefinite"
 EMPTY = "empty"
+
+
+def _continuant(weights: Iterable[int]) -> int:
+    """det(-Q) of a chain whose weights, in path order, are weights: the
+    continuant of the negated weights, 1 for no weights."""
+    before, d = 0, 1
+    for w in weights:
+        before, d = d, -w * d - before
+    return d
+
 
 def _forest_pass(g: WeightedGraph, inertia: bool = False):
     """(det(-Q), inertia of Q or None) of a forest; None on a cycle.

@@ -29,11 +29,11 @@ from .errors import (
     PipelineInvariantViolation,
     Transversal,
 )
-from .fibration import (Fiber, _add_multiplicity, fibration_model, fujita_accounting,
-                        validate_fiber)
+from .fibration import (Fiber, _add_multiplicity, _chain_violations, fibration_model,
+                        fujita_accounting, validate_fiber)
 from .graph import WeightedGraph, _walk, build_graph, induced_graph
 from .homology import euler_open
-from .lattice import discriminant
+from .lattice import _continuant, discriminant
 from .moves import Move, MoveLog, _Draft
 
 
@@ -462,7 +462,10 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
                 tag) -> Tuple[FiberRole, Fiber, Tuple[int, int]]:
     """Role, fiber and (near, far) discriminants of the member of g on ids: one
     induced graph, whose index chain_order walks once for the chain test and
-    the order (sorted ids off a chain), and validate_fiber reads again."""
+    the order (sorted ids off a chain).  The fiber check of a chain member
+    reads that path order, its weights and its multiplicities
+    (fibration._chain_violations); any other member takes validate_fiber,
+    which reports the same violations on a chain."""
     member = induced_graph(g, ids)
     try:
         vertices, is_chain = chain_order(member), True
@@ -481,7 +484,12 @@ def _fiber_role(g, ids, axis, origin_set, far_set, omega, check,
         sides = sorted([sorted(vertices[:i]), sorted(vertices[i + 1:])])
         check(f"member_{tag}_sides_are_near_far", sorted([sorted(near), sorted(far)]), sides)
     fiber = Fiber(member, mult, MoveLog())
-    check(f"member_{tag}_fiber_report", (), validate_fiber(fiber).violations)
+    if is_chain:
+        weight = member._weight
+        violations = _chain_violations([weight[v] for v in vertices], [mult[v] for v in vertices])
+    else:
+        violations = validate_fiber(fiber).violations
+    check(f"member_{tag}_fiber_report", (), violations)
     path = vertices if is_chain else None
     return role, fiber, (_part_discriminant(member, path, near),
                          _part_discriminant(member, path, far))
@@ -494,10 +502,7 @@ def _part_discriminant(member: WeightedGraph, path, part: Tuple[int, ...]) -> in
     i = path.index(part[0]) if path and part else 0
     if path is None or path[i:i + len(part)] != part:
         return discriminant(member, part)
-    before, d = 0, 1
-    for v in part:
-        before, d = d, -member.weight(v) * d - before
-    return d
+    return _continuant(member.weight(v) for v in part)
 
 
 def _accounting_checks(g, curve, sections, roles, members, rho, check) -> None:

@@ -813,6 +813,9 @@ def test_certificate_never_reaches_the_pure_python_encoder(run, monkeypatch):
         raise AssertionError("the pure-Python JSON encoder ran")
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    # from 3.13 the C encoder also writes indented text; without it every
+    # json.dumps goes through the refused pure-Python encoder
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     with pytest.raises(AssertionError):  # the guard bites the indent encoder
         json.dumps([1], indent=2)
     code, out, _ = run(*argv, "--format", "json")

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,12 @@ def types(f):
 
 def mults(f):
     return tuple(f.multiplicity[v] for v in chain_order(f.graph))
+
+
+@pytest.mark.parametrize("bad", [True, False, 3.0, 2.5, Fraction(3), "3"])
+def test_enumerate_fibers_takes_an_int_bound(bad):
+    with pytest.raises(TypeError, match=re.escape(f"max_vertices must be an int, got {bad!r}")):
+        enumerate_fibers(bad)
 
 
 def test_initial_fiber():

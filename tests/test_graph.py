@@ -86,6 +86,15 @@ def test_edge_endpoints_must_be_ints(bad):
             build_graph(vertices, [edge])
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.5, -2.0, Fraction(1, 2), Fraction(1), "1"])
+def test_weights_must_be_ints(bad):
+    # a weight that equals an int is refused too, before any graph is built
+    for vertices in ([(1, bad)], [(1, -2), (2, bad)], {1: bad, 2: -2}):
+        with pytest.raises(TypeError, match=re.escape(f"must be an int, got {bad!r}")) as err:
+            build_graph(vertices, [(1, 2)] if len(vertices) == 2 else [])
+        assert str(err.value).startswith("weight of vertex ")
+
+
 def test_multi_edge_counts():
     g = build_graph([(1, -2), (2, -3)], [(1, 2), (2, 1)])
     assert g.edge_multiplicity(1, 2) == 2

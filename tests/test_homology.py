@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
@@ -21,6 +23,12 @@ from dualgraph.homology import (
 )
 from dualgraph.lattice import discriminant
 from dualgraph.resolution import CuspPair, build_completion, coprime_pairs
+
+
+@pytest.mark.parametrize("bad", [True, False, 7.5, 3.0, Fraction(1, 2), Fraction(3), "3"])
+def test_euler_open_takes_an_int_rank(bad):
+    with pytest.raises(TypeError, match=re.escape(f"rho must be an int, got {bad!r}")):
+        euler_open(bad, build_graph([(0, -1)]))
 
 
 def random_tree(rng, size):

@@ -135,10 +135,9 @@ def test_splitting_on_long_chains_and_forks():
 def test_splitting_is_ring_generic():
     sympy = pytest.importorskip("sympy")
     ws = sympy.symbols("w1 w2 w3 w4")
-    g = build_graph(
-        [(i + 1, ws[i]) for i in range(4)],
-        [(1, 2), (2, 3), (2, 4)],
-    )
+    # build_graph takes int weights only; the public constructor takes any
+    g = WeightedGraph([1, 2, 3, 4], {i + 1: ws[i] for i in range(4)},
+                      [(1, 2), (2, 3), (2, 4)], 5)
     got = sympy.expand(discriminant_by_splitting(g))
     q = sympy.Matrix(
         [

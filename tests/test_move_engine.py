@@ -12,8 +12,12 @@ import random
 
 import pytest
 
+from dualgraph import chains as chains_module
+from dualgraph import fibration as fibration_module
 from dualgraph import graph as graph_module
+from dualgraph import lattice as lattice_module
 from dualgraph import moves as moves_module
+from dualgraph import resolution as resolution_module
 from dualgraph.errors import (
     MoveLogTooLong,
     NotMinusOne,
@@ -548,12 +552,30 @@ def test_pipeline_builds_as_many_graphs_at_every_size(constructions):
     assert small["graphs"] <= 14
 
 
+def count_calls(monkeypatch, name, *modules):
+    """The list that gets one entry per call of the function each module
+    binds to name, all of them the same function."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, name) is fn
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("n,m", [(13, 5), (164, 163)])
 def test_a_certificate_reads_each_member_once(constructions, monkeypatch, n, m):
     # the frozen graph, one induced graph per special member, the curve's
     # fiber and the rebuild; one index, the frozen graph's, which each
     # induced graph restricts to its own; and no SubDivisor, since
-    # induced_graph checks each selection itself
+    # induced_graph checks each selection itself.  Each special member is
+    # walked once, by chain_order, and its fiber check reads that walk's
+    # path order, so validate_fiber does not run
     subdivisors = []
     init = graph_module.SubDivisor.__init__
 
@@ -562,9 +584,13 @@ def test_a_certificate_reads_each_member_once(constructions, monkeypatch, n, m):
         init(self, *args)
 
     monkeypatch.setattr(graph_module.SubDivisor, "__init__", counted_init)
+    walks = count_calls(monkeypatch, "_walk", graph_module, chains_module, fibration_module,
+                        lattice_module, resolution_module)
+    validations = count_calls(monkeypatch, "validate_fiber", fibration_module, resolution_module)
     counts = constructions(lambda: theorem_pipeline(CuspPair(n, m)))
     assert counts["graphs"] <= 5 and counts["indexes"] == 1
     assert len(subdivisors) == 0
+    assert len(validations) == 0 and len(walks) <= 2
 
 
 @pytest.mark.parametrize("k", [100, 400])

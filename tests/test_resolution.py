@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from math import gcd
 
@@ -12,10 +13,10 @@ from dualgraph.errors import (
     PipelineInvariantViolation,
     Transversal,
 )
-from dualgraph.fibration import _add_multiplicity
+from dualgraph.fibration import Fiber, _add_multiplicity, validate_fiber
 from dualgraph.graph import build_graph, induced_graph
 from dualgraph.lattice import definiteness, discriminant
-from dualgraph.moves import _Draft
+from dualgraph.moves import MoveLog, _Draft
 from dualgraph.resolution import (
     CheckResult,
     CuspPair,
@@ -375,20 +376,104 @@ class TestFailedChecks:
         assert model.d_chain == 0
 
 
-def test_fiber_role_orders_chain_and_other_members():
+def test_fiber_role_orders_chain_and_other_members(monkeypatch):
     # a chain member is listed in path order, any other member sorted, and
-    # the member check records which it was
+    # the member check records which it was; only a member that is not a
+    # chain reaches validate_fiber
+    validated = []
+    monkeypatch.setattr(resolution, "validate_fiber",
+                        lambda f: validated.append(f) or validate_fiber(f))
     chain = build_graph([(5, -2), (1, -1), (7, -2)], [(5, 1), (1, 7)])
     fork = build_graph([(0, -1), (1, -2), (2, -2), (3, -2)], [(0, 1), (0, 2), (0, 3)])
     for g, ids, want, is_chain in ((chain, [7, 1, 5], (5, 1, 7), True),
                                    (fork, [3, 1, 0, 2], (0, 1, 2, 3), False)):
         seen = []
+        validated.clear()
         role, fiber, discriminants = resolution._fiber_role(
             g, ids, 1, {5, 2}, {7, 3}, dict.fromkeys(ids, 1),
             lambda *check: seen.append(check), "one")
         assert seen[0] == ("member_one_is_chain", True, is_chain)
         assert role.vertices == want and fiber.graph == g
         assert discriminants == (2, 2)
+        assert validated == ([] if is_chain else [fiber])
+
+
+def member_violations(g, ids, mult):
+    """(what the pipeline's fiber check records, validate_fiber's violations)
+    for the member of g on ids with multiplicities mult."""
+    seen = {}
+    resolution._fiber_role(g, ids, ids[0], set(), set(), mult,
+                           lambda name, want, got: seen.__setitem__(name, got), "one")
+    member = induced_graph(g, ids)
+    oracle = validate_fiber(Fiber(member, {v: mult[v] for v in ids}, MoveLog()))
+    return seen["member_one_fiber_report"], oracle.violations
+
+
+def test_member_fiber_check_equals_validate_fiber_on_every_member():
+    members = 0
+    for pair in coprime_pairs(1, 60):
+        cert = theorem_pipeline(pair)
+        computed = {c.name: c.computed for c in cert.checks}
+        for tag, role in (("one", cert.fiber_one), ("two", cert.fiber_two)):
+            member = induced_graph(cert.graph, role.vertices)
+            want = validate_fiber(Fiber(member, role.multiplicity, MoveLog())).violations
+            assert computed[f"member_{tag}_fiber_report"] == want, (pair, tag)
+            members += 1
+    assert members == 2202
+
+
+def test_member_fiber_check_equals_validate_fiber_on_random_chains():
+    # each chain sits in a larger graph, which a vertex off the member
+    # meets, and its ids are listed in an order other than the path's
+    found = set()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        k = rng.randint(1, 8)
+        path = rng.sample(range(20), k)
+        canonical = rng.sample(path, k) + [20]
+        weights = {v: rng.choice((1, 0, -1, -2, -3)) for v in path}
+        g = build_graph([(v, weights.get(v, 0)) for v in canonical],
+                        list(zip(path, path[1:])) + [(20, rng.choice(path))])
+        mult = {v: rng.choice((1, 2, 3)) for v in path}
+        got, want = member_violations(g, rng.sample(path, k), mult)
+        assert got == want, seed
+        found.update(want)
+    # every violation a chain can show is among them
+    assert {"discriminant is not zero", "multiplicity vector is not numerically trivial",
+            "expected two multiplicity-1 components, found 3",
+            "a multiplicity-1 component is not a tip"} <= found
+
+
+def test_member_fiber_check_equals_validate_fiber_on_injected_faults():
+    cert = theorem_pipeline(CuspPair(13, 5))
+    member = cert.fiber_one.vertices
+    faults = []
+    # a wrong multiplicity on each component of a certified member
+    for v in member:
+        mult = dict(cert.fiber_one.multiplicity)
+        mult[v] += 1
+        faults.append((cert.graph, list(member), mult))
+    fork = [(0, -1), (1, -2), (2, -2), (3, -2)], [(0, 1), (0, 2), (0, 3)]
+    faults += [
+        # a branching (-1)-vertex, with three multiplicity-1 tips
+        (build_graph(*fork), [0, 1, 2, 3], {0: 3, 1: 1, 2: 1, 3: 1}),
+        # members that are not chains: a fork whose (-1)-vertex is a tip, a
+        # cycle, a parallel edge and two components
+        (build_graph([(0, -3), (1, -1), (2, -2), (3, -2)], fork[1]), [0, 1, 2, 3],
+         {0: 2, 1: 2, 2: 1, 3: 1}),
+        (build_graph([(0, -1), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)]), [0, 1, 2],
+         {0: 2, 1: 1, 2: 1}),
+        (build_graph([(0, -2), (1, -2)], [(0, 1), (0, 1)]), [0, 1], {0: 1, 1: 1}),
+        (build_graph([(0, 0), (1, -1)], []), [0, 1], {0: 1, 1: 1}),
+        # a third multiplicity-1 tip, on a fork and inside a chain
+        (build_graph([(0, -2), (1, -1), (2, -2), (3, -2)], fork[1]), [0, 1, 2, 3],
+         {0: 2, 1: 1, 2: 1, 3: 1}),
+        (build_graph([(0, -2), (1, -1), (2, -2)], [(0, 1), (1, 2)]), [0, 1, 2],
+         {0: 1, 1: 1, 2: 1}),
+    ]
+    for i, (g, ids, mult) in enumerate(faults):
+        got, want = member_violations(g, ids, mult)
+        assert got == want and want, (i, want)
 
 
 def test_part_discriminants_are_continuants_of_runs(monkeypatch):
