@@ -32,17 +32,27 @@ This is the layout json.dumps(..., sort_keys=True, indent=2) gives, which
 the tests hold it to.
 
 One recursive function, _value_text, writes every value that no row
-template writes, and _json_text is that function at depth 0.  Three kinds
-of list whose row shape the CLI fixes are handed to it as _Rows and
-written from a %-template per row, made for the depth at which it meets
-the list: the check rows (computed, expected, name, pass), the move rows
-of _move_rows (anchors, kind, position, vertex) and the graph payload's
-vertex and edge pairs ([int, int]).  A check value other than None or an
-exact int, str or bool goes back to _value_text, and so does every row
-of another shape: another key set, a value that is not exactly an int or
-a str (a bool or an IntEnum among them), anchors that are not a list of
-exact ints, a pair that is not a list of two exact ints.  So the bytes,
-and the TypeError, are the same with the templates as without them.
+template writes, and _json_text is that function at depth 0.  Four parts
+whose shape the CLI fixes are handed to it as _Rows, each holding the
+object the part is read from, and written from %-templates made for the
+depth at which the writer meets the part:
+- the check rows (computed, expected, name, pass), one template per row,
+  from the CheckResults;
+- the move rows (anchors, kind, position, vertex), from the Moves of a
+  log, one template per anchor count;
+- the graph part's vertex pairs [id, weight] and edge pairs [id, id],
+  from the WeightedGraph, one template for every pair;
+- a fiber part of verify-theorem (far_part, free_vertex, multiplicities,
+  near_part, vertices), from its FiberRole.
+A check value other than None or an exact int, str or bool goes back to
+_value_text.  Each other part is written by its templates only when every
+value they print is exactly an int (%d would print a float or a bool as
+an int), each kind exactly a str and each log item exactly a Move with a
+tuple of anchors; otherwise the part goes to _value_text as its plain
+data.  That plain data, built by _move_rows, _graph_payload and
+_fiber_payload, is what CommandResult.results and .moves read as, built
+on their first read; the certificate never builds it.  So the bytes, and
+the TypeError, are the same with the templates as without them.
 """
 
 from __future__ import annotations
@@ -50,8 +60,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import is_
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chains import standardize_chain
@@ -60,10 +72,11 @@ from .errors import BadOrder, DualGraphError, NotCoprime, ResultTooLong, Transve
 from .fibration import enumerate_fibers, validate_fiber
 from .homology import euler_open, q_acyclicity_relation
 from .lattice import discriminant, smith_invariants
-from .moves import blow_down, blow_up, snc_minimalize
+from .moves import Move, blow_down, blow_up, snc_minimalize
 from .resolution import (
     CheckResult,
     CuspPair,
+    FiberRole,
     build_completion,
     coprime_pairs,
     resolve_at_infinity,
@@ -78,20 +91,56 @@ class UsageFailure(Exception):
     """Invocation problem: bad flags, unreadable input, unsupported combination."""
 
 
-@dataclass
 class CommandResult:
-    results: dict
-    checks: Sequence[CheckResult] = ()
-    moves: Dict[str, List[dict]] = field(default_factory=dict)
-    document: Optional[GraphDocument] = None
-    #: Graphviz blocks (name, document, multiplicity, label), joined by --format dot
-    dot: List[Tuple[str, GraphDocument, Optional[Dict[int, int]], Optional[str]]] = \
-        field(default_factory=list)
-    summary: List[str] = field(default_factory=list)
+    """What a command computed, for each renderer.
+
+    results and moves read as plain certificate data.  A command may hand
+    over a part of either, as the value of a dict, as a _Rows that holds
+    the object the part is read from: the JSON certificate is written from
+    that object, and the part reads as its plain data, built from the
+    object on the first read of results or moves and then kept, so every
+    read returns the same object.
+    """
+
+    def __init__(self, results: dict, checks: Sequence[CheckResult] = (),
+                 moves: Optional[dict] = None, document: Optional[GraphDocument] = None,
+                 dot: Optional[List[tuple]] = None, summary: Optional[List[str]] = None):
+        #: results and moves as the command handed them over, _Rows included
+        self._parts = {"results": results, "moves": {} if moves is None else moves}
+        self._views: dict = {}
+        self.checks = checks
+        self.document = document
+        #: Graphviz blocks (name, document, multiplicity, label), joined by --format dot
+        self.dot = [] if dot is None else dot
+        self.summary = [] if summary is None else summary
+
+    def _view(self, key: str):
+        if key not in self._views:
+            self._views[key] = _plain(self._parts[key])
+        return self._views[key]
+
+    @property
+    def results(self) -> dict:
+        return self._view("results")
+
+    @property
+    def moves(self) -> dict:
+        return self._view("moves")
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+def _plain(x):
+    """x with each _Rows value of its dicts, at any depth, replaced by its plain data;
+    x itself when it holds none."""
+    if type(x) is _Rows:
+        return x.plain(x.source)
+    if type(x) is not dict:
+        return x
+    out = {k: _plain(v) for k, v in x.items()}
+    return x if all(map(is_, out.values(), x.values())) else out
 
 
 def _jsonable(x):
@@ -111,14 +160,17 @@ def _json_text(x) -> str:
 
 
 class _Rows(NamedTuple):
-    """A list of rows that _value_text hands to write(rows, depth), its shape's row writer.
+    """A part of the payload held as the object it is read from.
 
-    Only _render_json makes one, in its own copy of the payload, so none
-    reaches a CommandResult.
+    _value_text writes it as write(source, depth); plain(source) builds
+    the plain data the part reads as in CommandResult.results and .moves,
+    which write falls back to (None for the checks, which stay
+    CheckResults).
     """
 
     write: Callable[[object, int], str]
-    rows: object
+    plain: Optional[Callable[[object], object]]
+    source: object
 
 
 def _value_text(x, depth: int) -> str:
@@ -141,7 +193,7 @@ def _value_text(x, depth: int) -> str:
     if x is None:
         return "null"
     if t is _Rows:
-        return x.write(x.rows, depth)
+        return x.write(x.source, depth)
     if isinstance(x, dict):
         if not x:
             return "{}"
@@ -175,7 +227,8 @@ def _array(texts: List[str], depth: int) -> str:
     return ("," + pad).join(texts)
 
 
-def _row_template(keys: Sequence[str], depth: int) -> str:
+@lru_cache(maxsize=64)
+def _row_template(keys: Tuple[str, ...], depth: int) -> str:
     """The %-template of an object with the sorted keys, nested depth levels deep."""
     pad = "\n" + "  " * (depth + 1)
     return "{" + ",".join(pad + _quote(k) + ": %s" for k in keys) + "\n" + "  " * depth + "}"
@@ -190,51 +243,54 @@ def _check_rows(checks, depth: int) -> str:
                    for c in checks], depth)
 
 
-_MOVE_KEYS = frozenset(("anchors", "kind", "position", "vertex"))
+def _int_array(xs, depth: int) -> str:
+    """The array of xs, exact ints, nested depth levels deep."""
+    return _array([*map(repr, xs)], depth)
 
 
-def _move_row_list(rows, depth: int) -> str:
-    """A list of _move_rows rows nested depth levels deep.
-
-    A row with other keys, or with a value of another type than _move_rows
-    gives (an exact str kind, exact int vertex and position, a list of
-    exact ints as anchors), goes through _value_text.
-    """
-    row = _row_template(("anchors", "kind", "position", "vertex"), depth + 1)
-    texts = []
-    for r in rows:
-        if type(r) is dict and r.keys() == _MOVE_KEYS:
-            anchors, kind, position, vertex = r["anchors"], r["kind"], r["position"], r["vertex"]
-            if (type(kind) is str and type(position) is int and type(vertex) is int
-                    and type(anchors) is list and all(type(a) is int for a in anchors)):
-                texts.append(row % (_array([*map(repr, anchors)], depth + 2), _quote(kind),
-                                    repr(position), repr(vertex)))
-                continue
-        texts.append(_value_text(r, depth + 1))
-    return _array(texts, depth)
-
-
-def _pair_list(pairs, depth: int) -> str:
-    """A list of [int, int] pairs nested depth levels deep; any other item goes through _value_text."""
+@lru_cache(maxsize=64)
+def _move_template(count: int, depth: int) -> str:
+    """The %-template of a move row with count anchors, nested depth levels
+    deep: a %d per anchor, %s for the quoted kind, %d for position and vertex."""
     pad = "\n" + "  " * (depth + 2)
-    pair = "[" + pad + "%s," + pad + "%s\n" + "  " * (depth + 1) + "]"
-    texts = []
-    for p in pairs:
-        if type(p) is list and len(p) == 2:
-            a, b = p
-            if type(a) is int and type(b) is int:
-                texts.append(pair % (repr(a), repr(b)))
-                continue
-        texts.append(_value_text(p, depth + 1))
-    return _array(texts, depth)
+    anchors = ("[" + ",".join([pad + "%d"] * count) + "\n" + "  " * (depth + 1) + "]"
+               if count else "[]")
+    return _row_template(("anchors", "kind", "position", "vertex"), depth) % (
+        anchors, "%s", "%d", "%d")
 
 
-def _move_rows(log) -> List[dict]:
+def _move_text(moves: Tuple[Move, ...], depth: int) -> str:
+    """The move rows of moves nested depth levels deep, each written from its
+    Move by the template for its anchor count.
+
+    Unless every item is exactly a Move whose kind is exactly a str, whose
+    vertex and position are exact ints and whose anchors are a tuple of
+    them, the rows go through _value_text as their plain data, _move_rows.
+    """
+    if not moves:
+        return "[]"
+    if {*map(type, moves)} == {Move}:
+        kinds, vertices, positions, anchors = zip(*moves)
+        if ({*map(type, kinds)} == {str} and {*map(type, anchors)} == {tuple}
+                and {*map(type, vertices), *map(type, positions),
+                     *map(type, chain.from_iterable(anchors))} == {int}):
+            rows = {n: _move_template(n, depth + 1) for n in {*map(len, anchors)}}
+            quoted = {k: _quote(k) for k in {*kinds}}
+            return _array([rows[len(a)] % (*a, quoted[k], p, v) for k, v, p, a in moves], depth)
+    return _value_text(_move_rows(moves), depth)
+
+
+def _move_rows(moves) -> List[dict]:
+    """The plain move rows of moves."""
     return [
         {"kind": m.kind, "vertex": m.vertex, "position": m.position,
          "anchors": list(m.anchors)}
-        for m in log
+        for m in moves
     ]
+
+
+def _move_part(moves: Tuple[Move, ...]) -> _Rows:
+    return _Rows(_move_text, _move_rows, moves)
 
 
 def _printable(what: str, value: int) -> None:
@@ -247,11 +303,38 @@ def _printable(what: str, value: int) -> None:
                             f"sys.get_int_max_str_digits() = {limit} digits")
 
 
-def _graph_payload(doc: GraphDocument) -> dict:
+def _graph_part(doc: GraphDocument) -> _Rows:
+    """The graph part of a result, once its weights and ids are known to print."""
     g = doc.graph
     _printable("a weight of the result", max(map(abs, g._weight.values()), default=0))
     # every id the run handed out is below next_id
     _printable("a vertex id of the result", g.next_id - 1)
+    return _Rows(_graph_text, _graph_payload, doc)
+
+
+def _graph_text(doc: GraphDocument, depth: int) -> str:
+    """The graph part nested depth levels deep: each vertex and edge pair
+    written from the WeightedGraph by one template, the roles by _value_text.
+
+    Unless every id and weight is an exact int, the part goes through
+    _value_text as its plain data, _graph_payload.
+    """
+    g = doc.graph
+    order, edges = g.vertices, g.edges
+    weights = [*map(g._weight.get, order)]
+    if {*map(type, order), *map(type, weights), *map(type, chain.from_iterable(edges))} <= {int}:
+        pad = "\n" + "  " * (depth + 3)
+        pair = "[" + pad + "%d," + pad + "%d\n" + "  " * (depth + 2) + "]"
+        return _row_template(("edges", "roles", "vertices"), depth) % (
+            _array([*map(pair.__mod__, edges)], depth + 1),
+            _value_text(doc.roles, depth + 1),
+            _array([*map(pair.__mod__, zip(order, weights))], depth + 1))
+    return _value_text(_graph_payload(doc), depth)
+
+
+def _graph_payload(doc: GraphDocument) -> dict:
+    """The plain graph part: vertex pairs [id, weight], edge pairs and roles."""
+    g = doc.graph
     return {
         "vertices": [[v, g.weight(v)] for v in g.vertices],
         "edges": [list(e) for e in g.edges],
@@ -301,8 +384,8 @@ def cmd_minimalize(args) -> CommandResult:
     g, log = snc_minimalize(doc.graph, tuple(args.protect or ()))
     out = GraphDocument(g, _surviving_roles(doc, g))
     return CommandResult(
-        results={"contracted": len(log.moves), "graph": _graph_payload(out)},
-        moves={"minimalization": _move_rows(log)},
+        results={"contracted": len(log.moves), "graph": _graph_part(out)},
+        moves={"minimalization": _move_part(log.moves)},
         document=out,
         summary=[f"contracted {len(log.moves)} vertices"],
     )
@@ -317,9 +400,9 @@ def cmd_standardize(args) -> CommandResult:
             "chain_type": list(res.chain_type.entries),
             "is_standard": res.is_standard,
             "moves_used": len(res.log.moves),
-            "graph": _graph_payload(out),
+            "graph": _graph_part(out),
         },
-        moves={"standardization": _move_rows(res.log)},
+        moves={"standardization": _move_part(res.log.moves)},
         document=out,
         summary=["chain type: [" + ", ".join(str(t) for t in res.chain_type.entries) + "]"],
     )
@@ -335,8 +418,8 @@ def cmd_blowup(args) -> CommandResult:
     g, mv = blow_up(doc.graph, anchors)
     out = GraphDocument(g, doc.roles)
     return CommandResult(
-        results={"created": mv.vertex, "graph": _graph_payload(out)},
-        moves={"main": _move_rows([mv])},
+        results={"created": mv.vertex, "graph": _graph_part(out)},
+        moves={"main": _move_part((mv,))},
         document=out,
         summary=[f"blew up {where}, created vertex {mv.vertex}"],
     )
@@ -347,8 +430,8 @@ def cmd_blowdown(args) -> CommandResult:
     g, mv = blow_down(doc.graph, args.vertex)
     out = GraphDocument(g, _surviving_roles(doc, g))
     return CommandResult(
-        results={"removed": args.vertex, "graph": _graph_payload(out)},
-        moves={"main": _move_rows([mv])},
+        results={"removed": args.vertex, "graph": _graph_part(out)},
+        moves={"main": _move_part((mv,))},
         document=out,
         summary=[f"blew down vertex {args.vertex}"],
     )
@@ -392,10 +475,10 @@ def _resolve_local(pair: CuspPair) -> CommandResult:
     d = discriminant(loc.graph, loc.cusp_part)
     return CommandResult(
         results={"n": pair.n, "m": pair.m, "stage": "local",
-                 "d_cusp_part": d, "graph": _graph_payload(out)},
+                 "d_cusp_part": d, "graph": _graph_part(out)},
         checks=[CheckResult("cusp_part_discriminant", 1 if loc.cusp_part else None,
                             d if loc.cusp_part else None)],
-        moves={"resolution": _move_rows(loc.log)},
+        moves={"resolution": _move_part(loc.log.moves)},
         document=out,
         summary=[f"resolved x^{pair.n} = y^{pair.m} near the origin: "
                  f"{len(loc.cusp_part)} exceptional vertices"],
@@ -413,10 +496,10 @@ def _resolve_infinity(pair: CuspPair) -> CommandResult:
         results={"n": pair.n, "m": pair.m, "stage": "infinity",
                  "d_total": d_all, "d_far_part": d_far,
                  "d_line_part": discriminant(g, inf.line_part),
-                 "graph": _graph_payload(out)},
+                 "graph": _graph_part(out)},
         checks=[CheckResult("total_discriminant", -1, d_all),
                 CheckResult("far_part_discriminant", pair.n, d_far)],
-        moves={"resolution": _move_rows(inf.log)},
+        moves={"resolution": _move_part(inf.log.moves)},
         document=out,
         summary=[f"resolved x^{pair.n} = y^{pair.m} at infinity: d_total {d_all}, "
                  f"d_far {d_far}"],
@@ -437,10 +520,10 @@ def _resolve_completion(pair: CuspPair) -> CommandResult:
                  "d_boundary_chain": c.d_chain, "d_far_part": c.d_far,
                  "d_line_part": c.d_line,
                  "d_cusp_part": discriminant(g, c.cusp_part),
-                 "graph": _graph_payload(out)},
+                 "graph": _graph_part(out)},
         checks=c.checks,
-        moves={"resolution": _move_rows(c.history.resolution),
-               "minimalization": _move_rows(c.history.minimalization)},
+        moves={"resolution": _move_part(c.history.resolution.moves),
+               "minimalization": _move_part(c.history.minimalization.moves)},
         document=out,
         summary=[f"completion of x^{pair.n} = y^{pair.m}: rho {c.rho}, "
                  f"euler {c.euler_open_part}, d_far {c.d_far}"],
@@ -457,13 +540,40 @@ def cmd_verify_theorem(args) -> CommandResult:
     return _verify_single(CuspPair(args.pair[0], args.pair[1]))
 
 
-def _fiber_payload(fr) -> dict:
+_FIBER_KEYS = ("far_part", "free_vertex", "multiplicities", "near_part", "vertices")
+
+
+def _fiber_text(role: FiberRole, depth: int) -> str:
+    """A fiber part nested depth levels deep, written from its FiberRole.
+
+    Unless every vertex and multiplicity is an exact int, the part goes
+    through _value_text as its plain data, _fiber_payload.
+    """
+    vertices = role.vertices
+    mults = [*map(role.multiplicity.get, vertices)]
+    if {type(role.free_vertex), *map(type, mults),
+            *map(type, chain(vertices, role.near_part, role.far_part))} == {int}:
+        # the key of an exact int needs no escape, and the closing quote sorts
+        # below a digit and "-", so the rows sort as their keys do; an id
+        # listed twice gives one row, as in the plain dict
+        rows = sorted({*map('"%d": %d'.__mod__, zip(vertices, mults))})
+        pad = "\n" + "  " * (depth + 2)
+        multiplicities = ("{" + pad + ("," + pad).join(rows) + "\n" + "  " * (depth + 1) + "}"
+                          if rows else "{}")
+        return _row_template(_FIBER_KEYS, depth) % (
+            _int_array(role.far_part, depth + 1), repr(role.free_vertex), multiplicities,
+            _int_array(role.near_part, depth + 1), _int_array(vertices, depth + 1))
+    return _value_text(_fiber_payload(role), depth)
+
+
+def _fiber_payload(role: FiberRole) -> dict:
+    """The plain fiber part."""
     return {
-        "vertices": list(fr.vertices),
-        "near_part": list(fr.near_part),
-        "free_vertex": fr.free_vertex,
-        "far_part": list(fr.far_part),
-        "multiplicities": {str(v): fr.multiplicity[v] for v in fr.vertices},
+        "vertices": list(role.vertices),
+        "near_part": list(role.near_part),
+        "free_vertex": role.free_vertex,
+        "far_part": list(role.far_part),
+        "multiplicities": {str(v): role.multiplicity[v] for v in role.vertices},
     }
 
 
@@ -478,12 +588,12 @@ def _verify_single(pair: CuspPair) -> CommandResult:
         results={"n": pair.n, "m": pair.m,
                  "d_v1": cert.d_near_one, "d_v2": cert.d_near_two,
                  "rho": cert.rho, "sections": list(cert.sections),
-                 "fiber_one": _fiber_payload(cert.fiber_one),
-                 "fiber_two": _fiber_payload(cert.fiber_two),
-                 "graph": _graph_payload(out)},
+                 "fiber_one": _Rows(_fiber_text, _fiber_payload, cert.fiber_one),
+                 "fiber_two": _Rows(_fiber_text, _fiber_payload, cert.fiber_two),
+                 "graph": _graph_part(out)},
         checks=cert.checks,
-        moves={"resolution": _move_rows(cert.history.resolution),
-               "minimalization": _move_rows(cert.history.minimalization)},
+        moves={"resolution": _move_part(cert.history.resolution.moves),
+               "minimalization": _move_part(cert.history.minimalization.moves)},
         document=out,
         dot=[("dualgraph", out, mult, f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}")],
         summary=[f"d(V1) = {cert.d_near_one}, d(V2) = {cert.d_near_two}, "
@@ -572,25 +682,13 @@ def cmd_euler(args) -> CommandResult:
 
 def _render_json(args, result: CommandResult) -> str:
     skip = {"command", "format", "out"}
-    results, moves = result.results, result.moves
-    # the row lists go into copies, so result itself keeps its plain data
-    graph = results.get("graph") if isinstance(results, dict) else None
-    if type(graph) is dict:
-        graph = dict(graph)
-        for key in ("vertices", "edges"):
-            if type(graph.get(key)) is list:
-                graph[key] = _Rows(_pair_list, graph[key])
-        results = {**results, "graph": graph}
-    if isinstance(moves, dict):
-        moves = {k: _Rows(_move_row_list, rows) if type(rows) is list else rows
-                 for k, rows in moves.items()}
     payload = {
         "schema": SCHEMA,
         "command": args.command,
         "inputs": {k: v for k, v in vars(args).items() if k not in skip},
-        "results": results,
-        "checks": _Rows(_check_rows, result.checks),
-        "moves": moves,
+        "results": result._parts["results"],
+        "checks": _Rows(_check_rows, None, result.checks),
+        "moves": result._parts["moves"],
         "status": "pass" if result.passed else "fail",
     }
     return _json_text(payload) + "\n"

@@ -86,7 +86,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _require_int
 
 BLOW_UP_FREE = "blow_up_free"
 BLOW_UP_EDGE = "blow_up_edge"
@@ -661,8 +661,12 @@ def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGrap
 
     The fresh (-1)-vertex meets each anchor once and each anchor's weight
     drops by 1; two anchors must meet, and the new vertex replaces one of
-    their edges.  No anchor means a point on no tracked curve.
+    their edges.  No anchor means a point on no tracked curve.  An anchor
+    that is not an int raises TypeError.
     """
+    anchors = tuple(anchors)
+    for a in anchors:
+        _require_int(a, "anchor")
     d = _Draft(g)
     m = d.blow_up(anchors)
     return d.freeze(), m
@@ -670,6 +674,7 @@ def blow_up(g: WeightedGraph, anchors: Iterable[int] = ()) -> Tuple[WeightedGrap
 
 def blow_down(g: WeightedGraph, v: int) -> Tuple[WeightedGraph, Move]:
     """Contract a (-1)-vertex by the contraction rule (see the module docstring)."""
+    _require_int(v, "vertex")
     d = _Draft(g)
     m = d.blow_down(v)
     return d.freeze(), m
@@ -683,13 +688,14 @@ def snc_minimalize(
     Deterministic: the smallest eligible vertex id is contracted first.
     Vertices whose contraction would break transversality are skipped (they
     may become eligible later).  Terminates since every step removes a
-    vertex.
+    vertex.  A protected id that is not an int raises TypeError.
     """
-    prot = frozenset(protected)
-    for v in prot:
+    protected = tuple(protected)  # checked before a set could merge True into 1
+    for v in protected:
+        _require_int(v, "protected vertex")
         g.require_vertex(v)
     d = _Draft(g)
-    d.contract_all(prot)
+    d.contract_all(frozenset(protected))
     return d.freeze(), MoveLog(tuple(d.log))
 
 
@@ -702,8 +708,12 @@ def elementary_transformation(
     point, the string "free" blows up a free point of the 0-vertex.  On an
     interior chain [a, 0, b] with side toward the a-vertex the effect is
     [a+1, 0, b-1]; on a 0-tip with side "free" the neighbor weight rises by
-    1 and the new tip is again a 0-vertex.
+    1 and the new tip is again a 0-vertex.  A zero_vertex, or a side other
+    than "free", that is not an int raises TypeError.
     """
+    _require_int(zero_vertex, "zero_vertex")
+    if side != "free":
+        _require_int(side, "side")
     d = _Draft(g)
     d.elementary_transformation(zero_vertex, side)
     return d.freeze(), MoveLog(tuple(d.log))

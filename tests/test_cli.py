@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd
@@ -18,10 +19,12 @@ import pytest
 from dualgraph import cli, resolution
 from dualgraph.chains import ChainType
 from dualgraph.cli import main
+from dualgraph.dsl import GraphDocument
 from dualgraph.errors import DualGraphError
+from dualgraph.graph import WeightedGraph
 from dualgraph.lattice import discriminant
 from dualgraph.moves import MAX_LOG_MOVES, Move
-from dualgraph.resolution import CheckResult
+from dualgraph.resolution import CheckResult, FiberRole
 
 from test_lattice import cycle_discriminant
 
@@ -707,13 +710,15 @@ def test_certificates_match_the_stdlib_encoder(tmp_path):
              (("chain", CHAIN_212), ("zero", ZERO_ZERO), ("loop", LOOP), ("star", STAR))]
     cases = [[cmd, path, *extra] for cmd, extra in FILE_COMMANDS.items() for path in files]
     cases += [
+        ["standardize", write(tmp_path, "v 1 3000\nv 2 -2\ne 1 2\n", "long.dg")],
         ["disc", files[0], "--sub", "1,3"], ["minimalize", files[0], "--protect", "2"],
         ["blowup", files[0], "--edge", "1,2"], ["fibers", "--max", "5", "--validate"],
         ["check-acyclic", "--d", "9", "--de", "1"], ["check-acyclic", "--d", "6", "--de", "2"],
         ["verify-theorem", "--range", "2", "12"],
         ["verify-theorem", "161", "160"], ["verify-theorem", "307", "2"],
     ]
-    cases += [["resolve", "7", "3", "--stage", s] for s in ("local", "infinity", "completion")]
+    cases += [["resolve", n, m, "--stage", s] for n, m in (("7", "3"), ("164", "163"))
+              for s in ("local", "infinity", "completion")]
     pairs = [(n, m) for n in range(2, 31) for m in range(1, n) if gcd(n, m) == 1]
     assert len(pairs) == 277
     cases += [["verify-theorem", str(n), str(m)] for n, m in pairs + LONG_EUCLID]
@@ -840,38 +845,77 @@ def generic_render_json(args, result):
     }) + "\n"
 
 
-MOVE_ROW = {"kind": "blow_up_edge", "vertex": 7, "position": 3, "anchors": [2, 5]}
 ODD_VALUES = (True, False, Level.HIGH, Label("tagged"), (1, 2), [[1, [2, True]], []],
               None, Move("spawn", 1, 0), 1.5)
-ODD_MOVE_ROWS = (
-    {**MOVE_ROW, "position": True}, {**MOVE_ROW, "vertex": Level.LOW},
-    {**MOVE_ROW, "anchors": (2, 5)}, {**MOVE_ROW, "anchors": [True]},
-    {**MOVE_ROW, "anchors": []}, {**MOVE_ROW, "kind": Label("spawn")},
-    {**MOVE_ROW, "note": "extra"}, {k: MOVE_ROW[k] for k in ("kind", "vertex", "position")},
-    {**MOVE_ROW, "position": 1.5}, ["blow_up_free", 1, 0, [2]], Move("spawn", 1, 0),
+MOVE = Move("blow_up_edge", 7, 3, (2, 5))
+
+
+class TaggedMove(Move):
+    """A subclass of Move, which the move template declines."""
+
+
+#: a Move field the writer reads replaced by a bool, an IntEnum, a float,
+#: a Move, a str subclass or a list; no anchors or three; a subclass of Move
+ODD_MOVES = (
+    MOVE._replace(position=True), MOVE._replace(vertex=Level.LOW),
+    MOVE._replace(anchors=(True, 5)), MOVE._replace(anchors=(2, Level.HIGH)),
+    MOVE._replace(anchors=[2, 5]), MOVE._replace(anchors=()), MOVE._replace(anchors=(2, 5, 9)),
+    MOVE._replace(kind=Label("spawn")), TaggedMove(*MOVE),
+    MOVE._replace(position=1.5), MOVE._replace(vertex=Move("spawn", 1, 0)),
 )
-ODD_PAIRS = ([1, True], [1, 2, 3], (1, 2), [Level.HIGH, -1], [1], [1, 1.5], [1, [2]])
+
+
+def odd_graph(ids, weights, edges):
+    """A graph the public constructor takes without checking its ids and weights."""
+    return WeightedGraph(ids, dict(zip(ids, weights)), edges, 40)
+
+
+#: (graph, roles) with a weight or a vertex id replaced by a bool, an IntEnum or a float
+ODD_GRAPHS = (
+    (odd_graph([1, 2], [-3, True], [(1, 2)]), {}),
+    (odd_graph([1, 2], [-3, Level.HIGH], [(1, 2)]), {"curve": (2,)}),
+    (odd_graph([1, 2], [-3, 1.5], [(1, 2)]), {}),
+    (odd_graph([3, True], [-3, -2], [(3, True)]), {}),
+    (odd_graph([1, Level.HIGH], [-3, -2], [(1, Level.HIGH)]), {"curve": (Level.HIGH,)}),
+    (odd_graph([1, 1.5], [-3, -2], [(1, 1.5)]), {}),
+    (odd_graph([], [], []), {}),
+)
+
+#: fiber roles with a bool or an IntEnum, ids whose keys sort apart from
+#: their values, an id listed twice, and no vertex at all
+ODD_ROLES = (
+    FiberRole((3, 1, 2), (3,), 1, (2,), {1: True, 2: 1, 3: 2}),
+    FiberRole((3, Level.HIGH, 2), (3,), Level.HIGH, (2,), {Level.HIGH: 1, 2: 1, 3: 2}),
+    FiberRole((10, 9, -1, 100, -20, 2), (10, 9), -1, (100, -20, 2),
+              {10: 1, 9: 2, -1: 3, 100: 4, -20: 5, 2: 6}),
+    FiberRole((4, 4, 5), (4,), 5, (4,), {4: 1, 5: 2}),
+    FiberRole((), (), 7, (), {}),
+)
 
 
 def hand_built_results():
+    """Results as the commands build them, with faults put into the objects
+    the row templates read, and a result built by hand from plain data."""
     for v in ODD_VALUES:
         yield cli.CommandResult({}, checks=[CheckResult("c", v, 1), CheckResult("d", 2, v),
                                             CheckResult(Label("e"), v, v)])
-    for row in ODD_MOVE_ROWS:
-        yield cli.CommandResult({}, moves={"main": [MOVE_ROW, row, dict(MOVE_ROW)]})
-    yield cli.CommandResult({}, moves={"main": (MOVE_ROW,), "none": [], "rows": [MOVE_ROW]})
-    for pair in ODD_PAIRS:
-        for key in ("vertices", "edges"):
-            graph = {"vertices": [[1, -1], [2, 0]], "edges": [[1, 2]], "roles": {}}
-            graph[key] = [[3, 4], pair, [5, 6]]
-            yield cli.CommandResult({"n": 2, "graph": graph})
-    yield cli.CommandResult({"graph": {"vertices": ([1, -1],), "edges": [], "roles": {}}})
-    yield cli.CommandResult({"graph": [[1, 2]]})
+    for move in ODD_MOVES:
+        yield cli.CommandResult({}, moves={"main": cli._move_part((MOVE, move, MOVE))})
+    yield cli.CommandResult({}, moves={"main": cli._move_part((MOVE,)),
+                                       "none": cli._move_part(())})
+    for g, roles in ODD_GRAPHS:
+        yield cli.CommandResult({"n": 2, "graph": cli._graph_part(GraphDocument(g, roles))})
+    for role in ODD_ROLES:
+        yield cli.CommandResult({"fiber_one": cli._Rows(cli._fiber_text, cli._fiber_payload, role)})
+    yield cli.CommandResult({"graph": {"vertices": ([1, -1],), "edges": [], "roles": {}}},
+                            moves={"main": [{"kind": "spawn", "vertex": 1, "position": 0,
+                                             "anchors": []}]})
 
 
 def test_row_templates_write_what_the_generic_writer_does():
-    """Every row the templates decline goes through _value_text at its depth:
-    the same bytes as the stdlib encoder, or the same TypeError."""
+    """Every part the templates decline goes through _value_text as its
+    plain data: the same bytes as the generic writer and the stdlib encoder
+    on the plain view, or the same TypeError."""
     args = cli.build_parser().parse_args(["verify-theorem", "5", "3", "--format", "json"])
     raised = 0
     for result in hand_built_results():
@@ -884,25 +928,72 @@ def test_row_templates_write_what_the_generic_writer_does():
             continue
         assert want == reference_render_json(args, result), result
         assert cli._render_json(args, result) == want, result
-    assert raised == 6  # a float or a Move among the checks or the move rows, a float in a pair
+    assert raised == 6  # a float or a Move among the checks and in a Move, a float weight and id
 
 
 def test_rendering_leaves_the_result_as_it_was():
+    """results and moves read as today's plain data, after any number of
+    renderings, and as the same objects on every read."""
     args = cli.build_parser().parse_args(["verify-theorem", "5", "3", "--format", "json"])
     result = cli._handler(args.command)(args)
-    before = json.dumps([result.results, result.moves], sort_keys=True)
-    graph, moves = result.results["graph"], result.moves
-    cli._render_json(args, result)
-    assert result.results["graph"] is graph and result.moves is moves
+    text = cli._render_json(args, result)
+    results, moves = result.results, result.moves
+    assert result.results is results and result.moves is moves
+    cert = resolution.theorem_pipeline(resolution.CuspPair(5, 3))
+    assert moves == {
+        key: [{"kind": m.kind, "vertex": m.vertex, "position": m.position,
+               "anchors": list(m.anchors)} for m in log]
+        for key, log in (("resolution", cert.history.resolution),
+                         ("minimalization", cert.history.minimalization))}
+    g = cert.graph
+    assert results["graph"] == {
+        "vertices": [[v, g.weight(v)] for v in g.vertices],
+        "edges": [list(e) for e in g.edges],
+        "roles": {"curve": [cert.curve], "fiber_one": list(cert.fiber_one.vertices),
+                  "fiber_two": list(cert.fiber_two.vertices), "sections": list(cert.sections)}}
+    role = cert.fiber_two
+    assert results["fiber_two"] == {
+        "vertices": list(role.vertices), "near_part": list(role.near_part),
+        "free_vertex": role.free_vertex, "far_part": list(role.far_part),
+        "multiplicities": {str(v): role.multiplicity[v] for v in role.vertices}}
+    before = json.dumps([results, moves], sort_keys=True)
+    assert cli._render_json(args, result) == text
+    assert result.results is results and result.moves is moves
     assert json.dumps([result.results, result.moves], sort_keys=True) == before
+    plain = {"n": 1}
+    assert cli.CommandResult(plain).results is plain  # a hand-built result reads as handed over
+
+
+def test_a_certificate_builds_no_row_dict_or_pair_list(run, monkeypatch):
+    """verify-theorem writes its move rows, graph pairs and fiber parts from
+    the Moves, the graph and the fiber roles: no plain part is built."""
+    argv = ["verify-theorem", "29", "27"]
+    want = certificate_pair(argv)[1]
+    built = Counter()
+    for name in ("_move_rows", "_graph_payload", "_fiber_payload"):
+        def counted(source, name=name, plain=getattr(cli, name)):
+            built[name] += 1
+            return plain(source)
+        monkeypatch.setattr(cli, name, counted)
+    assert run(*argv, "--format", "json") == (0, want, "")
+    assert built == {}
+    args = cli.build_parser().parse_args(argv + ["--format", "json"])
+    result = cli._handler(args.command)(args)
+    assert built == {}
+    result.moves
+    assert built == {"_move_rows": 2}
+    result.results
+    result.results
+    assert built == {"_move_rows": 2, "_graph_payload": 1, "_fiber_payload": 2}
 
 
 def test_a_certificate_takes_at_most_half_the_generic_writer_calls(monkeypatch):
-    """The row templates write each check row, move row and graph pair
-    without a writer call of its own.  The generic writer alone made 48346
-    calls on these 277 certificates, 174.5 each.  Only calls on a dict,
-    list, tuple or _Rows count, since the writer also takes each value of
-    an object by a call, a scalar included; they number 14301."""
+    """The row templates write each check row, move row, graph pair and fiber
+    part without a writer call of its own.  The generic writer alone made
+    48346 calls on these 277 certificates, 174.5 each.  Only calls on a
+    dict, list, tuple or _Rows count, since the writer also takes each value
+    of an object by a call, a scalar included; they number 11531, 41.6
+    each, and numbered 14301 while each fiber part was a plain dict."""
     calls = 0
     write = cli._value_text
 
@@ -917,7 +1008,7 @@ def test_a_certificate_takes_at_most_half_the_generic_writer_calls(monkeypatch):
     for n, m in pairs:
         args = cli.build_parser().parse_args(["verify-theorem", str(n), str(m), "--format", "json"])
         cli._render_json(args, cli._handler(args.command)(args))
-    assert calls <= 48346 // 2
+    assert calls <= 11531
 
 
 def test_rendering_a_long_certificate_takes_at_most_2_4_times_its_text():

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -331,6 +332,27 @@ def test_elementary_preconditions():
         elementary_transformation(chain([-2, 0, -2]), 2, side="free")
     with pytest.raises(UnknownEdge):
         elementary_transformation(chain([0, -2, -2]), 1, side=3)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, Fraction(1), "1"])
+def test_move_ids_must_be_ints(bad):
+    """Each public move refuses an id that is not an int before it reads the
+    graph: True, 1.0 and Fraction(1) would find vertex 1 and log themselves."""
+    g = chain([-1, -1])
+    zero = chain([0, -2])
+    cases = [
+        (lambda: blow_up(g, (bad,)), "anchor"),
+        (lambda: blow_up(g, (1, bad)), "anchor"),
+        (lambda: blow_up(g, (bad, 2)), "anchor"),
+        (lambda: blow_down(g, bad), "vertex"),
+        (lambda: snc_minimalize(g, [bad]), "protected vertex"),
+        (lambda: snc_minimalize(g, [1, bad]), "protected vertex"),
+        (lambda: elementary_transformation(zero, bad, "free"), "zero_vertex"),
+        (lambda: elementary_transformation(zero, 1, bad), "side"),
+    ]
+    for call, what in cases:
+        with pytest.raises(TypeError, match=re.escape(f"{what} must be an int, got {bad!r}")):
+            call()
 
 
 def test_elementary_round_trip():
